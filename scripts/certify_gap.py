@@ -17,9 +17,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from lagspec.bisequence import sup_lambda
 from lagspec.certify import (
+    GAP_CERTIFICATION_ORDER,
     Constraints,
     NotSeparatedError,
-    Pattern,
     audit_not_attained,
     certify_forbidden,
     gap_constraints,
@@ -27,18 +27,6 @@ from lagspec.certify import (
 )
 from lagspec.constructions import alpha0_prefix, build_a0, gap_left_endpoint
 from lagspec.quadfield import QuadSum
-
-CUMULATIVE = [
-    (Pattern((3, 1), 0), frozenset()),
-    (Pattern((1, 3), 1), frozenset()),
-    (Pattern((3, 2, 2), 0), frozenset({(1, 3), (3, 1)})),
-    (Pattern((2, 2, 3), 2), frozenset({(1, 3), (3, 1)})),
-    (Pattern((3, 2, 3), 0), frozenset({(1, 3), (3, 1), (3, 2, 2), (2, 2, 3)})),
-    (
-        Pattern((1, 2, 3, 2, 1), 2),
-        frozenset({(1, 3), (3, 1), (3, 2, 2), (2, 2, 3), (3, 2, 3)}),
-    ),
-]
 
 
 def main() -> int:
@@ -60,7 +48,7 @@ def main() -> int:
     )
     ok &= cert.status == "certified" and cert.sup == lam0
 
-    for pattern, forbidden in CUMULATIVE:
+    for pattern, forbidden in GAP_CERTIFICATION_ORDER:
         t = time.time()
         try:
             c = certify_forbidden(pattern, lam0, Constraints(3, forbidden), args.depth)

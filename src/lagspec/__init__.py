@@ -6,7 +6,7 @@ with their two-sided values, and certificate machinery for forbidden
 patterns and non-attainability audits.
 """
 
-from .quadfield import MixedRadicandError, QuadExt, QuadSum, Rational
+from .quadfield import MixedRadicandError, QuadExt, QuadSum
 from .cfrac import (
     EPCF,
     EpsDelta,

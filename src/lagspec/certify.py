@@ -5,7 +5,8 @@ from exact cylinder intervals: admissible continuations are explored to
 a fixed depth, each leaf contributing the convergent/mediant endpoints
 of its cylinder, and the min/max are folded through the Moebius maps of
 the known word.  Everything is rational arithmetic; deepening the search
-never loosens a bound.
+never loosens a bound.  The non-attainability audit brackets every
+position of a known word in two linear passes over its matrix products.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import FiniteCF, cylinder, eval_finite
+from .cfrac import FiniteCF, mobius
 from .quadfield import QuadSum
 
 __all__ = [
     "AuditReport",
     "BoundCertificate",
     "Constraints",
+    "GAP_CERTIFICATION_ORDER",
     "GAP_FORBIDDEN",
     "NecessityReport",
     "NotSeparatedError",
@@ -34,17 +36,6 @@ __all__ = [
     "site_lambda_bounds",
     "violates",
 ]
-
-# factors whose presence at a site forces the two-sided value above the
-# gap endpoint; listed in certification order
-GAP_FORBIDDEN: tuple[tuple[int, ...], ...] = (
-    (1, 3),
-    (3, 1),
-    (2, 2, 3),
-    (3, 2, 2),
-    (3, 2, 3),
-    (1, 2, 3, 2, 1),
-)
 
 CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
 
@@ -111,6 +102,22 @@ class Pattern:
             raise ValueError("site outside pattern word")
 
 
+# factors forcing the two-sided value at the site above the gap endpoint, in
+# certification order; step (word, site, k) has the first k words forbidden
+_GAP_STEPS = (
+    ((3, 1), 0, 0),
+    ((1, 3), 1, 0),
+    ((3, 2, 2), 0, 2),
+    ((2, 2, 3), 2, 2),
+    ((3, 2, 3), 0, 4),
+    ((1, 2, 3, 2, 1), 2, 5),
+)
+GAP_FORBIDDEN: tuple[tuple[int, ...], ...] = tuple(w for w, _, _ in _GAP_STEPS)
+GAP_CERTIFICATION_ORDER: tuple[tuple[Pattern, frozenset], ...] = tuple(
+    (Pattern(w, site), frozenset(GAP_FORBIDDEN[:k])) for w, site, k in _GAP_STEPS
+)
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """Certified rational bounds on the value at a pattern site."""
@@ -120,7 +127,6 @@ class BoundCertificate:
     depth: int
     lower: Fraction
     upper: Fraction
-    kind: str  # "site_lower_bound" or "cylinder_upper_bound"
 
     def __post_init__(self):
         if self.lower > self.upper:
@@ -207,9 +213,7 @@ class _TailDP:
                 sub = self.bounds(ctx + (a,), depth - 1)
                 if sub is None:
                     continue
-                slo, shi = sub
-                alo = Fraction(a) if shi is None else a + Fraction(1) / shi
-                ahi = a + Fraction(1) / slo
+                alo, ahi = _mobius_interval((a,), sub)
                 lo = alo if lo is None or alo < lo else lo
                 hi = ahi if hi is None or ahi > hi else hi
             res = None if lo is None else (lo, hi)
@@ -217,21 +221,14 @@ class _TailDP:
         return res
 
 
-def _mobius_interval(known, tail):
-    """Value interval of [0; known..., t] for t in the tail interval."""
+def _mobius_interval(word, tail):
+    """Value interval of [word..., t] for t in the tail interval; None is +inf = 1/0."""
     tlo, thi = tail
-    p1, p0 = 1, 0
-    q1, q0 = 0, 1
-    for a in (0,) + tuple(known):
-        p1, p0 = a * p1 + p0, p1
-        q1, q0 = a * q1 + q0, q1
+    p1, p0, q1, q0 = mobius(word)
+    hn, hd = (1, 0) if thi is None else (thi.numerator, thi.denominator)
     at_lo = Fraction(p1 * tlo.numerator + p0 * tlo.denominator,
                      q1 * tlo.numerator + q0 * tlo.denominator)
-    if thi is None:
-        at_hi = Fraction(p1, q1) if q1 else None
-    else:
-        at_hi = Fraction(p1 * thi.numerator + p0 * thi.denominator,
-                         q1 * thi.numerator + q0 * thi.denominator)
+    at_hi = Fraction(p1 * hn + p0 * hd, q1 * hn + q0 * hd)
     return (at_lo, at_hi) if at_lo <= at_hi else (at_hi, at_lo)
 
 
@@ -241,6 +238,8 @@ def site_lambda_bounds(
     """Certified bounds on the two-sided value at the pattern site over
     all bi-infinite admissible sequences containing the word there."""
     w = pattern.word
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
     dp_f = _TailDP(constraints)
@@ -249,15 +248,14 @@ def site_lambda_bounds(
     left = dp_r.bounds(tuple(reversed(w)), depth)
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
-    rint = _mobius_interval(w[pattern.site + 1 :], right)
-    lint = _mobius_interval(tuple(reversed(w[: pattern.site])), left)
+    rint = _mobius_interval((0,) + w[pattern.site + 1 :], right)
+    lint = _mobius_interval((0,) + tuple(reversed(w[: pattern.site])), left)
     return BoundCertificate(
         pattern=pattern,
         constraints=constraints,
         depth=depth,
         lower=w[pattern.site] + rint[0] + lint[0],
         upper=w[pattern.site] + rint[1] + lint[1],
-        kind="site_lower_bound",
     )
 
 
@@ -310,6 +308,8 @@ def pattern_necessity(
     """
     if window_len < 7:
         raise ValueError("window_len must be at least 7")
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     threshold = Fraction(threshold)
     center = window_len // 2
     dp_f = _TailDP(constraints)
@@ -341,7 +341,7 @@ def pattern_necessity(
         if key not in left_memo:
             rev = tuple(reversed(word[:center]))
             tail = dp_r.bounds(rev, depth)
-            left_memo[key] = None if tail is None else _mobius_interval(rev, tail)
+            left_memo[key] = None if tail is None else _mobius_interval((0,) + rev, tail)
         return left_memo[key]
 
     def upper_for(word):
@@ -352,7 +352,7 @@ def pattern_necessity(
         tail = dp_f.bounds(word, (window_len - len(word)) + depth)
         if tail is None:
             return None
-        rint = _mobius_interval(word[center + 1 :], tail)
+        rint = _mobius_interval((0,) + word[center + 1 :], tail)
         return word[center] + lint[1] + rint[1]
 
     def center_on_outer_three(word) -> bool:
@@ -398,6 +398,26 @@ def pattern_necessity(
     )
 
 
+def _one_sided_brackets(w: tuple[int, ...], start: int, stop: int):
+    """Brackets of one_sided_lambda_bracket(w, n) for n = start..stop, in
+    two linear passes.  Right to left: the matrix of reversed(w[n:]) is the
+    transpose of that of w[n:] (each step [[a, 1], [1, 0]] is symmetric), so
+    it holds the cylinder of [0; w[n:]]; the identity gives (0, 1).  Left to
+    right: the matrix of [0; w[:n-1]] gives the backward value by the mirror
+    formula [0; b_{n-1}, ..., b_1] = q_{n-2}/q_{n-1}."""
+    suffix = [mobius(reversed(w[stop:]))]
+    for n in range(stop, start, -1):
+        suffix.append(mobius((w[n - 1],), suffix[-1]))
+    m = mobius((0,) + w[: start - 1])
+    for n in range(start, stop + 1):
+        p1, q1, p0, q0 = suffix.pop()  # transposed: w[n:] has (p1, p0, q1, q0)
+        e1, e2 = Fraction(q1, p1), Fraction(q1 + q0, p1 + p0)  # [0; ...] swaps rows
+        lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
+        base = w[n - 1] + Fraction(m[3], m[2])  # q_{n-2}/q_{n-1}
+        yield base + lo, base + hi
+        m = mobius((w[n - 1],), m)
+
+
 def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     """Exact bracket of the one-sided value at position n (1-based) of
     [0; b1, ..., bL, unknown...]: the backward part is a finite word and
@@ -406,14 +426,7 @@ def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     w = tuple(word)
     if not 1 <= n <= len(w):
         raise ValueError("position outside the word")
-    a = w[n - 1]
-    back = eval_finite(FiniteCF(0, tuple(reversed(w[: n - 1])))) if n > 1 else Fraction(0)
-    rest = w[n:]
-    if rest:
-        lo, hi = cylinder((0,) + rest)
-    else:
-        lo, hi = Fraction(0), Fraction(1)
-    return a + back + lo, a + back + hi
+    return next(_one_sided_brackets(w, n, n))
 
 
 @dataclass(frozen=True)
@@ -446,17 +459,17 @@ def audit_not_attained(
     reference; a site whose value approaches the reference needs the
     known word to reach one symbol past the point where it leaves the
     reference's periodic tail.  For the block word with m blocks that
-    means guard >= 2m + 3 (19 covers the default 8 blocks).
+    means guard >= 2m + 3 (19 covers the default 8 blocks).  Every
+    position is bracketed in two linear passes over the word.
     """
     w = alpha_prefix.tail
     stop = len(w) - guard
+    if guard < 0:
+        raise PrefixTooShortError(f"guard must be nonnegative, got {guard}")
     if start < 1 or start > stop:
         raise PrefixTooShortError(
             f"audit range [{start}, {stop}] is empty for a word of length {len(w)}"
         )
-    flagged = []
-    for n in range(start, stop + 1):
-        _, hi = one_sided_lambda_bracket(w, n)
-        if not reference > hi:
-            flagged.append(n)
+    brackets = _one_sided_brackets(w, start, stop)
+    flagged = [n for n, (_, hi) in enumerate(brackets, start) if not reference > hi]
     return AuditReport(start=start, stop=stop, guard=guard, flagged=tuple(flagged))

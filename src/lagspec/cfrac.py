@@ -2,7 +2,8 @@
 
 Words are kept as combinatorial objects: [0;2,1] and [0;3] denote the
 same rational but stay distinct words, since trailing quotients matter
-for pattern analysis.  Evaluation is exact (Fraction or QuadExt), period
+for pattern analysis.  Every convergent recurrence runs through one 2x2
+matrix kernel, mobius.  Evaluation is exact (Fraction or QuadExt), period
 detection works on exact surd states, and prefix comparison follows the
 alternating parity rule for continued fractions.
 """
@@ -28,6 +29,7 @@ __all__ = [
     "eval_finite",
     "eval_periodic",
     "expand",
+    "mobius",
 ]
 
 
@@ -94,9 +96,6 @@ class EPCF:
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.quotient(i) for i in range(n))
-
     def __str__(self):
         per = f"({','.join(map(str, self.period))})"
         if self.preperiod:
@@ -126,21 +125,30 @@ def _word_of(w) -> tuple[int, ...]:
     return tuple(w)
 
 
-def convergents(w) -> list[tuple[int, int]]:
-    """Convergents (p, q) of a finite word, leading term included."""
-    p1, p0 = 1, 0
-    q1, q0 = 0, 1
-    out = []
-    for a in _word_of(w):
+def mobius(word, m=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
+    """Matrix of the homographic map x -> [word..., x] = (p1*x + p0)/(q1*x + q0),
+    continued from m; from the identity, p1/q1 and p0/q0 are the word's last
+    two convergents, and mobius(u + v) == mobius(v, mobius(u))."""
+    p1, p0, q1, q0 = m
+    for a in word:
         p1, p0 = a * p1 + p0, p1
         q1, q0 = a * q1 + q0, q1
-        out.append((p1, q1))
+    return p1, p0, q1, q0
+
+
+def convergents(w) -> list[tuple[int, int]]:
+    """Convergents (p, q) of a finite word, leading term included."""
+    m = (1, 0, 0, 1)
+    out = []
+    for a in _word_of(w):
+        m = mobius((a,), m)
+        out.append((m[0], m[2]))
     return out
 
 
 def eval_finite(w) -> Fraction:
     """Exact rational value of a finite word; equals its last convergent."""
-    p, q = convergents(w)[-1]
+    p, _, q, _ = mobius(_word_of(w))
     return Fraction(p, q)
 
 
@@ -151,23 +159,14 @@ def eval_periodic(cf: EPCF) -> QuadExt:
     greater than 1 is the value since the tail starts with a positive
     quotient.  The preperiod map is then applied exactly.
     """
-    per = cf.period
-    p1, p0 = 1, 0
-    q1, q0 = 0, 1
-    for a in per:
-        p1, p0 = a * p1 + p0, p1
-        q1, q0 = a * q1 + q0, q1
+    p1, p0, q1, q0 = mobius(cf.period)
     # y = (p1*y + p0) / (q1*y + q0)
     A, B, C = q1, q0 - p1, -p0
     assert A != 0, "degenerate period map"
     disc = B * B - 4 * A * C
     y = QuadExt(-B, 1, 2 * A, disc)
     # apply [a0; preperiod..., y]
-    p1, p0 = 1, 0
-    q1, q0 = 0, 1
-    for a in (cf.a0,) + cf.preperiod:
-        p1, p0 = a * p1 + p0, p1
-        q1, q0 = a * q1 + q0, q1
+    p1, p0, q1, q0 = mobius((cf.a0,) + cf.preperiod)
     return (p1 * y + p0) / (q1 * y + q0)
 
 
@@ -249,8 +248,7 @@ def cylinder(w) -> tuple[Fraction, Fraction]:
     word = _word_of(w)
     if len(word) < 2:
         raise ValueError("cylinder needs a word with nonempty tail")
-    convs = convergents(word)
-    (pm, qm), (pn, qn) = convs[-2], convs[-1]
+    pn, pm, qn, qm = mobius(word)
     e1 = Fraction(pn, qn)
     e2 = Fraction(pn + pm, qn + qm)
     return (e1, e2) if e1 < e2 else (e2, e1)

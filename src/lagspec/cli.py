@@ -69,10 +69,6 @@ def _parse_forbidden(text: str | None) -> frozenset[tuple[int, ...]]:
     return frozenset(parse_word(part) for part in text.split(";") if part.strip())
 
 
-def _cf_to_text(cf) -> str:
-    return str(cf)
-
-
 def _cmd_eval(args) -> int:
     v = evaluate(parse_expression(args.expr))
     _emit_value(v, args.digits, args.structured)
@@ -158,7 +154,7 @@ def _bound_report(cert, digits: int) -> dict:
         "upper": f"{cert.upper.numerator}/{cert.upper.denominator}",
         "lower_decimal": QuadSum(cert.lower).approx(digits),
         "upper_decimal": QuadSum(cert.upper).approx(digits),
-        "kind": cert.kind,
+        "kind": "site_lower_bound",
     }
 
 

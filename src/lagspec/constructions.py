@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisequence import BiSeq, periodic_phase_limits
+from .bisequence import BiSeq, _rot, periodic_phase_limits
 from .cfrac import EPCF, FiniteCF, cmp_prefix, eval_finite, eval_periodic
 from .quadfield import QuadExt, QuadSum
 
@@ -209,11 +209,6 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
             raise AssertionError(f"excursion fails at m={m}: {lam} <= {mu}")
         lams.append(lam)
     return gamma_prime, AttainReport(j, mu, ms, tuple(lams))
-
-
-def _rot(word: tuple[int, ...], k: int) -> tuple[int, ...]:
-    k %= len(word)
-    return word[k:] + word[:k]
 
 
 def block_word(periods, reps) -> tuple[int, ...]:

@@ -23,8 +23,6 @@ __all__ = [
     "SumExpr",
     "Term",
     "evaluate",
-    "format_biseq",
-    "format_cf",
     "format_expression",
     "parse_biseq",
     "parse_cf",
@@ -292,14 +290,6 @@ def evaluate(expr: SumExpr | BiSeqExpr) -> QuadSum:
             )
             total = total + val * QuadExt.from_rational(t.coef)
     return total
-
-
-def format_cf(cf: FiniteCF | EPCF) -> str:
-    return str(cf)
-
-
-def format_biseq(seq: BiSeq) -> str:
-    return str(seq)
 
 
 def _format_coef(q: Fraction) -> str:

@@ -13,13 +13,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
-Rational = Fraction
-
 __all__ = [
     "MixedRadicandError",
     "QuadExt",
     "QuadSum",
-    "Rational",
     "squarefree_decompose",
 ]
 
@@ -240,9 +237,6 @@ class QuadExt:
         if self.b != 0:
             raise ValueError(f"{self} is irrational")
         return Fraction(self.a, self.c)
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.c, self.d)
 
     # -- arithmetic --------------------------------------------------------
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from lagspec.bisequence import periodic_phase_limits, sup_lambda
 from lagspec.cfrac import EPCF, cylinder, distance_bounds, eval_periodic, expand
 from lagspec.certify import (
+    GAP_CERTIFICATION_ORDER,
     Constraints,
     Pattern,
     audit_not_attained,
@@ -143,6 +144,7 @@ CUMULATIVE = [
 
 
 def test_criterion_5_forbidden_pattern_certificates():
+    assert list(GAP_CERTIFICATION_ORDER) == CUMULATIVE
     lam0 = gap_left_endpoint()
     for pattern, forbidden in CUMULATIVE:
         cert = certify_forbidden(pattern, lam0, Constraints(3, forbidden), 25)

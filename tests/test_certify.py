@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagspec.bisequence import BiSeq, lambda_at
 from lagspec.certify import (
@@ -12,14 +14,13 @@ from lagspec.certify import (
     admissible_extensions,
     audit_not_attained,
     certify_forbidden,
-    cylinder,
     gap_constraints,
     one_sided_lambda_bracket,
     pattern_necessity,
     site_lambda_bounds,
     violates,
 )
-from lagspec.cfrac import FiniteCF
+from lagspec.cfrac import FiniteCF, cylinder, eval_finite
 from lagspec.constructions import alpha0_prefix, gap_left_endpoint
 from lagspec.quadfield import QuadExt, QuadSum
 
@@ -105,25 +106,6 @@ def test_site_bounds_known_limits():
     assert b.lower > Fraction(370, 100)
     b = site_lambda_bounds(Pattern((1, 2, 3, 2, 1), 2), ONLY_13_31, 20)
     assert b.lower > Fraction(373, 100)
-
-
-CUMULATIVE_ORDER = [
-    (Pattern((3, 1), 0), Constraints(3)),
-    (Pattern((1, 3), 1), Constraints(3)),
-    (Pattern((3, 2, 2), 0), ONLY_13_31),
-    (Pattern((2, 2, 3), 2), ONLY_13_31),
-    (Pattern((3, 2, 3), 0), Constraints(3, frozenset({(1, 3), (3, 1), (3, 2, 2), (2, 2, 3)}))),
-    (
-        Pattern((1, 2, 3, 2, 1), 2),
-        Constraints(3, frozenset({(1, 3), (3, 1), (3, 2, 2), (2, 2, 3), (3, 2, 3)})),
-    ),
-]
-
-
-def test_certify_forbidden_cumulative():
-    for pattern, constraints in CUMULATIVE_ORDER:
-        cert = certify_forbidden(pattern, LAM0, constraints, 25)
-        assert QuadSum(cert.lower) > LAM0
 
 
 def test_certify_not_separated():
@@ -236,6 +218,13 @@ def test_necessity_rejects_short_window():
         pattern_necessity(Fraction(3691, 1000), gap_constraints(), 5, 10)
 
 
+def test_negative_depth_rejected():
+    with pytest.raises(ValueError, match="depth"):
+        site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), -3)
+    with pytest.raises(ValueError, match="depth"):
+        pattern_necessity(Fraction(3691, 1000), gap_constraints(), 15, -3)
+
+
 def test_audit_reference_word():
     rep = audit_not_attained(alpha0_prefix(8), LAM0, start=12)
     assert rep.clean
@@ -247,16 +236,40 @@ def test_audit_low_word():
     assert rep.clean
 
 
+def _reference_bracket(w, n):
+    """The one-sided bracket from its definition: the exact backward word
+    and the cylinder of the rest, (0, 1) when nothing is left."""
+    back = eval_finite((0,) + tuple(reversed(w[: n - 1])))
+    rest = w[n:]
+    lo, hi = cylinder((0,) + rest) if rest else (Fraction(0), Fraction(1))
+    return w[n - 1] + back + lo, w[n - 1] + back + hi
+
+
 def test_audit_flags_adversarial_word():
     word = (2, 1) * 5 + (3, 1) + (1, 3) * 10 + (1, 2) * 10
     rep = audit_not_attained(FiniteCF(0, word), LAM0, start=1)
     assert not rep.clean
     assert 11 in rep.flagged  # the 3 of the planted (3,1)
+    expected = [
+        n for n in range(1, rep.stop + 1) if not LAM0 > _reference_bracket(word, n)[1]
+    ]
+    assert list(rep.flagged) == expected
 
 
 def test_audit_prefix_too_short():
     with pytest.raises(PrefixTooShortError):
         audit_not_attained(FiniteCF(0, (1, 2) * 5), LAM0, start=1)
+    # a negative guard would audit positions past the end of the word
+    with pytest.raises(PrefixTooShortError, match="guard"):
+        audit_not_attained(FiniteCF(0, (1, 2) * 20), LAM0, start=1, guard=-5)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=30))
+@settings(max_examples=300)
+def test_one_sided_bracket_matches_definition(word):
+    w = tuple(word)
+    for n in range(1, len(w) + 1):
+        assert one_sided_lambda_bracket(w, n) == _reference_bracket(w, n)
 
 
 def test_one_sided_bracket_edges():

@@ -17,6 +17,7 @@ from lagspec.cfrac import (
     eval_finite,
     eval_periodic,
     expand,
+    mobius,
 )
 from lagspec.quadfield import QuadExt, QuadSum
 
@@ -39,6 +40,20 @@ def test_convergents_coprime_increasing():
         assert gcd(p, q) == 1 and q >= 1
     qs = [q for _, q in convs]
     assert all(qs[i] < qs[i + 1] for i in range(1, len(qs) - 1))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=20),
+    st.lists(st.integers(min_value=1, max_value=6), max_size=20),
+)
+def test_mobius_matrix(u, v):
+    word = tuple(u) + tuple(v)
+    p1, p0, q1, q0 = mobius(word)
+    convs = convergents(word)
+    assert (p1, q1) == convs[-1]
+    assert (p0, q0) == (convs[-2] if len(convs) > 1 else (1, 0))
+    assert p1 * q0 - p0 * q1 == (-1) ** len(word)
+    assert mobius(word) == mobius(v, mobius(u))
 
 
 def test_eval_finite():

@@ -119,6 +119,17 @@ def test_audit(capsys):
     assert "clean" in out
 
 
+def test_negative_depth_and_guard_exit_1(capsys):
+    for argv in (
+        ["certify-pattern", "3,1", "--threshold", "3", "--depth", "-3"],
+        ["necessity", "--threshold", "3691/1000", "--depth", "-3"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and "depth" in err
+    code, _, err = run(capsys, "audit-alpha0", "--guard", "-5")
+    assert code == 1 and "guard" in err
+
+
 def test_surgery(capsys):
     code, out, _ = run(capsys, "surgery", "2,1,2,1,3", "--n1", "1", "--n2", "3")
     assert code == 0
