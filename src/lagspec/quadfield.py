@@ -1,16 +1,19 @@
 """Exact arithmetic in real quadratic fields.
 
 Values are numbers (a + b*sqrt(d))/c kept in a canonical form: c > 0,
-gcd(a, b, c) = 1, d squarefree, and d = 1 exactly when the value is
-rational.  Sums of two values over different radicands are handled by
-QuadSum.  Every sign, order, floor and rounding query is decided exactly
-with integer arithmetic; nothing in this module touches floating point.
+gcd(a, b, c) = 1, and d = 1 exactly when the value is rational; otherwise
+d has no square factor p*p with p < 10**4 and is not a perfect square.
+No integer is factored, so values of one field may carry radicands that
+differ by a square factor, such as 10009 and 10007**2 * 10009; equality,
+hashing and arithmetic treat them as one field (the square-class test).
+Sums of two values over different fields are handled by QuadSum.  Every
+sign, order, floor and rounding query is decided exactly with integer
+arithmetic; nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, isqrt
 
 __all__ = [
@@ -44,86 +47,16 @@ def _sieve(bound):
 
 _SMALL_PRIMES = _sieve(10_000)
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES[:25]:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_brent(n: int) -> int:
-    # n odd composite, no factor below the sieve bound
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 100):
-        y, m, g, r, q = 2, 128, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(m, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += m
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"failed to factor {n}")
-
-
-def _factor(n: int, out: dict) -> None:
-    if n == 1:
-        return
-    if _is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    r = isqrt(n)
-    if r * r == n:
-        _factor(r, out)
-        _factor(r, out)
-        return
-    g = _pollard_brent(n)
-    _factor(g, out)
-    _factor(n // g, out)
-
-
-@lru_cache(maxsize=None)
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Split n >= 1 as s*s*d with d squarefree; returns (s, d).
+    """Split n >= 1 as s*s*d; returns (s, d).
 
-    Small primes come out by trial division; a perfect-square remainder
-    or a prime remainder then needs no factoring at all, which keeps the
-    huge discriminants of long-period evaluations cheap whenever the
-    underlying field is small.
+    Trial division by the primes below 10**4 moves every square factor p*p
+    of such a prime into s; a cofactor that is a perfect square then joins s
+    too, and any other cofactor stays in d as is.  So d has no square factor
+    p*p with p < 10**4 and is not a perfect square unless d == 1, but d need
+    not be squarefree: the radicand 10007**2 * 10009 is kept whole.  No
+    integer is ever factored, so the cost is bounded for every n.
     """
     if n < 1:
         raise ValueError("radicand must be positive")
@@ -138,20 +71,8 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
         s *= p ** (e // 2)
         if e % 2:
             d *= p
-    if n > 1:
-        r = isqrt(n)
-        if r * r == n:
-            s *= r
-        elif _is_prime(n):
-            d *= n
-        else:
-            rest: dict[int, int] = {}
-            _factor(n, rest)
-            for p, e in rest.items():
-                s *= p ** (e // 2)
-                if e % 2:
-                    d *= p
-    return s, d
+    r = isqrt(n)
+    return (s * r, d) if r * r == n else (s, d * n)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +96,7 @@ def _sign_lin(A: int, B: int, d: int) -> int:
 
 
 def _sign_two(A: int, B: int, d1: int, C: int, d2: int) -> int:
-    """Sign of A + B*sqrt(d1) + C*sqrt(d2), d1 != d2 both squarefree > 1.
+    """Sign of A + B*sqrt(d1) + C*sqrt(d2) for radicands d1, d2 >= 1.
 
     Isolates one radical and squares once, reducing the query to a single
     quadratic field; exact for every input.
@@ -192,6 +113,48 @@ def _sign_two(A: int, B: int, d1: int, C: int, d2: int) -> int:
     return sL * _sign_lin(A * A + B * B * d1 - C * C * d2, 2 * A * B, d1)
 
 
+def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    if c == 0:
+        raise ZeroDivisionError("zero denominator")
+    if d == 1:
+        a, b = a + b, 0
+    if b == 0:
+        d = 1
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(gcd(abs(a), abs(b)), c)
+    return a // g, b // g, c // g, d
+
+
+def _common_d(d1: int, d2: int) -> tuple[int, int, int] | None:
+    """One radicand for two fields: (g, k1, k2) with sqrt(d1) = k1*sqrt(g)
+    and sqrt(d2) = k2*sqrt(g), or None when they are different fields.
+
+    Radicand 1 is the rational field and joins any other.  Otherwise
+    g = gcd(d1, d2), and the fields agree exactly when d1/g and d2/g are
+    both perfect squares (the square class of d1*d2).
+    """
+    if d1 == d2 or d1 == 1:
+        return d2, 1, 1
+    if d2 == 1:
+        return d1, 1, 1
+    g = gcd(d1, d2)
+    k1 = isqrt(d1 // g)
+    if k1 * k1 * g != d1:
+        return None
+    k2 = isqrt(d2 // g)
+    return (g, k1, k2) if k2 * k2 * g == d2 else None
+
+
+def _invariant(terms):
+    """What a sum of canonical terms equals, whatever radicands they carry:
+    the rational part, with the set of signed squares b*|b|*d/c**2 of the
+    irrational parts when there are any (one per field)."""
+    rat = sum(Fraction(t.a, t.c) for t in terms)
+    irr = frozenset(Fraction(t.b * abs(t.b) * t.d, t.c * t.c) for t in terms if t.b)
+    return (rat, irr) if irr else rat
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -201,29 +164,25 @@ class QuadExt:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int = 0, c: int = 1, d: int = 1):
-        if c == 0:
-            raise ZeroDivisionError("zero denominator")
         if d < 1:
             raise ValueError("radicand must be positive")
         if b != 0 and d != 1:
             s, d = squarefree_decompose(d)
             b *= s
-        if d == 1:
-            a, b = a + b, 0
-        if b == 0:
-            d = 1
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
-        self.a = a // g
-        self.b = b // g
-        self.c = c // g
-        self.d = d
+        self.a, self.b, self.c, self.d = _canonical(a, b, c, d)
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, c: int, d: int) -> "QuadExt":
+        """Canonical value over a radicand that is already reduced; every
+        arithmetic result is built here, so no radicand is reduced twice."""
+        x = object.__new__(cls)
+        x.a, x.b, x.c, x.d = _canonical(a, b, c, d)
+        return x
 
     @classmethod
     def from_rational(cls, q) -> "QuadExt":
         q = Fraction(q)
-        return cls(q.numerator, 0, q.denominator, 1)
+        return cls._reduced(q.numerator, 0, q.denominator, 1)
 
     @classmethod
     def sqrt(cls, d: int) -> "QuadExt":
@@ -247,25 +206,26 @@ class QuadExt:
             return QuadExt.from_rational(other)
         return None
 
-    def _common_d(self, other: "QuadExt") -> int:
-        if self.d == other.d:
-            return self.d
-        if self.d == 1:
-            return other.d
-        if other.d == 1:
-            return self.d
-        raise MixedRadicandError(
-            f"distinct radicands {self.d} and {other.d}; use QuadSum"
-        )
+    def _rescaled(self, other: "QuadExt") -> tuple[int, int, int]:
+        """(b1, b2, d): both irrational coefficients over one radicand d."""
+        common = _common_d(self.d, other.d)
+        if common is None:
+            raise MixedRadicandError(
+                f"radicands {self.d} and {other.d} lie in different fields; use QuadSum"
+            )
+        d, k1, k2 = common
+        return self.b * k1, other.b * k2, d
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self._common_d(other)
-        return QuadExt(
+        if not (other.a or other.b):
+            return self
+        b1, b2, d = self._rescaled(other)
+        return QuadExt._reduced(
             self.a * other.c + other.a * self.c,
-            self.b * other.c + other.b * self.c,
+            b1 * other.c + b2 * self.c,
             self.c * other.c,
             d,
         )
@@ -273,7 +233,7 @@ class QuadExt:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.c, self.d)
+        return QuadExt._reduced(-self.a, -self.b, self.c, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -288,10 +248,10 @@ class QuadExt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        d = self._common_d(other)
-        return QuadExt(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
+        b1, b2, d = self._rescaled(other)
+        return QuadExt._reduced(
+            self.a * other.a + b1 * b2 * d,
+            self.a * b2 + b1 * other.a,
             self.c * other.c,
             d,
         )
@@ -303,13 +263,12 @@ class QuadExt:
             raise ZeroDivisionError("division by zero")
         # 1 / ((a + b*sqrt(d))/c) = c*(a - b*sqrt(d)) / (a^2 - b^2 d)
         n = self.a * self.a - self.b * self.b * self.d
-        return QuadExt(self.a * self.c, -self.b * self.c, n, self.d)
+        return QuadExt._reduced(self.a * self.c, -self.b * self.c, n, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._common_d(other)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -332,12 +291,10 @@ class QuadExt:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return _invariant((self,)) == _invariant((other,))
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(Fraction(self.a, self.c))
-        return hash((self.a, self.b, self.c, self.d))
+        return hash(_invariant((self,)))
 
     def _cmp(self, other) -> int:
         """Exact sign of self - other; works across radicands."""
@@ -411,9 +368,9 @@ class QuadExt:
 class QuadSum:
     """Exact sum x + y of two quadratic-field values; radicands may differ.
 
-    Canonical form merges y into x whenever both lie in one field (equal
-    radicands, or either side rational), so a canonical QuadSum is either
-    (value, 0) or a pair of irrational terms with distinct radicands,
+    Canonical form merges y into x whenever both lie in one field (the
+    square-class test, or either side rational), so a canonical QuadSum is
+    either (value, 0) or a pair of irrational terms over different fields,
     ordered by radicand.
     """
 
@@ -426,12 +383,11 @@ class QuadSum:
             y = QuadExt(0)
         elif not isinstance(y, QuadExt):
             y = QuadExt.from_rational(y)
-        if x.d == y.d or x.d == 1 or y.d == 1:
+        if _common_d(x.d, y.d):
             x, y = x + y, QuadExt(0)
         elif x.d > y.d:
             x, y = y, x
-        self.x = x
-        self.y = y
+        self.x, self.y = x, y
 
     @property
     def is_single(self) -> bool:
@@ -447,35 +403,37 @@ class QuadSum:
 
     # -- arithmetic ---------------------------------------------------------
 
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, (int, Fraction)):
+            return QuadExt.from_rational(other)
+        return other if isinstance(other, (QuadSum, QuadExt)) else None
+
     def _merge(self, parts) -> "QuadSum":
-        fields: dict[int, QuadExt] = {}
+        # the rational parts, and one group per field keyed by the first
+        # radicand seen in it
+        rat, fields = QuadExt(0), {}
         for p in parts:
-            if p.d in fields or p.d == 1:
-                key = p.d if p.d in fields else 1
-                fields[key] = fields.get(key, QuadExt(0)) + p
+            if p.is_rational:
+                rat = rat + p
+                continue
+            for key in fields:
+                if _common_d(key, p.d):
+                    fields[key] = fields[key] + p
+                    break
             else:
                 fields[p.d] = p
-        rat = fields.pop(1, QuadExt(0))
         irr = sorted(fields.values(), key=lambda q: q.d)
         if len(irr) > 2:
             raise MixedRadicandError("sum spans more than two radicands")
-        if not irr:
-            return QuadSum(rat)
-        if len(irr) == 1:
-            return QuadSum(irr[0] + rat, QuadExt(0))
-        if rat:
-            # fold the rational part into the first irrational term
-            irr[0] = irr[0] + rat
-        return QuadSum(irr[0], irr[1])
+        return QuadSum(irr[0] + rat if irr else rat, *irr[1:])
 
     def __add__(self, other):
-        if isinstance(other, QuadSum):
-            return self._merge(self.terms() + other.terms())
-        if isinstance(other, (QuadExt, int, Fraction)):
-            if not isinstance(other, QuadExt):
-                other = QuadExt.from_rational(other)
-            return self._merge(self.terms() + (other,))
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        more = other.terms() if isinstance(other, QuadSum) else (other,)
+        return self._merge(self.terms() + more)
 
     __radd__ = __add__
 
@@ -483,11 +441,10 @@ class QuadSum:
         return QuadSum(-self.x, -self.y)
 
     def __sub__(self, other):
-        if isinstance(other, (QuadSum, QuadExt, int, Fraction)):
-            if isinstance(other, QuadSum):
-                return self + (-other)
-            return self + (-(other if isinstance(other, QuadExt) else QuadExt.from_rational(other)))
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -515,7 +472,7 @@ class QuadSum:
         return self._cmp(other) == 0
 
     def __hash__(self):
-        return hash((self.x, self.y)) if not self.is_single else hash(self.x)
+        return hash(_invariant(self.terms()))
 
     def __lt__(self, other):
         return self._cmp(other) < 0

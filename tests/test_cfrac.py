@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -225,3 +226,21 @@ def test_finite_words_not_canonicalized():
     b = FiniteCF(0, (3,))
     assert a != b
     assert eval_finite(a) == eval_finite(b)
+
+
+@pytest.mark.parametrize("length, seed", [(80, 2), (80, 4), (80, 6), (200, 1)])
+def test_long_period_round_trip(length, seed):
+    rng = random.Random(seed)
+    cf = EPCF(0, (), tuple(rng.choice((1, 2, 3)) for _ in range(length)))
+
+    def overrun(signum, frame):
+        raise TimeoutError(f"period of {length} terms took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        x = eval_periodic(cf)
+        assert eval_periodic(expand(x)) == x
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -13,6 +13,7 @@ from lagspec.quadfield import (
 )
 
 LAM0 = QuadExt(62976, -1498, 16357, 3)
+P, Q = 10007, 10009  # primes above the trial-division bound 10**4
 
 
 def test_squarefree_decompose():
@@ -22,6 +23,24 @@ def test_squarefree_decompose():
     assert squarefree_decompose(2 * 3 * 5) == (1, 30)
     big = (10**12 + 39) ** 2 * 21
     assert squarefree_decompose(big) == (10**12 + 39, 21)
+    # a large prime cofactor stays in d, next to the small odd primes
+    assert squarefree_decompose(2 * 3**3 * (10**12 + 39)) == (3, 6 * (10**12 + 39))
+    assert squarefree_decompose(P * Q) == (1, P * Q)
+
+
+def test_square_class_without_factoring():
+    # no factoring: the repeated large prime P stays inside the radicand
+    assert squarefree_decompose(P * P * Q) == (1, P * P * Q)
+    u, v = QuadExt(0, 1, 1, P * P * Q), QuadExt(0, P, 1, Q)
+    assert (u.d, v.d) == (P * P * Q, Q)
+    assert u == v and hash(u) == hash(v)
+    diff = u - v
+    assert diff == 0 and diff.is_rational
+    assert QuadSum(u, v).is_single
+    assert QuadSum(u, -v).sign() == 0
+    # different square classes still refuse to mix
+    with pytest.raises(MixedRadicandError):
+        u + QuadExt.sqrt(P * Q)
 
 
 def test_canonical_form():
@@ -212,9 +231,62 @@ def test_quadsum_canonical_merging():
         (u + QuadExt.sqrt(3)).sign()
 
 
+def test_quadsum_hash_ignores_rational_placement():
+    x = QuadSum(QuadExt.sqrt(2), QuadExt(1, 1, 1, 3))
+    y = QuadSum(QuadExt(1, 1, 1, 2), QuadExt.sqrt(3))
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, x - 1 + 1}) == 1
+
+
 def test_quadsum_arithmetic_two_fields():
     a = QuadSum(QuadExt.sqrt(2), QuadExt.sqrt(3))
     b = QuadSum(QuadExt(0, 2, 1, 2), QuadExt(0, -1, 1, 3))
     d = a - b  # -sqrt(2) + 2 sqrt(3)
     assert d == QuadSum(QuadExt(0, -1, 1, 2), QuadExt(0, 2, 1, 3))
     assert (a - a).sign() == 0
+
+
+# two square classes, one of them under two radicands, plus the rationals:
+# every sum of drawn values spans at most two fields
+mixed_rads = st.sampled_from([3, Q, P * P * Q])
+
+
+def _other_form(t: QuadExt) -> QuadExt:
+    """The same value over the other radicand of the field of sqrt(Q)."""
+    if t.d == Q:
+        return QuadExt(t.a * P, t.b, t.c * P, P * P * Q)
+    if t.d == P * P * Q:
+        return QuadExt(t.a, t.b * P, t.c, Q)
+    return t
+
+
+@st.composite
+def values(draw):
+    """A QuadExt or a two-term QuadSum whose rational part sits on either term."""
+    u = draw(quadexts(d=draw(mixed_rads)))
+    if draw(st.booleans()):
+        return u
+    v = draw(quadexts(d=draw(mixed_rads)))
+    r = Fraction(draw(small_ints), draw(pos_ints))
+    return QuadSum(u + r, v) if draw(st.booleans()) else QuadSum(u, v + r)
+
+
+def _lift(v):
+    return v if isinstance(v, QuadSum) else QuadSum(v)
+
+
+@given(values(), values(), values())
+@settings(max_examples=300)
+def test_equal_values_hash_equal(x, y, z):
+    other = _other_form(x) if isinstance(x, QuadExt) else QuadSum(*map(_other_form, x.terms()))
+    pairs = [
+        (x, other),
+        (_lift(x) + (_lift(y) + z), (_lift(x) + y) + z),
+        (_lift(x) + y, _lift(y) + x),
+        (_lift(x) - y + y, x),
+        (x, y),
+    ]
+    assert x == other
+    for u, v in pairs:
+        if u == v:
+            assert hash(u) == hash(v)
