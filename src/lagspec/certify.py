@@ -1,18 +1,22 @@
 """Machine-checkable certificates over words with forbidden factors.
 
-Bounds on the two-sided value at a site inside a pattern are computed
-from exact cylinder intervals: admissible continuations are explored to
-a fixed depth, each leaf contributing the convergent/mediant endpoints
-of its cylinder, and the min/max are folded through the Moebius maps of
-the known word.  Everything is rational arithmetic; deepening the search
-never loosens a bound.  The non-attainability audit brackets every
-position of a known word in two linear passes over its matrix products.
+Every forbidden-factor test runs on one factor automaton compiled from
+the constraints.  Bounds on the two-sided value at a site inside a
+pattern are computed from exact cylinder intervals: admissible
+continuations to a fixed depth are folded bottom-up, level by level over
+the automaton states, each leaf contributing the convergent/mediant
+endpoints of its cylinder, and the min/max are folded through the
+Moebius maps of the known word.  Everything is rational arithmetic;
+deepening the search never loosens a bound.  The non-attainability audit
+brackets every position of a known word in two linear passes over its
+matrix products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cfrac import FiniteCF, mobius
 from .quadfield import QuadSum
@@ -74,12 +78,45 @@ class Constraints:
                 if not 1 <= q <= self.alphabet_max:
                     raise ValueError(f"forbidden pattern {f} leaves the alphabet")
 
-    @property
-    def context_len(self) -> int:
-        return max((len(f) for f in self.forbidden), default=1) - 1
-
     def sorted_forbidden(self) -> list[tuple[int, ...]]:
         return sorted(self.forbidden)
+
+    @cached_property
+    def _table(self) -> dict:
+        """Factor automaton.  The states are () and the proper prefixes of
+        the forbidden words; table[s][a-1] is the longest suffix of s+(a,)
+        that is a state, or None when some suffix of s+(a,) is forbidden.
+        The state of an admissible word, its longest suffix that is a
+        state, holds all of its past that a forbidden factor can reach."""
+        states = {f[:i] for f in self.forbidden for i in range(len(f))} | {()}
+
+        def step(t):
+            suffixes = [t[i:] for i in range(len(t) + 1)]
+            if any(u in self.forbidden for u in suffixes):
+                return None
+            return next(u for u in suffixes if u in states)
+
+        return {
+            s: tuple(step(s + (a,)) for a in range(1, self.alphabet_max + 1))
+            for s in states
+        }
+
+    def _walk(self, word):
+        """Automaton state after reading the word from (); None when the
+        word leaves the alphabet or hits a forbidden factor."""
+        state = ()
+        for a in word:
+            if state is None or not 1 <= a <= self.alphabet_max:
+                return None
+            state = self._table[state][a - 1]
+        return state
+
+
+def _reversed(constraints: Constraints) -> Constraints:
+    """The constraints on words read right to left."""
+    return Constraints(
+        constraints.alphabet_max, frozenset(f[::-1] for f in constraints.forbidden)
+    )
 
 
 def gap_constraints() -> Constraints:
@@ -135,24 +172,7 @@ class BoundCertificate:
 
 def violates(word, constraints: Constraints) -> bool:
     """True when the word leaves the alphabet or contains a forbidden factor."""
-    w = tuple(word)
-    for q in w:
-        if not 1 <= q <= constraints.alphabet_max:
-            return True
-    for f in constraints.forbidden:
-        n = len(f)
-        for i in range(len(w) - n + 1):
-            if w[i : i + n] == f:
-                return True
-    return False
-
-
-def _ends_forbidden(word, constraints: Constraints) -> bool:
-    """True when some forbidden factor is a suffix of the word."""
-    for f in constraints.forbidden:
-        if len(f) <= len(word) and word[-len(f) :] == f:
-            return True
-    return False
+    return constraints._walk(word) is None
 
 
 def admissible_extensions(prefix, constraints: Constraints, depth: int):
@@ -160,65 +180,52 @@ def admissible_extensions(prefix, constraints: Constraints, depth: int):
     extensions of the prefix avoiding every forbidden factor; yields the
     full concatenated words."""
     prefix = tuple(prefix)
-    if violates(prefix, constraints):
+    state = constraints._walk(prefix)
+    if state is None:
         raise ValueError("prefix violates the constraints")
+    table = constraints._table
 
-    def rec(word, remaining):
+    def rec(word, state, remaining):
         if remaining == 0:
             yield word
             return
-        for a in range(1, constraints.alphabet_max + 1):
-            cand = word + (a,)
-            if not _ends_forbidden(cand, constraints):
-                yield from rec(cand, remaining - 1)
+        for a, nxt in enumerate(table[state], 1):
+            if nxt is not None:
+                yield from rec(word + (a,), nxt, remaining - 1)
 
-    yield from rec(prefix, depth)
+    yield from rec(prefix, state, depth)
 
 
-class _TailDP:
-    """Exact value range of admissible tails [x1; x2, ...] by context.
+def _levels(table, base, join):
+    """levels[n][s], a value over the admissible n-symbol words read from
+    automaton state s: `base` at n = 0, then join([(a, levels[n-1][t]),
+    ...]) over the symbols a allowed at s, t the state after a.  Returns
+    at(s, n), which builds the levels bottom-up as far as n on demand."""
+    levels = [dict.fromkeys(table, base)]
 
-    bounds(ctx, depth) is the closed rational interval containing every
-    [x1; ...; x_depth, t] with the x's admissible after ctx and t free in
-    [1, inf); the depth-0 base is that free interval itself, so the leaf
-    endpoints are exactly cylinder endpoints.  Returns None for contexts
-    admitting no extension.
-    """
+    def at(state, n):
+        while len(levels) <= n:
+            prev = levels[-1]
+            levels.append({
+                s: join([(a, prev[t]) for a, t in enumerate(row, 1) if t is not None])
+                for s, row in table.items()
+            })
+        return levels[n][state]
 
-    def __init__(self, constraints: Constraints, reverse: bool = False):
-        forb = constraints.forbidden
-        if reverse:
-            forb = frozenset(tuple(reversed(f)) for f in forb)
-        self.constraints = Constraints(constraints.alphabet_max, forb)
-        self.k = self.constraints.context_len
-        self._memo: dict = {}
+    return at
 
-    def _allowed(self, ctx):
-        out = []
-        for a in range(1, self.constraints.alphabet_max + 1):
-            if not _ends_forbidden(ctx + (a,), self.constraints):
-                out.append(a)
-        return out
 
-    def bounds(self, ctx, depth: int):
-        ctx = tuple(ctx)[-self.k :] if self.k else ()
-        key = (ctx, depth)
-        if key in self._memo:
-            return self._memo[key]
-        if depth == 0:
-            res = (Fraction(1), None)  # None marks +infinity
-        else:
-            lo = hi = None
-            for a in self._allowed(ctx):
-                sub = self.bounds(ctx + (a,), depth - 1)
-                if sub is None:
-                    continue
-                alo, ahi = _mobius_interval((a,), sub)
-                lo = alo if lo is None or alo < lo else lo
-                hi = ahi if hi is None or ahi > hi else hi
-            res = None if lo is None else (lo, hi)
-        self._memo[key] = res
-        return res
+def _tail_bounds(constraints: Constraints):
+    """at(s, n): the closed rational interval containing every
+    [x1; ..., xn, t] with the x's admissible from state s and t free in
+    [1, inf), or None when no such x's exist.  The level-0 interval is the
+    free one itself, so the leaf endpoints are exactly cylinder endpoints."""
+
+    def join(subs):
+        ivs = [_mobius_interval((a,), sub) for a, sub in subs if sub is not None]
+        return (min(lo for lo, _ in ivs), max(hi for _, hi in ivs)) if ivs else None
+
+    return _levels(constraints._table, (Fraction(1), None), join)  # None is +inf
 
 
 def _mobius_interval(word, tail):
@@ -242,10 +249,9 @@ def site_lambda_bounds(
         raise ValueError("depth must be nonnegative")
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
-    dp_f = _TailDP(constraints)
-    dp_r = _TailDP(constraints, reverse=True)
-    right = dp_f.bounds(w, depth)
-    left = dp_r.bounds(tuple(reversed(w)), depth)
+    rev = _reversed(constraints)
+    right = _tail_bounds(constraints)(constraints._walk(w), depth)
+    left = _tail_bounds(rev)(rev._walk(reversed(w)), depth)
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
     rint = _mobius_interval((0,) + w[pattern.site + 1 :], right)
@@ -312,44 +318,26 @@ def pattern_necessity(
         raise ValueError("depth must be nonnegative")
     threshold = Fraction(threshold)
     center = window_len // 2
-    dp_f = _TailDP(constraints)
-    dp_r = _TailDP(constraints, reverse=True)
-    k = constraints.context_len
-    m = constraints.alphabet_max
-
-    count_memo: dict = {}
-
-    def count_words(ctx, remaining) -> int:
-        ctx = ctx[-k:] if k else ()
-        key = (ctx, remaining)
-        if key in count_memo:
-            return count_memo[key]
-        if remaining == 0:
-            total = 1
-        else:
-            total = 0
-            for a in range(1, m + 1):
-                if not _ends_forbidden(ctx + (a,), constraints):
-                    total += count_words(ctx + (a,), remaining - 1)
-        count_memo[key] = total
-        return total
+    rev = _reversed(constraints)
+    right_tails, left_tails = _tail_bounds(constraints), _tail_bounds(rev)
+    count_words = _levels(constraints._table, 1, lambda subs: sum(n for _, n in subs))
 
     left_memo: dict = {}
 
     def left_interval(word):
         key = word[: center + 1]
         if key not in left_memo:
-            rev = tuple(reversed(word[:center]))
-            tail = dp_r.bounds(rev, depth)
-            left_memo[key] = None if tail is None else _mobius_interval((0,) + rev, tail)
+            back = tuple(reversed(word[:center]))
+            tail = left_tails(rev._walk(back), depth)
+            left_memo[key] = None if tail is None else _mobius_interval((0,) + back, tail)
         return left_memo[key]
 
-    def upper_for(word):
+    def upper_for(word, state):
         """Uniform upper bound over completions of a partial window."""
         lint = left_interval(word)
         if lint is None:
             return None
-        tail = dp_f.bounds(word, (window_len - len(word)) + depth)
+        tail = right_tails(state, (window_len - len(word)) + depth)
         if tail is None:
             return None
         rint = _mobius_interval((0,) + word[center + 1 :], tail)
@@ -365,9 +353,9 @@ def pattern_necessity(
     exceptions: list[tuple[int, ...]] = []
     stats = {"bound": 0, "pattern": 0}
 
-    def dfs(word):
+    def dfs(word, state):
         if len(word) == window_len:
-            ub = upper_for(word)
+            ub = upper_for(word, state)
             if ub is None or ub < threshold:
                 stats["bound"] += 1
             elif center_on_outer_three(word):
@@ -376,16 +364,15 @@ def pattern_necessity(
                 exceptions.append(word)
             return
         if len(word) > center:
-            ub = upper_for(word)
+            ub = upper_for(word, state)
             if ub is None or ub < threshold:
-                stats["bound"] += count_words(word, window_len - len(word))
+                stats["bound"] += count_words(state, window_len - len(word))
                 return
-        for a in range(1, m + 1):
-            cand = word + (a,)
-            if not _ends_forbidden(cand, constraints):
-                dfs(cand)
+        for a, nxt in enumerate(constraints._table[state], 1):
+            if nxt is not None:
+                dfs(word + (a,), nxt)
 
-    dfs(())
+    dfs((), ())
     return NecessityReport(
         threshold=threshold,
         constraints=constraints,

@@ -423,7 +423,8 @@ class QuadSum:
                     break
             else:
                 fields[p.d] = p
-        irr = sorted(fields.values(), key=lambda q: q.d)
+        rat = sum((q for q in fields.values() if q.is_rational), rat)  # fields that cancelled
+        irr = sorted((q for q in fields.values() if not q.is_rational), key=lambda q: q.d)
         if len(irr) > 2:
             raise MixedRadicandError("sum spans more than two radicands")
         return QuadSum(irr[0] + rat if irr else rat, *irr[1:])

@@ -1,8 +1,10 @@
 import random
+import signal
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagspec.bisequence import BiSeq, lambda_at
@@ -51,6 +53,54 @@ def test_violates():
     assert violates((4,), c)
 
 
+def _naive_violates(word, constraints):
+    """Reference for the automaton: the alphabet check and a substring scan
+    of every forbidden factor."""
+    w = tuple(word)
+    for q in w:
+        if not 1 <= q <= constraints.alphabet_max:
+            return True
+    for f in constraints.forbidden:
+        n = len(f)
+        for i in range(len(w) - n + 1):
+            if w[i : i + n] == f:
+                return True
+    return False
+
+
+@st.composite
+def constraints_and_words(draw):
+    """Alphabet 1..m (m <= 3), 0-4 forbidden words of length 1-4, and words
+    of length 0-12, some with a symbol spliced in from outside the alphabet."""
+    m = draw(st.integers(1, 3))
+    sym = st.integers(1, m)
+    forbidden = draw(st.frozensets(st.lists(sym, min_size=1, max_size=4).map(tuple), max_size=4))
+    words = draw(st.lists(st.lists(sym, max_size=12).map(tuple), min_size=1, max_size=4))
+    bad = draw(st.lists(st.tuples(st.integers(0, 12), st.sampled_from((0, m + 1))), max_size=2))
+    words += [w[:i] + (b,) + w[i:] for w, (i, b) in zip(words, bad)]
+    return Constraints(m, forbidden), words
+
+
+@given(constraints_and_words())
+@example((Constraints(2, frozenset({(1, 1), (2, 1, 1, 2)})), [(2, 1, 1, 2), (2, 1, 2)]))
+@example((Constraints(3, frozenset({(1, 2, 1), (2, 1, 2), (1, 2, 3, 1)})), [(1, 2, 3), (3, 1, 2)]))
+@settings(max_examples=300)
+def test_automaton_matches_naive_scan(case):
+    c, words = case
+    symbols = range(1, c.alphabet_max + 1)
+    for w in words:
+        assert violates(w, c) == _naive_violates(w, c)
+        for n in range(5):
+            if _naive_violates(w, c):
+                with pytest.raises(ValueError):
+                    list(admissible_extensions(w, c, n))
+                continue
+            expected = [w + t for t in product(symbols, repeat=n) if not _naive_violates(w + t, c)]
+            assert list(admissible_extensions(w, c, n)) == expected
+    total = sum(not _naive_violates(t, c) for t in product(symbols, repeat=7))
+    assert pattern_necessity(Fraction(37, 10), c, 7, 2).windows_total == total
+
+
 def _brute_bounds(pattern, constraints, depth):
     """Independent oracle: full enumeration of admissible one-sided
     extensions, folding cylinder endpoints of each leaf."""
@@ -96,6 +146,33 @@ def test_site_bounds_match_brute_enumeration(word, site, forbidden):
         cert = site_lambda_bounds(p, c, depth)
         lo, hi = _brute_bounds(p, c, depth)
         assert cert.lower == lo and cert.upper == hi
+
+
+def test_bounds_at_depth_1200():
+    # the tail levels are built bottom-up, so depth is not bounded by recursion
+    deep = site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 1200)
+    assert deep.lower >= site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 40).lower
+
+
+def test_long_forbidden_word_bounds_fast():
+    # one forbidden word of 20 symbols: 20 automaton states
+    c = Constraints(3, frozenset({(1,) * 19 + (3,)}))
+
+    def overrun(signum, frame):
+        raise TimeoutError("a 20-symbol forbidden word at depth 30 took over 10 s")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    # repeat every second: an alarm that lands in a garbage-collector
+    # callback (hypothesis installs one) is swallowed there, and a one-shot
+    # timer would then let an exponential search run until memory runs out
+    signal.setitimer(signal.ITIMER_REAL, 10, 1)
+    try:
+        cert = site_lambda_bounds(Pattern((2, 2), 0), c, 30)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    free = site_lambda_bounds(Pattern((2, 2), 0), Constraints(3), 30)
+    assert free.lower <= cert.lower <= cert.upper <= free.upper
 
 
 def test_site_bounds_known_limits():

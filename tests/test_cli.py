@@ -130,6 +130,15 @@ def test_negative_depth_and_guard_exit_1(capsys):
     assert code == 1 and "guard" in err
 
 
+def test_depth_1200_runs_without_recursion(capsys):
+    for argv in (
+        ["certify-pattern", "3,1", "--threshold", LAM0_EXPR, "--depth", "1200"],
+        ["necessity", "--threshold", "3691/1000", "--window", "9", "--depth", "1200"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0 and "Traceback" not in err
+
+
 def test_surgery(capsys):
     code, out, _ = run(capsys, "surgery", "2,1,2,1,3", "--n1", "1", "--n2", "3")
     assert code == 0

@@ -246,6 +246,14 @@ def test_quadsum_arithmetic_two_fields():
     assert (a - a).sign() == 0
 
 
+def test_quadsum_cancelled_field_frees_its_slot():
+    r2, r3, r5 = QuadExt.sqrt(2), QuadExt.sqrt(3), QuadExt.sqrt(5)
+    expected = QuadSum(r2, r3)
+    for s in (QuadSum(r2, r5) + QuadSum(r3, -r5), QuadSum(r2, r5) - QuadSum(-r3, r5)):
+        assert s == expected and hash(s) == hash(expected)
+        assert (s.x, s.y) == (r2, r3)
+
+
 # two square classes, one of them under two radicands, plus the rationals:
 # every sum of drawn values spans at most two fields
 mixed_rads = st.sampled_from([3, Q, P * P * Q])
