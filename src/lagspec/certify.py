@@ -4,12 +4,13 @@ Every forbidden-factor test runs on one factor automaton compiled from
 the constraints.  Bounds on the two-sided value at a site inside a
 pattern are computed from exact cylinder intervals: admissible
 continuations to a fixed depth are folded bottom-up, level by level over
-the automaton states, each leaf contributing the convergent/mediant
-endpoints of its cylinder, and the min/max are folded through the
-Moebius maps of the known word.  Everything is rational arithmetic;
-deepening the search never loosens a bound.  The non-attainability audit
-brackets every position of a known word in two linear passes over its
-matrix products.
+the automaton states, and every interval, from a leaf's cylinder to the
+fold through the known word, is the image of a tail interval under a
+Moebius matrix, cfrac.mobius_image.  The window sweep carries its
+matrix and its left interval down the search.  Everything is rational
+arithmetic; deepening the search never loosens a bound.  The
+non-attainability audit brackets every position of a known word in two
+linear passes over its matrix products.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .cfrac import FiniteCF, mobius
+from .cfrac import FiniteCF, mobius, mobius_image
 from .quadfield import QuadSum
 
 __all__ = [
@@ -179,21 +180,24 @@ def admissible_extensions(prefix, constraints: Constraints, depth: int):
     """Depth-first lexicographic enumeration of all length-`depth`
     extensions of the prefix avoiding every forbidden factor; yields the
     full concatenated words."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     prefix = tuple(prefix)
     state = constraints._walk(prefix)
     if state is None:
         raise ValueError("prefix violates the constraints")
     table = constraints._table
-
-    def rec(word, state, remaining):
-        if remaining == 0:
+    stop = len(prefix) + depth
+    stack = [(prefix, state)]
+    while stack:
+        word, state = stack.pop()
+        if len(word) == stop:
             yield word
-            return
-        for a, nxt in enumerate(table[state], 1):
-            if nxt is not None:
-                yield from rec(word + (a,), nxt, remaining - 1)
-
-    yield from rec(prefix, state, depth)
+            continue
+        row = table[state]
+        for a in range(len(row), 0, -1):  # the smallest symbol is popped first
+            if row[a - 1] is not None:
+                stack.append((word + (a,), row[a - 1]))
 
 
 def _levels(table, base, join):
@@ -222,21 +226,10 @@ def _tail_bounds(constraints: Constraints):
     free one itself, so the leaf endpoints are exactly cylinder endpoints."""
 
     def join(subs):
-        ivs = [_mobius_interval((a,), sub) for a, sub in subs if sub is not None]
+        ivs = [mobius_image(mobius((a,)), sub) for a, sub in subs if sub is not None]
         return (min(lo for lo, _ in ivs), max(hi for _, hi in ivs)) if ivs else None
 
     return _levels(constraints._table, (Fraction(1), None), join)  # None is +inf
-
-
-def _mobius_interval(word, tail):
-    """Value interval of [word..., t] for t in the tail interval; None is +inf = 1/0."""
-    tlo, thi = tail
-    p1, p0, q1, q0 = mobius(word)
-    hn, hd = (1, 0) if thi is None else (thi.numerator, thi.denominator)
-    at_lo = Fraction(p1 * tlo.numerator + p0 * tlo.denominator,
-                     q1 * tlo.numerator + q0 * tlo.denominator)
-    at_hi = Fraction(p1 * hn + p0 * hd, q1 * hn + q0 * hd)
-    return (at_lo, at_hi) if at_lo <= at_hi else (at_hi, at_lo)
 
 
 def site_lambda_bounds(
@@ -254,8 +247,8 @@ def site_lambda_bounds(
     left = _tail_bounds(rev)(rev._walk(reversed(w)), depth)
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
-    rint = _mobius_interval((0,) + w[pattern.site + 1 :], right)
-    lint = _mobius_interval((0,) + tuple(reversed(w[: pattern.site])), left)
+    rint = mobius_image(mobius((0,) + w[pattern.site + 1 :]), right)
+    lint = mobius_image(mobius((0,) + tuple(reversed(w[: pattern.site]))), left)
     return BoundCertificate(
         pattern=pattern,
         constraints=constraints,
@@ -303,7 +296,6 @@ def pattern_necessity(
     constraints: Constraints,
     window_len: int = 15,
     depth: int = 25,
-    center_pattern: tuple[int, ...] = CENTER_PATTERN,
 ) -> NecessityReport:
     """Sweep every admissible window of the given length.
 
@@ -318,61 +310,41 @@ def pattern_necessity(
         raise ValueError("depth must be nonnegative")
     threshold = Fraction(threshold)
     center = window_len // 2
+    table = constraints._table
     rev = _reversed(constraints)
     right_tails, left_tails = _tail_bounds(constraints), _tail_bounds(rev)
-    count_words = _levels(constraints._table, 1, lambda subs: sum(n for _, n in subs))
-
-    left_memo: dict = {}
-
-    def left_interval(word):
-        key = word[: center + 1]
-        if key not in left_memo:
-            back = tuple(reversed(word[:center]))
-            tail = left_tails(rev._walk(back), depth)
-            left_memo[key] = None if tail is None else _mobius_interval((0,) + back, tail)
-        return left_memo[key]
-
-    def upper_for(word, state):
-        """Uniform upper bound over completions of a partial window."""
-        lint = left_interval(word)
-        if lint is None:
-            return None
-        tail = right_tails(state, (window_len - len(word)) + depth)
-        if tail is None:
-            return None
-        rint = _mobius_interval((0,) + word[center + 1 :], tail)
-        return word[center] + lint[1] + rint[1]
-
-    def center_on_outer_three(word) -> bool:
-        n = len(center_pattern)
-        for o in range(window_len - n + 1):
-            if word[o : o + n] == center_pattern and center in (o + 2, o + n - 3):
-                return True
-        return False
+    count_words = _levels(table, 1, lambda subs: sum(n for _, n in subs))
+    n = len(CENTER_PATTERN)
+    # the offsets that put the center on the pattern's first or last 3
+    offsets = [o for o in (center - 2, center + 3 - n) if o >= 0]
 
     exceptions: list[tuple[int, ...]] = []
     stats = {"bound": 0, "pattern": 0}
 
-    def dfs(word, state):
-        if len(word) == window_len:
-            ub = upper_for(word, state)
-            if ub is None or ub < threshold:
-                stats["bound"] += 1
-            elif center_on_outer_three(word):
-                stats["pattern"] += 1
-            else:
-                exceptions.append(word)
-            return
+    def dfs(word, state, lint, m):
+        """lint is the left interval once the word covers the center (None
+        when the left side has no admissible tail), m the matrix of
+        [0; word[center+1:]...]."""
         if len(word) > center:
-            ub = upper_for(word, state)
-            if ub is None or ub < threshold:
+            tail = None if lint is None else right_tails(state, window_len - len(word) + depth)
+            if tail is None or word[center] + lint[1] + mobius_image(m, tail)[1] < threshold:
                 stats["bound"] += count_words(state, window_len - len(word))
                 return
-        for a, nxt in enumerate(constraints._table[state], 1):
+            if len(word) == window_len:
+                if any(word[o : o + n] == CENTER_PATTERN for o in offsets):
+                    stats["pattern"] += 1
+                else:
+                    exceptions.append(word)
+                return
+        elif len(word) == center:
+            back = tuple(reversed(word))
+            tail = left_tails(rev._walk(back), depth)
+            lint = None if tail is None else mobius_image(mobius((0,) + back), tail)
+        for a, nxt in enumerate(table[state], 1):
             if nxt is not None:
-                dfs(word + (a,), nxt)
+                dfs(word + (a,), nxt, lint, m if len(word) <= center else mobius((a,), m))
 
-    dfs((), ())
+    dfs((), (), None, mobius((0,)))
     return NecessityReport(
         threshold=threshold,
         constraints=constraints,
@@ -398,8 +370,7 @@ def _one_sided_brackets(w: tuple[int, ...], start: int, stop: int):
     m = mobius((0,) + w[: start - 1])
     for n in range(start, stop + 1):
         p1, q1, p0, q0 = suffix.pop()  # transposed: w[n:] has (p1, p0, q1, q0)
-        e1, e2 = Fraction(q1, p1), Fraction(q1 + q0, p1 + p0)  # [0; ...] swaps rows
-        lo, hi = (e1, e2) if e1 < e2 else (e2, e1)
+        lo, hi = mobius_image((q1, q0, p1, p0), (1, None))  # [0; ...] swaps rows
         base = w[n - 1] + Fraction(m[3], m[2])  # q_{n-2}/q_{n-1}
         yield base + lo, base + hi
         m = mobius((w[n - 1],), m)

@@ -3,7 +3,8 @@
 Words are kept as combinatorial objects: [0;2,1] and [0;3] denote the
 same rational but stay distinct words, since trailing quotients matter
 for pattern analysis.  Every convergent recurrence runs through one 2x2
-matrix kernel, mobius.  Evaluation is exact (Fraction or QuadExt), period
+matrix kernel, mobius, and every cylinder interval is the image of a tail
+interval under such a matrix, mobius_image.  Evaluation is exact (Fraction or QuadExt), period
 detection works on exact surd states, and prefix comparison follows the
 alternating parity rule for continued fractions.
 """
@@ -30,6 +31,7 @@ __all__ = [
     "eval_periodic",
     "expand",
     "mobius",
+    "mobius_image",
 ]
 
 
@@ -134,6 +136,20 @@ def mobius(word, m=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
         p1, p0 = a * p1 + p0, p1
         q1, q0 = a * q1 + q0, q1
     return p1, p0, q1, q0
+
+
+def mobius_image(m, tail) -> tuple[Fraction, Fraction]:
+    """(min, max) of (p1*x + p0)/(q1*x + q0) over the closed tail interval
+    (lo, hi), hi None being +inf, the projective point 1/0.  Over the free
+    tail (1, None) these are the last convergent p1/q1 and the mediant
+    (p1 + p0)/(q1 + q0) of the matrix's word."""
+    p1, p0, q1, q0 = m
+    lo, hi = tail
+    hn, hd = (1, 0) if hi is None else (hi.numerator, hi.denominator)
+    at_lo = Fraction(p1 * lo.numerator + p0 * lo.denominator,
+                     q1 * lo.numerator + q0 * lo.denominator)
+    at_hi = Fraction(p1 * hn + p0 * hd, q1 * hn + q0 * hd)
+    return (at_lo, at_hi) if at_lo <= at_hi else (at_hi, at_lo)
 
 
 def convergents(w) -> list[tuple[int, int]]:
@@ -243,12 +259,10 @@ def cylinder(w) -> tuple[Fraction, Fraction]:
     """Open interval containing every infinite extension of the word.
 
     Endpoints are the last convergent and the mediant with the previous
-    one; the word itself needs a nonempty tail.
+    one, the image of the free tail [1, inf]; the word itself needs a
+    nonempty tail.
     """
     word = _word_of(w)
     if len(word) < 2:
         raise ValueError("cylinder needs a word with nonempty tail")
-    pn, pm, qn, qm = mobius(word)
-    e1 = Fraction(pn, qn)
-    e2 = Fraction(pn + pm, qn + qm)
-    return (e1, e2) if e1 < e2 else (e2, e1)
+    return mobius_image(mobius(word), (1, None))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from lagspec.bisequence import BiSeq, lambda_at
 from lagspec.certify import (
+    CENTER_PATTERN,
     Constraints,
     NotSeparatedError,
     Pattern,
@@ -270,11 +271,65 @@ def test_certificate_soundness_200_random():
 
 
 def test_necessity_sweep_holds():
-    report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), 15, 25)
-    assert report.holds
-    assert report.exceptions == ()
-    assert report.passed_by_bound + report.passed_by_pattern == report.windows_total
-    assert report.passed_by_pattern > 0
+    for window, counts in ((15, (77345, 77275, 70)), (21, (5841517, 5836965, 4552))):
+        report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), window, 25)
+        assert report.holds
+        assert report.exceptions == ()
+        assert report.passed_by_bound + report.passed_by_pattern == report.windows_total
+        assert (report.windows_total, report.passed_by_bound, report.passed_by_pattern) == counts
+
+
+def _leaf_classification(threshold, constraints, window_len, depth):
+    """Reference for the sweep: every window from admissible_extensions,
+    classified on its own.  It passes by bound when its certified upper
+    bound is below the threshold or it has no admissible completion, by
+    pattern when some occurrence of the center pattern puts the center on
+    its first or last 3; otherwise it is an exception."""
+    center, n = window_len // 2, len(CENTER_PATTERN)
+    by_bound = by_pattern = 0
+    exceptions = []
+    for word in admissible_extensions((), constraints, window_len):
+        try:
+            below = site_lambda_bounds(Pattern(word, center), constraints, depth).upper < threshold
+        except ValueError:
+            below = True
+        if below:
+            by_bound += 1
+        elif any(
+            word[o : o + n] == CENTER_PATTERN and center in (o + 2, o + n - 3)
+            for o in range(window_len - n + 1)
+        ):
+            by_pattern += 1
+        else:
+            exceptions.append(word)
+    return by_bound, by_pattern, tuple(exceptions)
+
+
+@st.composite
+def sweep_cases(draw):
+    """Alphabet 1..m (m <= 3), windows of 7-9 symbols, depths 0-6, and
+    forbidden words of at most center+1 symbols, so the left automaton
+    state of a window depends on its symbols left of the center only, as
+    it does in the sweep.  At most 3**8 windows, so a case takes under
+    two seconds: the reference bounds each window on its own."""
+    m = draw(st.integers(1, 3))
+    window = draw(st.integers(7, 9 if m < 3 else 8))
+    words = st.lists(st.integers(1, m), min_size=1, max_size=window // 2 + 1).map(tuple)
+    forbidden = draw(st.frozensets(words, max_size=4))
+    threshold = draw(st.fractions(2, 5, max_denominator=1000))
+    return threshold, Constraints(m, forbidden), window, draw(st.integers(0, 6))
+
+
+@given(sweep_cases())
+@example((Fraction(3691, 1000), gap_constraints(), 9, 4))  # both pattern offsets
+@settings(max_examples=30, deadline=None)
+def test_necessity_counts_match_leaf_classification(case):
+    threshold, constraints, window, depth = case
+    report = pattern_necessity(threshold, constraints, window, depth)
+    by_bound, by_pattern, exceptions = _leaf_classification(threshold, constraints, window, depth)
+    assert report.passed_by_bound == by_bound
+    assert report.passed_by_pattern == by_pattern
+    assert report.exceptions == exceptions
 
 
 def test_necessity_middle_three_passes_by_bound():
@@ -300,6 +355,13 @@ def test_negative_depth_rejected():
         site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), -3)
     with pytest.raises(ValueError, match="depth"):
         pattern_necessity(Fraction(3691, 1000), gap_constraints(), 15, -3)
+    with pytest.raises(ValueError, match="depth"):
+        list(admissible_extensions((), Constraints(2), -1))
+
+
+def test_admissible_extensions_at_depth_1200():
+    # the enumeration walks an explicit stack, so depth is not bounded by recursion
+    assert list(admissible_extensions((), Constraints(1), 1200)) == [(1,) * 1200]
 
 
 def test_audit_reference_word():

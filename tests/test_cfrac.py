@@ -19,6 +19,7 @@ from lagspec.cfrac import (
     eval_periodic,
     expand,
     mobius,
+    mobius_image,
 )
 from lagspec.quadfield import QuadExt, QuadSum
 
@@ -55,6 +56,31 @@ def test_mobius_matrix(u, v):
     assert (p0, q0) == (convs[-2] if len(convs) > 1 else (1, 0))
     assert p1 * q0 - p0 * q1 == (-1) ** len(word)
     assert mobius(word) == mobius(v, mobius(u))
+
+
+def _value_with_tail(word, t):
+    """[word..., t] evaluated from the right, without matrices."""
+    x = Fraction(t)
+    for a in reversed(word):
+        x = a + 1 / x
+    return x
+
+
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.lists(st.integers(min_value=1, max_value=5), max_size=8),
+    st.fractions(min_value=1, max_value=50, max_denominator=30),
+    st.fractions(min_value=1, max_value=50, max_denominator=30),
+)
+def test_mobius_image_of_tail_interval(a0, tail, s, t):
+    word = (a0,) + tuple(tail)
+    lo, hi = min(s, t), max(s, t)
+    # x -> [word..., x] is monotone on [1, inf], so the endpoints span the image
+    ends = sorted((_value_with_tail(word, lo), _value_with_tail(word, hi)))
+    assert mobius_image(mobius(word), (lo, hi)) == tuple(ends)
+    # +inf as 1/0: the tail drops out and the word itself is the endpoint
+    ends = sorted((_value_with_tail(word, lo), _value_with_tail(word[:-1], word[-1])))
+    assert mobius_image(mobius(word), (lo, None)) == tuple(ends)
 
 
 def test_eval_finite():
@@ -237,7 +263,10 @@ def test_long_period_round_trip(length, seed):
         raise TimeoutError(f"period of {length} terms took over 10 s")
 
     previous = signal.signal(signal.SIGALRM, overrun)
-    signal.setitimer(signal.ITIMER_REAL, 10)
+    # repeat every second: an alarm that lands in a garbage-collector
+    # callback (hypothesis installs one) is swallowed there, and a one-shot
+    # timer would then let a slow run go on without bound
+    signal.setitimer(signal.ITIMER_REAL, 10, 1)
     try:
         x = eval_periodic(cf)
         assert eval_periodic(expand(x)) == x
