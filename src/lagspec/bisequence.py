@@ -165,12 +165,7 @@ def limsup_lambda(A: BiSeq) -> QuadSum:
     value of the pure periodic word, so the limsup is the exact maximum
     over phases.
     """
-    lims = periodic_phase_limits(A.right_period)
-    best = lims[0]
-    for v in lims[1:]:
-        if v > best:
-            best = v
-    return best
+    return max(periodic_phase_limits(A.right_period))
 
 
 @dataclass(frozen=True)
@@ -194,12 +189,12 @@ class SupCertificate:
     status: str
 
 
-def _rational_lower_bound(v: QuadSum, floor_at: Fraction = Fraction(0)) -> Fraction:
+def _rational_lower_bound(v: QuadSum) -> Fraction:
     """A positive rational strictly below the positive value v."""
     k = 4
     while True:
         lo, _ = v.bracket(k)
-        if lo > floor_at:
+        if lo > 0:
             return lo
         k *= 2
 
@@ -266,10 +261,7 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
     cap is reached without separation.
     """
     classes = _side_classes(A)
-    max_lim = classes[0][0]
-    for lim, _, _ in classes[1:]:
-        if lim > max_lim:
-            max_lim = lim
+    max_lim = max(lim for lim, _, _ in classes)
 
     window: tuple[int, int] = (A.start, A.end)
     best: QuadSum | None = None

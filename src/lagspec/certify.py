@@ -79,9 +79,6 @@ class Constraints:
                 if not 1 <= q <= self.alphabet_max:
                     raise ValueError(f"forbidden pattern {f} leaves the alphabet")
 
-    def sorted_forbidden(self) -> list[tuple[int, ...]]:
-        return sorted(self.forbidden)
-
     @cached_property
     def _table(self) -> dict:
         """Factor automaton.  The states are () and the proper prefixes of

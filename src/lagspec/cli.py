@@ -23,7 +23,7 @@ from .certify import (
     gap_constraints,
     pattern_necessity,
 )
-from .constructions import alpha0_prefix, build_a0, gap_left_endpoint
+from .constructions import alpha0_prefix, build_a0, gap_left_endpoint, surgery
 from .parsing import (
     ExprSyntaxError,
     evaluate,
@@ -148,7 +148,7 @@ def _bound_report(cert, digits: int) -> dict:
         "pattern": list(cert.pattern.word),
         "site": cert.pattern.site,
         "alphabet_max": cert.constraints.alphabet_max,
-        "forbidden": [list(f) for f in cert.constraints.sorted_forbidden()],
+        "forbidden": [list(f) for f in sorted(cert.constraints.forbidden)],
         "depth": cert.depth,
         "lower": f"{cert.lower.numerator}/{cert.lower.denominator}",
         "upper": f"{cert.upper.numerator}/{cert.upper.denominator}",
@@ -245,8 +245,6 @@ def _cmd_audit_alpha0(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
-    from .constructions import surgery
-
     word = parse_word(args.word)
     result = surgery(word, args.n1, args.n2)
     rec = {

@@ -180,10 +180,7 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
         raise ValueError("P must be nonempty")
     n = len(P)
     limits = periodic_phase_limits(P)
-    j0 = 0
-    for k in range(1, n):
-        if limits[k] > limits[j0]:
-            j0 = k
+    j0 = max(range(n), key=limits.__getitem__)
     mu = limits[j0]
     j = j0 + 1  # 1-based site within the period
 

@@ -6,9 +6,11 @@ d has no square factor p*p with p < 10**4 and is not a perfect square.
 No integer is factored, so values of one field may carry radicands that
 differ by a square factor, such as 10009 and 10007**2 * 10009; equality,
 hashing and arithmetic treat them as one field (the square-class test).
-Sums of two values over different fields are handled by QuadSum.  Every
-sign, order, floor and rounding query is decided exactly with integer
-arithmetic; nothing in this module touches floating point.
+Sums of two values over different fields are handled by QuadSum.  Both
+types share one set of operators; one fold puts every QuadSum in canonical
+form, and every comparison, across fields or not, is the sign of the
+folded difference.  Every sign, order, floor and rounding query is decided
+exactly with integer arithmetic; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -158,7 +160,63 @@ def _invariant(terms):
 # ---------------------------------------------------------------------------
 
 
-class QuadExt:
+class _Quad:
+    """The operators QuadExt and QuadSum share, written once on top of each
+    type's +, unary - and terms().  Order and equality are the sign of the
+    folded difference (_cmp), so they work across fields."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, (QuadExt, type(self))):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return QuadExt.from_rational(other)
+        return None
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def _cmp(self, other) -> int:
+        """Exact sign of self - other, whatever fields the two lie in."""
+        if isinstance(other, (int, Fraction)):
+            other = QuadExt.from_rational(other)
+        elif not isinstance(other, _Quad):
+            raise TypeError(f"cannot compare {type(self).__name__} with {type(other).__name__}")
+        return QuadSum._of(*_fold(self.terms() + (-other).terms())).sign()
+
+    def __eq__(self, other):
+        if not isinstance(other, (_Quad, int, Fraction)):
+            return NotImplemented
+        return self._cmp(other) == 0
+
+    def __hash__(self):
+        return hash(_invariant(self.terms()))
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+    def approx(self, digits: int) -> str:
+        """Correctly rounded decimal string with `digits` fractional digits."""
+        return _decimal(self, digits)
+
+
+class QuadExt(_Quad):
     """A quadratic irrational (a + b*sqrt(d))/c in canonical form."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -197,58 +255,37 @@ class QuadExt:
             raise ValueError(f"{self} is irrational")
         return Fraction(self.a, self.c)
 
+    def terms(self) -> tuple["QuadExt"]:
+        return (self,)
+
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt.from_rational(other)
-        return None
-
-    def _rescaled(self, other: "QuadExt") -> tuple[int, int, int]:
-        """(b1, b2, d): both irrational coefficients over one radicand d."""
+    def _common(self, other: "QuadExt") -> tuple[int, int, int]:
+        """_common_d of the two radicands; refuses two different fields."""
         common = _common_d(self.d, other.d)
         if common is None:
             raise MixedRadicandError(
                 f"radicands {self.d} and {other.d} lie in different fields; use QuadSum"
             )
-        d, k1, k2 = common
-        return self.b * k1, other.b * k2, d
+        return common
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not (other.a or other.b):
-            return self
-        b1, b2, d = self._rescaled(other)
-        return QuadExt._reduced(
-            self.a * other.c + other.a * self.c,
-            b1 * other.c + b2 * self.c,
-            self.c * other.c,
-            d,
-        )
+        return _add(self, other, self._common(other))
 
     __radd__ = __add__
 
     def __neg__(self):
         return QuadExt._reduced(-self.a, -self.b, self.c, self.d)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        b1, b2, d = self._rescaled(other)
+        d, k1, k2 = self._common(other)
+        b1, b2 = self.b * k1, other.b * k2
         return QuadExt._reduced(
             self.a * other.a + b1 * b2 * d,
             self.a * b2 + b1 * other.a,
@@ -285,44 +322,6 @@ class QuadExt:
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)
 
-    def __eq__(self, other):
-        if isinstance(other, QuadSum):
-            return other == self
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _invariant((self,)) == _invariant((other,))
-
-    def __hash__(self):
-        return hash(_invariant((self,)))
-
-    def _cmp(self, other) -> int:
-        """Exact sign of self - other; works across radicands."""
-        if isinstance(other, QuadSum):
-            return -other._cmp(self)
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError(f"cannot compare QuadExt with {type(other).__name__}")
-        try:
-            return (self - other).sign()
-        except MixedRadicandError:
-            A = self.a * other.c - other.a * self.c
-            return _sign_two(
-                A, self.b * other.c, self.d, -other.b * self.c, other.d
-            )
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
-
     def __floor__(self) -> int:
         if self.b == 0:
             return self.a // self.c
@@ -354,10 +353,6 @@ class QuadExt:
             hi = Fraction(self.a * scale - s, self.c * scale)
         return lo, hi
 
-    def approx(self, digits: int) -> str:
-        """Correctly rounded decimal string with `digits` fractional digits."""
-        return _decimal(self, digits)
-
     def __str__(self):
         return _format_terms(self.a, self.b, self.c, self.d)
 
@@ -365,13 +360,56 @@ class QuadExt:
         return f"QuadExt({self.a}, {self.b}, {self.c}, {self.d})"
 
 
-class QuadSum:
+_ZERO = QuadExt(0)
+
+
+def _add(x: QuadExt, y: QuadExt, common: tuple[int, int, int]) -> QuadExt:
+    """x + y, given common = _common_d(x.d, y.d) (not None)."""
+    if not (y.a or y.b):
+        return x
+    d, k1, k2 = common
+    return QuadExt._reduced(
+        x.a * y.c + y.a * x.c, x.b * k1 * y.c + y.b * k2 * x.c, x.c * y.c, d
+    )
+
+
+def _fold(parts: tuple[QuadExt, ...]) -> tuple[QuadExt, QuadExt]:
+    """The canonical (x, y) of a QuadSum equal to the sum of the parts:
+    parts of one field (square-class test; rationals join any field) are
+    added, and two irrational terms over different fields are ordered by
+    radicand.  Of more than two parts, the rational ones and any field that
+    cancelled go onto the first term; a third field raises."""
+    if len(parts) == 2:
+        x, y = parts
+        common = _common_d(x.d, y.d)
+        if common:
+            return _add(x, y, common), _ZERO
+        return (x, y) if x.d < y.d else (y, x)
+    # one group per field, keyed by the first radicand seen in it
+    rat, fields = _ZERO, {}
+    for p in parts:
+        if p.is_rational:
+            rat = rat + p
+            continue
+        for key in fields:
+            if _common_d(key, p.d):
+                fields[key] = fields[key] + p
+                break
+        else:
+            fields[p.d] = p
+    rat = sum((q for q in fields.values() if q.is_rational), rat)
+    irr = sorted((q for q in fields.values() if not q.is_rational), key=lambda q: q.d)
+    if len(irr) > 2:
+        raise MixedRadicandError("sum spans more than two radicands")
+    x, y = (irr + [_ZERO, _ZERO])[:2]
+    return x + rat, y
+
+
+class QuadSum(_Quad):
     """Exact sum x + y of two quadratic-field values; radicands may differ.
 
-    Canonical form merges y into x whenever both lie in one field (the
-    square-class test, or either side rational), so a canonical QuadSum is
-    either (value, 0) or a pair of irrational terms over different fields,
-    ordered by radicand.
+    The canonical form is the one _fold gives: either (value, 0) or a pair
+    of irrational terms over different fields, ordered by radicand.
     """
 
     __slots__ = ("x", "y")
@@ -380,14 +418,17 @@ class QuadSum:
         if not isinstance(x, QuadExt):
             x = QuadExt.from_rational(x)
         if y is None:
-            y = QuadExt(0)
+            y = _ZERO
         elif not isinstance(y, QuadExt):
             y = QuadExt.from_rational(y)
-        if _common_d(x.d, y.d):
-            x, y = x + y, QuadExt(0)
-        elif x.d > y.d:
-            x, y = y, x
-        self.x, self.y = x, y
+        self.x, self.y = _fold((x, y))
+
+    @classmethod
+    def _of(cls, x: QuadExt, y: QuadExt) -> "QuadSum":
+        """A QuadSum of a pair already in canonical form."""
+        s = object.__new__(cls)
+        s.x, s.y = x, y
+        return s
 
     @property
     def is_single(self) -> bool:
@@ -403,89 +444,25 @@ class QuadSum:
 
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, (int, Fraction)):
-            return QuadExt.from_rational(other)
-        return other if isinstance(other, (QuadSum, QuadExt)) else None
-
-    def _merge(self, parts) -> "QuadSum":
-        # the rational parts, and one group per field keyed by the first
-        # radicand seen in it
-        rat, fields = QuadExt(0), {}
-        for p in parts:
-            if p.is_rational:
-                rat = rat + p
-                continue
-            for key in fields:
-                if _common_d(key, p.d):
-                    fields[key] = fields[key] + p
-                    break
-            else:
-                fields[p.d] = p
-        rat = sum((q for q in fields.values() if q.is_rational), rat)  # fields that cancelled
-        irr = sorted((q for q in fields.values() if not q.is_rational), key=lambda q: q.d)
-        if len(irr) > 2:
-            raise MixedRadicandError("sum spans more than two radicands")
-        return QuadSum(irr[0] + rat if irr else rat, *irr[1:])
-
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        more = other.terms() if isinstance(other, QuadSum) else (other,)
-        return self._merge(self.terms() + more)
+        return QuadSum._of(*_fold(self.terms() + other.terms()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadSum(-self.x, -self.y)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return QuadSum._of(-self.x, -self.y)
 
     # -- predicates ----------------------------------------------------------
 
     def sign(self) -> int:
-        if self.is_single:
-            return self.x.sign()
         x, y = self.x, self.y
-        A = x.a * y.c + y.a * x.c
-        return _sign_two(A, x.b * y.c, x.d, y.b * x.c, y.d)
+        return _sign_two(x.a * y.c + y.a * x.c, x.b * y.c, x.d, y.b * x.c, y.d)
 
     def __bool__(self):
         return self.sign() != 0
-
-    def _cmp(self, other) -> int:
-        if not isinstance(other, (QuadSum, QuadExt, int, Fraction)):
-            raise TypeError(f"cannot compare QuadSum with {type(other).__name__}")
-        return (self - other).sign()
-
-    def __eq__(self, other):
-        if not isinstance(other, (QuadSum, QuadExt, int, Fraction)):
-            return NotImplemented
-        return self._cmp(other) == 0
-
-    def __hash__(self):
-        return hash(_invariant(self.terms()))
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     # -- decimal output --------------------------------------------------------
 
@@ -493,9 +470,6 @@ class QuadSum:
         xlo, xhi = self.x.bracket(k + 1)
         ylo, yhi = self.y.bracket(k + 1)
         return xlo + ylo, xhi + yhi
-
-    def approx(self, digits: int) -> str:
-        return _decimal(self, digits)
 
     def __str__(self):
         if self.is_single:

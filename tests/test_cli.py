@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from lagspec.cli import main
 
 LAM0_EXPR = "[3;3,3,2,1,(1,2)]+[0;2,1,(1,2)]"
@@ -168,3 +170,73 @@ def test_precondition_error_exit_1(capsys):
 def test_bad_flag_exit_1(capsys):
     code, _, err = run(capsys, "eval")
     assert code == 1
+
+
+# The README CLI examples with --structured and the exact line each one
+# prints, so that any change to a CLI output fails here.  `construct`
+# prints its text form in either mode.
+README_STRUCTURED = [
+    (
+        ["eval", LAM0_EXPR, "--digits", "7"],
+        '{"value": "(62976-1498*sqrt(3))/16357", "terms": [{"a": 62976, "b": -1498,'
+        ' "c": 16357, "d": 3}], "decimal": "3.6914708"}',
+    ),
+    (
+        ["lambda", A0_TEXT, "--index", "0", "--digits", "5"],
+        '{"index": 0, "value": "(246+sqrt(3))/69", "terms": [{"a": 246, "b": 1, "c": 69,'
+        ' "d": 3}], "decimal": "3.59032", "left_tail": "[3;3,2,1,(1,2)]",'
+        ' "right_tail": "[0;3,2,1,(1,2)]"}',
+    ),
+    (
+        ["sup", A0_TEXT],
+        '{"sup": "(62976-1498*sqrt(3))/16357", "decimal": "3.6914708", "attained": true,'
+        ' "attaining_indices": [-1, 1], "window": [-7, 7], "margin": "1339562217/13085600000",'
+        ' "status": "certified"}',
+    ),
+    (
+        ["limsup", A0_TEXT],
+        '{"limsup": "2*sqrt(3)", "terms": [{"a": 0, "b": 2, "c": 1, "d": 3}],'
+        ' "decimal": "3.4641016"}',
+    ),
+    (
+        ["expand", "4-2/11*[0;(1,2)]", "--max-terms", "50"],
+        '{"input": "(46-2*sqrt(3))/11", "expansion": "[3;1,6,(1,1,18,1,1,9,76,9)]",'
+        ' "preperiod": [1, 6], "period": [1, 1, 18, 1, 1, 9, 76, 9]}',
+    ),
+    (
+        ["certify-pattern", "3,1", "--site", "0", "--threshold", LAM0_EXPR,
+         "--alphabet-max", "3", "--depth", "20"],
+        '{"pattern": [3, 1], "site": 0, "alphabet_max": 3, "forbidden": [], "depth": 20,'
+        ' "lower": "240726188857457/62984018185452", "upper": "30547445/6665999",'
+        ' "lower_decimal": "3.8220202", "upper_decimal": "4.5825757",'
+        ' "kind": "site_lower_bound", "certified": true}',
+    ),
+    (
+        ["necessity", "--threshold", "3691/1000", "--window", "15", "--depth", "25"],
+        '{"threshold": "3691/1000", "window_len": 15, "depth": 25, "windows_total": 77345,'
+        ' "passed_by_bound": 77275, "passed_by_pattern": 70, "exceptions": [], "holds": true}',
+    ),
+    (
+        ["audit-alpha0", "--blocks", "8", "--start", "12"],
+        '{"blocks": 8, "word_length": 200, "start": 12, "stop": 181, "guard": 19,'
+        ' "flagged": [], "clean": true, "note": "truncated verification on a finite prefix"}',
+    ),
+    (
+        ["surgery", "2,1,2,1,3", "--n1", "1", "--n2", "3"],
+        '{"c1": [2, 1, 3], "c2": [2, 1, 2, 1, 2, 1, 3], "chosen": "second", "witness_index": 2}',
+    ),
+    (["construct", "a0"], A0_TEXT),
+    (
+        ["construct", "alpha0", "--blocks", "2"],
+        "[0;2,1,1,2,3,3,3,2,1,1,2,2,1,2,1,1,2,3,3,3,2,1,1,2,1,2]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, expected", README_STRUCTURED, ids=[a[0] for a, _ in README_STRUCTURED]
+)
+def test_readme_examples_structured_output_unchanged(capsys, argv, expected):
+    code, out, _ = run(capsys, *argv, "--structured")
+    assert code == 0
+    assert out == expected + "\n"

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -283,10 +284,14 @@ def _lift(v):
     return v if isinstance(v, QuadSum) else QuadSum(v)
 
 
+def _other_value(v):
+    return _other_form(v) if isinstance(v, QuadExt) else QuadSum(*map(_other_form, v.terms()))
+
+
 @given(values(), values(), values())
 @settings(max_examples=300)
 def test_equal_values_hash_equal(x, y, z):
-    other = _other_form(x) if isinstance(x, QuadExt) else QuadSum(*map(_other_form, x.terms()))
+    other = _other_value(x)
     pairs = [
         (x, other),
         (_lift(x) + (_lift(y) + z), (_lift(x) + y) + z),
@@ -298,3 +303,28 @@ def test_equal_values_hash_equal(x, y, z):
     for u, v in pairs:
         if u == v:
             assert hash(u) == hash(v)
+
+
+ORDER = (operator.lt, operator.le, operator.gt, operator.ge, operator.eq)
+
+
+@given(values(), values())
+@settings(max_examples=300)
+def test_order_across_types_and_radicands(x, y):
+    answers = {
+        tuple(op(u, v) for op in ORDER)
+        for u in (x, _lift(x), _other_value(x))
+        for v in (y, _lift(y), _other_value(y))
+    }
+    assert len(answers) == 1
+    for u in (x, _lift(x), _other_value(x)):
+        assert tuple(op(u, _other_value(x)) for op in ORDER) == (False, True, False, True, True)
+    lt, le, gt, ge, eq = answers.pop()
+    assert lt + eq + gt == 1
+    assert (le, ge) == (lt or eq, gt or eq)
+    assert (y == x) == eq
+    (xlo, xhi), (ylo, yhi) = x.bracket(60), y.bracket(60)
+    if xhi < ylo:
+        assert lt
+    elif yhi < xlo:
+        assert gt
