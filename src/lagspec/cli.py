@@ -1,5 +1,8 @@
 """Command-line front end: evaluate, expand, certify, audit.
 
+Each subcommand computes one report, printed once: as one line of JSON
+under --structured, as text otherwise.
+
 Exit codes: 0 on success or a certified result, 2 when a certification
 is not separated or inconclusive (or an audit/sweep reports findings),
 1 on parse or precondition errors.
@@ -43,17 +46,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _sum_terms(v: QuadSum) -> list[dict]:
-    return [
-        {"a": t.a, "b": t.b, "c": t.c, "d": t.d} for t in v.terms()
-    ]
-
-
-def _emit_value(v: QuadSum, digits: int, structured: bool, label: str = "value"):
-    if structured:
-        print(json.dumps({label: str(v), "terms": _sum_terms(v), "decimal": v.approx(digits)}))
-    else:
-        print(f"{v} ≈ {v.approx(digits)}")
+def _value_report(v: QuadSum, digits: int, label: str = "value") -> tuple[int, dict, str]:
+    """Exit code, record and text of one exact value."""
+    decimal = v.approx(digits)
+    terms = [{"a": t.a, "b": t.b, "c": t.c, "d": t.d} for t in v.terms()]
+    return 0, {label: str(v), "terms": terms, "decimal": decimal}, f"{v} ≈ {decimal}"
 
 
 def _parse_threshold(text: str) -> Fraction:
@@ -69,54 +66,38 @@ def _parse_forbidden(text: str | None) -> frozenset[tuple[int, ...]]:
     return frozenset(parse_word(part) for part in text.split(";") if part.strip())
 
 
-def _cmd_eval(args) -> int:
-    v = evaluate(parse_expression(args.expr))
-    _emit_value(v, args.digits, args.structured)
-    return 0
+# Each handler returns (exit code, record, text); main prints one of the two.
+# Handlers call library functions through this module's globals, which
+# perfbench/tracing.py rebinds, so keep no table of function references.
 
 
-def _cmd_expand(args) -> int:
+def _cmd_eval(args) -> tuple[int, dict, str]:
+    return _value_report(evaluate(parse_expression(args.expr)), args.digits)
+
+
+def _cmd_expand(args) -> tuple[int, dict, str]:
     v = evaluate(parse_expression(args.value))
     try:
         q = v.to_quadext()
     except MixedRadicandError:
         raise CliError("value spans two radicands; expansion needs one field")
     cf = expand(q, max_terms=args.max_terms)
-    if args.structured:
-        rec = {"input": str(q), "expansion": str(cf)}
-        if isinstance(cf, EPCF):
-            rec["preperiod"] = list(cf.preperiod)
-            rec["period"] = list(cf.period)
-        print(json.dumps(rec))
-    else:
-        print(cf)
-    return 0
+    rec = {"input": str(q), "expansion": str(cf)}
+    if isinstance(cf, EPCF):
+        rec["preperiod"] = list(cf.preperiod)
+        rec["period"] = list(cf.period)
+    return 0, rec, rec["expansion"]
 
 
-def _cmd_lambda(args) -> int:
-    seq = parse_biseq(args.biseq)
-    lv = lambda_at(seq, args.index)
-    if args.structured:
-        print(
-            json.dumps(
-                {
-                    "index": lv.index,
-                    "value": str(lv.value),
-                    "terms": _sum_terms(lv.value),
-                    "decimal": lv.value.approx(args.digits),
-                    "left_tail": str(lv.left_tail),
-                    "right_tail": str(lv.right_tail),
-                }
-            )
-        )
-    else:
-        print(f"{lv.value} ≈ {lv.value.approx(args.digits)}")
-    return 0
+def _cmd_lambda(args) -> tuple[int, dict, str]:
+    lv = lambda_at(parse_biseq(args.biseq), args.index)
+    code, rec, text = _value_report(lv.value, args.digits)
+    tails = {"left_tail": str(lv.left_tail), "right_tail": str(lv.right_tail)}
+    return code, {"index": lv.index, **rec, **tails}, text
 
 
-def _cmd_sup(args) -> int:
-    seq = parse_biseq(args.biseq)
-    cert = sup_lambda(seq, max_window_periods=args.max_window)
+def _cmd_sup(args) -> tuple[int, dict, str]:
+    cert = sup_lambda(parse_biseq(args.biseq), max_window_periods=args.max_window)
     rec = {
         "sup": str(cert.sup),
         "decimal": cert.sup.approx(args.digits),
@@ -126,25 +107,29 @@ def _cmd_sup(args) -> int:
         "margin": str(cert.margin),
         "status": cert.status,
     }
-    if args.structured:
-        print(json.dumps(rec))
-    else:
-        print(f"sup = {cert.sup} ≈ {cert.sup.approx(args.digits)}")
-        print(f"attained: {cert.attained} at {list(cert.attaining_indices)}")
-        print(f"window: {list(cert.window)}  margin: {cert.margin}")
-        print(f"status: {cert.status}")
-    return 0 if cert.status == "certified" else 2
+    text = (
+        f"sup = {cert.sup} ≈ {rec['decimal']}\n"
+        f"attained: {cert.attained} at {rec['attaining_indices']}\n"
+        f"window: {rec['window']}  margin: {cert.margin}\n"
+        f"status: {cert.status}"
+    )
+    return (0 if cert.status == "certified" else 2), rec, text
 
 
-def _cmd_limsup(args) -> int:
-    seq = parse_biseq(args.biseq)
-    v = limsup_lambda(seq)
-    _emit_value(v, args.digits, args.structured, label="limsup")
-    return 0
+def _cmd_limsup(args) -> tuple[int, dict, str]:
+    return _value_report(limsup_lambda(parse_biseq(args.biseq)), args.digits, label="limsup")
 
 
-def _bound_report(cert, digits: int) -> dict:
-    return {
+def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
+    pattern = Pattern(parse_word(args.pattern), args.site)
+    threshold = evaluate(parse_expression(args.threshold))
+    constraints = Constraints(args.alphabet_max, _parse_forbidden(args.forbid))
+    try:
+        cert, certified = certify_forbidden(pattern, threshold, constraints, args.depth), True
+    except NotSeparatedError as e:
+        cert, certified = e.certificate, False
+    lower, upper = (QuadSum(b).approx(args.digits) for b in (cert.lower, cert.upper))
+    rec = {
         "pattern": list(cert.pattern.word),
         "site": cert.pattern.site,
         "alphabet_max": cert.constraints.alphabet_max,
@@ -152,41 +137,22 @@ def _bound_report(cert, digits: int) -> dict:
         "depth": cert.depth,
         "lower": f"{cert.lower.numerator}/{cert.lower.denominator}",
         "upper": f"{cert.upper.numerator}/{cert.upper.denominator}",
-        "lower_decimal": QuadSum(cert.lower).approx(digits),
-        "upper_decimal": QuadSum(cert.upper).approx(digits),
+        "lower_decimal": lower,
+        "upper_decimal": upper,
         "kind": "site_lower_bound",
+        "certified": certified,
     }
+    limit = threshold.approx(args.digits)
+    text = (
+        f"not separated: bounds [{lower}, {upper}] straddle {threshold} ≈ {limit}"
+        if not certified
+        else f"certified: lambda at site {pattern.site} of {rec['pattern']}"
+        f" >= {lower} > threshold {limit}"
+    )
+    return (0 if certified else 2), rec, text
 
 
-def _cmd_certify_pattern(args) -> int:
-    word = parse_word(args.pattern)
-    pattern = Pattern(word, args.site)
-    threshold = evaluate(parse_expression(args.threshold))
-    constraints = Constraints(args.alphabet_max, _parse_forbidden(args.forbid))
-    try:
-        cert = certify_forbidden(pattern, threshold, constraints, args.depth)
-    except NotSeparatedError as e:
-        rec = _bound_report(e.certificate, args.digits)
-        rec["certified"] = False
-        if args.structured:
-            print(json.dumps(rec))
-        else:
-            print(f"not separated: bounds [{rec['lower_decimal']}, {rec['upper_decimal']}]"
-                  f" straddle {threshold} ≈ {threshold.approx(args.digits)}")
-        return 2
-    rec = _bound_report(cert, args.digits)
-    rec["certified"] = True
-    if args.structured:
-        print(json.dumps(rec))
-    else:
-        print(
-            f"certified: lambda at site {pattern.site} of {list(word)} "
-            f">= {rec['lower_decimal']} > threshold {threshold.approx(args.digits)}"
-        )
-    return 0
-
-
-def _cmd_necessity(args) -> int:
+def _cmd_necessity(args) -> tuple[int, dict, str]:
     constraints = Constraints(
         args.alphabet_max,
         _parse_forbidden(args.forbid) if args.forbid is not None else gap_constraints().forbidden,
@@ -207,19 +173,15 @@ def _cmd_necessity(args) -> int:
         "exceptions": [list(w) for w in report.exceptions],
         "holds": report.holds,
     }
-    if args.structured:
-        print(json.dumps(rec))
-    else:
-        print(
-            f"windows: {report.windows_total}  below threshold: {report.passed_by_bound}"
-            f"  center-pattern: {report.passed_by_pattern}  exceptions: {len(report.exceptions)}"
-        )
-        for w in report.exceptions:
-            print("  exception:", ",".join(map(str, w)))
-    return 0 if report.holds else 2
+    text = (
+        f"windows: {report.windows_total}  below threshold: {report.passed_by_bound}"
+        f"  center-pattern: {report.passed_by_pattern}  exceptions: {len(report.exceptions)}"
+    )
+    text += "".join(f"\n  exception: {','.join(map(str, w))}" for w in report.exceptions)
+    return (0 if report.holds else 2), rec, text
 
 
-def _cmd_audit_alpha0(args) -> int:
+def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
     prefix = alpha0_prefix(args.blocks)
     guard = args.guard if args.guard is not None else 2 * args.blocks + 3
     report = audit_not_attained(prefix, gap_left_endpoint(), start=args.start, guard=guard)
@@ -233,42 +195,33 @@ def _cmd_audit_alpha0(args) -> int:
         "clean": report.clean,
         "note": "truncated verification on a finite prefix",
     }
-    if args.structured:
-        print(json.dumps(rec))
-    else:
-        print(
-            f"audited positions {report.start}..{report.stop} of the {args.blocks}-block word"
-            f" (guard {report.guard}); flagged: {list(report.flagged)}"
-        )
-        print("clean" if report.clean else "NOT clean", "- truncated verification on a finite prefix")
-    return 0 if report.clean else 2
+    text = (
+        f"audited positions {report.start}..{report.stop} of the {args.blocks}-block word"
+        f" (guard {report.guard}); flagged: {rec['flagged']}\n"
+        f"{'clean' if report.clean else 'NOT clean'} - {rec['note']}"
+    )
+    return (0 if report.clean else 2), rec, text
 
 
-def _cmd_surgery(args) -> int:
-    word = parse_word(args.word)
-    result = surgery(word, args.n1, args.n2)
+def _cmd_surgery(args) -> tuple[int, dict, str]:
+    result = surgery(parse_word(args.word), args.n1, args.n2)
     rec = {
         "c1": list(result.c1),
         "c2": list(result.c2),
         "chosen": result.chosen,
         "witness_index": result.witness_index,
     }
-    if args.structured:
-        print(json.dumps(rec))
-    else:
-        print("c1:", ",".join(map(str, result.c1)))
-        print("c2:", ",".join(map(str, result.c2)))
-        print(f"chosen: {result.chosen}  witness_index: {result.witness_index}")
-    return 0
+    text = (
+        f"c1: {','.join(map(str, result.c1))}\n"
+        f"c2: {','.join(map(str, result.c2))}\n"
+        f"chosen: {result.chosen}  witness_index: {result.witness_index}"
+    )
+    return 0, rec, text
 
 
-def _cmd_construct(args) -> int:
-    if args.object == "a0":
-        print(build_a0())
-        return 0
-    prefix = alpha0_prefix(args.blocks)
-    print(prefix)
-    return 0
+def _cmd_construct(args) -> tuple[int, dict, str]:
+    text = str(build_a0() if args.object == "a0" else alpha0_prefix(args.blocks))
+    return 0, {"object": args.object, "value": text}, text
 
 
 def _build_parser() -> _Parser:
@@ -336,23 +289,21 @@ def _build_parser() -> _Parser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        args = _PARSER.parse_args(argv)
+        code, record, text = args.fn(args)
     except ExprSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, MixedRadicandError, ZeroDivisionError, PeriodNotFoundError) as e:
+    except (CliError, ValueError, MixedRadicandError, ZeroDivisionError, PeriodNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except NotSeparatedError as e:
-        print(f"not separated: {e}", file=sys.stderr)
-        return 2
+    print(json.dumps(record) if args.structured else text)
+    return code
 
 
 if __name__ == "__main__":

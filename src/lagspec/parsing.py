@@ -78,13 +78,14 @@ class _Lexer:
                 col += 1
                 i += 1
                 continue
-            if ch.isdigit():
+            # isdecimal, not isdigit: "²" is a digit that int() refuses
+            if ch.isdecimal():
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j].isdecimal():
                     j += 1
-                if j < len(text) and text[j] == "." and j + 1 < len(text) and text[j + 1].isdigit():
+                if text[j : j + 1] == "." and text[j + 1 : j + 2].isdecimal():
                     j += 1
-                    while j < len(text) and text[j].isdigit():
+                    while j < len(text) and text[j].isdecimal():
                         j += 1
                 self.tokens.append(("NUM", text[i:j], line, col))
                 col += j - i

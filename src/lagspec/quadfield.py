@@ -391,6 +391,9 @@ def _fold(parts: tuple[QuadExt, ...]) -> tuple[QuadExt, QuadExt]:
         if p.is_rational:
             rat = rat + p
             continue
+        if p.d in fields:  # the keys lie in different fields: no other can match
+            fields[p.d] = fields[p.d] + p
+            continue
         for key in fields:
             if _common_d(key, p.d):
                 fields[key] = fields[key] + p

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from lagspec import cli
 from lagspec.cli import main
 
 LAM0_EXPR = "[3;3,3,2,1,(1,2)]+[0;2,1,(1,2)]"
@@ -154,6 +155,28 @@ def test_construct(capsys):
     assert out.strip() == "[0;2,1,1,2,3,3,3,2,1,1,2]"
 
 
+def test_parser_is_built_once(capsys, monkeypatch):
+    def fail():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "_build_parser", fail)
+    code, out, _ = run(capsys, "construct", "a0")
+    assert code == 0 and out.strip() == A0_TEXT
+
+
+def test_parser_reuse_leaks_no_state(capsys):
+    failing = ["necessity", "--threshold", "3.83", "--window", "7", "--depth", "10"]
+    code, out, _ = run(capsys, *failing, "--forbid", "")
+    assert code == 2 and "exceptions: 440" in out
+    # without --forbid the gap list applies again: 243 windows, no exception
+    code, out, _ = run(capsys, *failing)
+    assert code == 0 and out.startswith("windows: 243 ") and "exceptions: 0" in out
+    code, out, _ = run(capsys, "eval", LAM0_EXPR, "--structured")
+    assert json.loads(out)["decimal"] == "3.6914708"
+    code, out, _ = run(capsys, "eval", LAM0_EXPR)
+    assert out == "(62976-1498*sqrt(3))/16357 ≈ 3.6914708\n"
+
+
 def test_parse_error_exit_1(capsys):
     code, _, err = run(capsys, "eval", "[0;1,(])")
     assert code == 1
@@ -174,7 +197,7 @@ def test_bad_flag_exit_1(capsys):
 
 # The README CLI examples with --structured and the exact line each one
 # prints, so that any change to a CLI output fails here.  `construct`
-# prints its text form in either mode.
+# prints {"object": ..., "value": <its text form>}.
 README_STRUCTURED = [
     (
         ["eval", LAM0_EXPR, "--digits", "7"],
@@ -225,10 +248,11 @@ README_STRUCTURED = [
         ["surgery", "2,1,2,1,3", "--n1", "1", "--n2", "3"],
         '{"c1": [2, 1, 3], "c2": [2, 1, 2, 1, 2, 1, 3], "chosen": "second", "witness_index": 2}',
     ),
-    (["construct", "a0"], A0_TEXT),
+    (["construct", "a0"], '{"object": "a0", "value": "<(2,1) | 1,2,3,3*,3,2,1 | (1,2)>"}'),
     (
         ["construct", "alpha0", "--blocks", "2"],
-        "[0;2,1,1,2,3,3,3,2,1,1,2,2,1,2,1,1,2,3,3,3,2,1,1,2,1,2]",
+        '{"object": "alpha0",'
+        ' "value": "[0;2,1,1,2,3,3,3,2,1,1,2,2,1,2,1,1,2,3,3,3,2,1,1,2,1,2]"}',
     ),
 ]
 

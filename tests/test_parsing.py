@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lagspec.bisequence import BiSeq
 from lagspec.cfrac import EPCF, FiniteCF
+from lagspec.cli import main
 from lagspec.parsing import (
     BiSeqExpr,
     ExprSyntaxError,
@@ -56,6 +57,17 @@ def test_parse_errors_carry_position():
         parse_expression("[0;1,2")
     with pytest.raises(ExprSyntaxError):
         parse_expression("[0;1]extra")
+
+
+@pytest.mark.parametrize("text, col", [("²", 1), ("[0;1,²]", 6), ("1²", 2)])
+def test_non_decimal_digit_is_a_positioned_syntax_error(capsys, text, col):
+    # "²" is a Unicode digit that int() refuses
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_expression(text)
+    assert err.value.token == "²"
+    assert err.value.line == 1 and err.value.col == col
+    assert main(["eval", text]) == 1
+    assert capsys.readouterr().err.startswith("syntax error")
 
 
 def test_parse_biseq():
