@@ -7,10 +7,12 @@ continuations to a fixed depth are folded bottom-up, level by level over
 the automaton states, and every interval, from a leaf's cylinder to the
 fold through the known word, is the image of a tail interval under a
 Moebius matrix, cfrac.mobius_image.  The window sweep carries its
-matrix and its left interval down the search.  Everything is rational
-arithmetic; deepening the search never loosens a bound.  The
-non-attainability audit brackets every position of a known word in two
-linear passes over its matrix products.
+matrix and its left interval down the search; it counts a subtree that
+already carries the center pattern and whose lower bound clears the
+threshold without enumeration, live leaves by pattern and dead ones by
+bound.  Everything is rational arithmetic; deepening the search never
+loosens a bound.  The non-attainability audit brackets every position
+of a known word in two linear passes over its matrix products.
 """
 
 from __future__ import annotations
@@ -199,10 +201,10 @@ def admissible_extensions(prefix, constraints: Constraints, depth: int):
 
 def _levels(table, base, join):
     """levels[n][s], a value over the admissible n-symbol words read from
-    automaton state s: `base` at n = 0, then join([(a, levels[n-1][t]),
+    automaton state s: base(s) at n = 0, then join([(a, levels[n-1][t]),
     ...]) over the symbols a allowed at s, t the state after a.  Returns
     at(s, n), which builds the levels bottom-up as far as n on demand."""
-    levels = [dict.fromkeys(table, base)]
+    levels = [{s: base(s) for s in table}]
 
     def at(state, n):
         while len(levels) <= n:
@@ -226,7 +228,7 @@ def _tail_bounds(constraints: Constraints):
         ivs = [mobius_image(mobius((a,)), sub) for a, sub in subs if sub is not None]
         return (min(lo for lo, _ in ivs), max(hi for _, hi in ivs)) if ivs else None
 
-    return _levels(constraints._table, (Fraction(1), None), join)  # None is +inf
+    return _levels(constraints._table, lambda s: (Fraction(1), None), join)  # None is +inf
 
 
 def site_lambda_bounds(
@@ -299,7 +301,10 @@ def pattern_necessity(
     Unknown context beyond the window is bounded by worst-case admissible
     tails, so a window passes case (a) only if its center value is below
     the threshold for every completion.  Subtrees whose uniform bound is
-    already below the threshold are counted without enumeration.
+    already below the threshold are counted without enumeration, and so
+    are subtrees that already carry the center pattern with a lower bound
+    at least the threshold: their live leaves (those with an admissible
+    right tail) pass by pattern, their dead ones by bound.
     """
     if window_len < 7:
         raise ValueError("window_len must be at least 7")
@@ -310,7 +315,10 @@ def pattern_necessity(
     table = constraints._table
     rev = _reversed(constraints)
     right_tails, left_tails = _tail_bounds(constraints), _tail_bounds(rev)
-    count_words = _levels(table, 1, lambda subs: sum(n for _, n in subs))
+    total = lambda subs: sum(n for _, n in subs)
+    count_words = _levels(table, lambda s: 1, total)
+    # windows whose last state leaves an admissible right tail of the depth
+    count_live = _levels(table, lambda s: int(right_tails(s, depth) is not None), total)
     n = len(CENTER_PATTERN)
     # the offsets that put the center on the pattern's first or last 3
     offsets = [o for o in (center - 2, center + 3 - n) if o >= 0]
@@ -323,15 +331,22 @@ def pattern_necessity(
         when the left side has no admissible tail), m the matrix of
         [0; word[center+1:]...]."""
         if len(word) > center:
-            tail = None if lint is None else right_tails(state, window_len - len(word) + depth)
-            if tail is None or word[center] + lint[1] + mobius_image(m, tail)[1] < threshold:
-                stats["bound"] += count_words(state, window_len - len(word))
+            rest = window_len - len(word)
+            tail = None if lint is None else right_tails(state, rest + depth)
+            iv = None if tail is None else mobius_image(m, tail)
+            if iv is None or word[center] + lint[1] + iv[1] < threshold:
+                stats["bound"] += count_words(state, rest)
                 return
-            if len(word) == window_len:
-                if any(word[o : o + n] == CENTER_PATTERN for o in offsets):
-                    stats["pattern"] += 1
-                else:
-                    exceptions.append(word)
+            if any(word[o : o + n] == CENTER_PATTERN for o in offsets):
+                # at a leaf, or where the hull of the live leaves below clears
+                # the threshold: live leaves pass by pattern, dead ones by bound
+                if rest == 0 or word[center] + lint[0] + iv[0] >= threshold:
+                    live = count_live(state, rest)
+                    stats["pattern"] += live
+                    stats["bound"] += count_words(state, rest) - live
+                    return
+            elif rest == 0:
+                exceptions.append(word)
                 return
         elif len(word) == center:
             back = tuple(reversed(word))

@@ -271,7 +271,12 @@ def test_certificate_soundness_200_random():
 
 
 def test_necessity_sweep_holds():
-    for window, counts in ((15, (77345, 77275, 70)), (21, (5841517, 5836965, 4552))):
+    for window, counts in (
+        (15, (77345, 77275, 70)),
+        (21, (5841517, 5836965, 4552)),
+        (25, (104373561, 104291901, 81660)),
+        (27, (441187243, 440842465, 344778)),
+    ):
         report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), window, 25)
         assert report.holds
         assert report.exceptions == ()
@@ -322,6 +327,8 @@ def sweep_cases(draw):
 
 @given(sweep_cases())
 @example((Fraction(3691, 1000), gap_constraints(), 9, 4))  # both pattern offsets
+# a pattern subtree with a dead leaf: 1032 windows pass by bound, 2 by pattern
+@example((Fraction(2), Constraints(3, frozenset({(1, 1, 1), (1, 1, 2), (1, 1, 3)})), 8, 3))
 @settings(max_examples=30, deadline=None)
 def test_necessity_counts_match_leaf_classification(case):
     threshold, constraints, window, depth = case
