@@ -106,27 +106,12 @@ class BiSeq:
         return f"<({lp}) | {','.join(parts)} | ({rp})>"
 
 
-def _rot(word: tuple[int, ...], k: int) -> tuple[int, ...]:
-    k %= len(word)
-    return word[k:] + word[:k]
-
-
-def _left_tail(A: BiSeq, i: int) -> EPCF:
-    """[a_i; a_{i-1}, a_{i-2}, ...] as an EPCF."""
-    outward = tuple(reversed(A.left_period))
-    if i >= A.start:
-        pre = tuple(A.at(j) for j in range(i - 1, A.start - 1, -1))
-        return EPCF(A.at(i), pre, outward)
-    k = A.start - 1 - i
-    return EPCF(A.at(i), (), _rot(outward, k + 1))
-
-
-def _right_tail(A: BiSeq, i: int) -> EPCF:
-    """[0; a_{i+1}, a_{i+2}, ...] as an EPCF."""
-    if i < A.end:
-        pre = tuple(A.at(j) for j in range(i + 1, A.end + 1))
-        return EPCF(0, pre, A.right_period)
-    return EPCF(0, (), _rot(A.right_period, i - A.end))
+def _right_tail(A: BiSeq, i: int, a0: int = 0) -> EPCF:
+    """[a0; a_{i+1}, a_{i+2}, ...] as an EPCF."""
+    pre = tuple(A.at(j) for j in range(i + 1, A.end + 1))
+    rp = A.right_period
+    k = max(0, i - A.end) % len(rp)
+    return EPCF(a0, pre, rp[k:] + rp[:k])
 
 
 @dataclass(frozen=True)
@@ -140,22 +125,16 @@ class LambdaValue:
 
 
 def lambda_at(A: BiSeq, i: int) -> LambdaValue:
-    lt = _left_tail(A, i)
+    # the left tail [a_i; a_{i-1}, ...] is the right tail of the reflection at -i
+    lt = _right_tail(A.reversed(), -i, A.at(i))
     rt = _right_tail(A, i)
     return LambdaValue(i, QuadSum(eval_periodic(lt), eval_periodic(rt)), lt, rt)
 
 
 def periodic_phase_limits(period: tuple[int, ...]) -> list[QuadSum]:
     """Two-sided values of the purely periodic word, one per phase."""
-    m = len(period)
-    out = []
-    for phase in range(m):
-        left = EPCF(
-            period[phase], (), tuple(period[(phase - 1 - k) % m] for k in range(m))
-        )
-        right = EPCF(0, (), _rot(period, phase + 1))
-        out.append(QuadSum(eval_periodic(left), eval_periodic(right)))
-    return out
+    pure = BiSeq(period, period, 0, period)
+    return [lambda_at(pure, k).value for k in range(len(period))]
 
 
 def limsup_lambda(A: BiSeq) -> QuadSum:
@@ -199,136 +178,81 @@ def _rational_lower_bound(v: QuadSum) -> Fraction:
         k *= 2
 
 
-# classification of all lambda_i beyond the window edge, per phase class
-_BELOW = "below"
-_EQUAL = "equal"
-_ABOVE_POSSIBLE = "above_possible"
-
-
-def _class_relation(A: BiSeq, phase: int) -> str:
-    """Relate lambda_i to its phase limit for all i > end in one phase class.
+def _may_exceed(A: BiSeq, phase: int) -> bool:
+    """Whether some lambda_i, i > end in one phase class, may exceed its limit.
 
     The right tails agree exactly, so the comparison is between the left
     tail and the purely periodic left tail.  Scanning leftward from the
-    core edge finds the first position where A leaves the periodic
+    core edge finds the first position x where A leaves the periodic
     pattern; beyond it the parity rule decides every comparison at once.
     If no such position exists the two sequences agree everywhere and
     every lambda_i in the class equals the limit.
     """
     R = len(A.right_period)
-    L = len(A.left_period)
-
-    def pure(j: int) -> int:
-        return A.right_period[(j - A.end - 1) % R]
-
-    lo = A.start - (L + R)
-    x = None
-    for j in range(A.end, lo - 1, -1):
-        if A.at(j) != pure(j):
-            x = j
+    for x in range(A.end, A.start - len(A.left_period) - R - 1, -1):
+        u, v = A.at(x), A.right_period[(x - A.end - 1) % R]
+        if u != v:
             break
-    if x is None:
+    else:
         # periodic structures coincide on a full L+R stretch, hence everywhere
-        return _EQUAL
-    u, v = A.at(x), pure(x)
+        return False
     # indices i > end in this class have first difference at tail index i - x;
     # i steps by R, so the parity of i - x is constant iff R is even
     if R % 2 == 1:
-        return _ABOVE_POSSIBLE
-    i0 = A.end + 1 + phase
-    r = i0 - x
-    above = (u > v) if (r - 1) % 2 == 1 else (u < v)
-    return _ABOVE_POSSIBLE if above else _BELOW
+        return True
+    r = A.end + 1 + phase - x
+    return (u > v) if (r - 1) % 2 == 1 else (u < v)
 
 
-def _side_classes(A: BiSeq):
-    """(phase limit, relation, period length) for both directions."""
-    out = []
-    rev = A.reversed()
-    for seq in (A, rev):
-        limits = periodic_phase_limits(seq.right_period)
-        for phase, lim in enumerate(limits):
-            out.append((lim, _class_relation(seq, phase), len(seq.right_period)))
-    return out
+def _side_classes(A: BiSeq) -> list[tuple[QuadSum, bool, int]]:
+    """(phase limit, may exceed it, period length) for both directions."""
+    return [
+        (lim, _may_exceed(seq, phase), len(seq.right_period))
+        for seq in (A, A.reversed())
+        for phase, lim in enumerate(periodic_phase_limits(seq.right_period))
+    ]
 
 
 def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
     """Certified sup of lambda_i over all integers i.
 
     Inspects the core widened by K copies of each period, K deepening up
-    to max_window_periods, and certifies every uninspected index against
-    the phase limits.  Returns an inconclusive certificate if the window
-    cap is reached without separation.
+    to max_window_periods, evaluating each window index once, and
+    certifies every uninspected index against the phase limits of the
+    purely periodic tails.  A class whose limit is the sup is certified
+    only if none of its values can exceed the limit; if A is purely
+    periodic the limit is then attained inside the window.  Returns an
+    inconclusive certificate if the window cap is reached without
+    separation; raises ValueError if the cap is below 1.
     """
+    if max_window_periods < 1:
+        raise ValueError("max_window_periods must be positive")
     classes = _side_classes(A)
     max_lim = max(lim for lim, _, _ in classes)
-
-    window: tuple[int, int] = (A.start, A.end)
-    best: QuadSum | None = None
+    values: dict[int, QuadSum] = {}
     for K in range(1, max_window_periods + 1):
-        lo = A.start - K * len(A.left_period)
-        hi = A.end + K * len(A.right_period)
-        window = (lo, hi)
-        values = {i: lambda_at(A, i).value for i in range(lo, hi + 1)}
-        best = None
-        arg: list[int] = []
-        for i in range(lo, hi + 1):
-            v = values[i]
-            if best is None or v > best:
-                best, arg = v, [i]
-            elif v == best:
-                arg.append(i)
+        window = (A.start - K * len(A.left_period), A.end + K * len(A.right_period))
+        span = range(window[0], window[1] + 1)
+        for i in span:
+            if i not in values:
+                values[i] = lambda_at(A, i).value
+        best = max(values[i] for i in span)
         target = best if best >= max_lim else max_lim
-
-        ok = True
         margins: list[Fraction] = []
-        attained_by_tail = False
-        for lim, rel, plen in classes:
-            eps = distance_bounds(K * plen).eps
+        for lim, may_exceed, plen in classes:
             if lim == target:
-                if rel == _ABOVE_POSSIBLE:
-                    ok = False
+                if may_exceed:
                     break
-                if rel == _EQUAL:
-                    attained_by_tail = True
                 continue
             # lim < target: need the envelope lim + eps below target
-            gap = target - lim
-            if gap.sign() <= 0 or (gap - eps).sign() <= 0:
-                ok = False
+            gap = target - lim - distance_bounds(K * plen).eps
+            if gap.sign() <= 0:
                 break
-            margins.append(_rational_lower_bound(gap - eps))
-        if not ok:
-            continue
-
-        margin = min(margins) if margins else Fraction(1)
-        if best >= max_lim:
-            return SupCertificate(
-                sup=best,
-                attained=True,
-                attaining_indices=tuple(arg),
-                window=window,
-                margin=margin,
-                status="certified",
-            )
-        if attained_by_tail:
-            # a tail class equals max_lim yet no window value reaches it
-            continue
-        return SupCertificate(
-            sup=max_lim,
-            attained=False,
-            attaining_indices=(),
-            window=window,
-            margin=margin,
-            status="certified",
-        )
-
-    sup = best if best is not None and best >= max_lim else max_lim
-    return SupCertificate(
-        sup=sup,
-        attained=False,
-        attaining_indices=(),
-        window=window,
-        margin=Fraction(0),
-        status="inconclusive",
-    )
+            margins.append(_rational_lower_bound(gap))
+        else:
+            margin = min(margins, default=Fraction(1))
+            if best >= max_lim:
+                arg = tuple(i for i in span if values[i] == best)
+                return SupCertificate(best, True, arg, window, margin, "certified")
+            return SupCertificate(max_lim, False, (), window, margin, "certified")
+    return SupCertificate(target, False, (), window, Fraction(0), "inconclusive")

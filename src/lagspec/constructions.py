@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisequence import BiSeq, _rot, periodic_phase_limits
+from .bisequence import BiSeq, lambda_at, periodic_phase_limits
 from .cfrac import EPCF, FiniteCF, cmp_prefix, eval_finite, eval_periodic
 from .quadfield import QuadExt, QuadSum
 
@@ -178,15 +178,17 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
     R = tuple(R)
     if not P:
         raise ValueError("P must be nonempty")
-    n = len(P)
+    if check_m < 1:
+        raise ValueError("check_m must be positive")
     limits = periodic_phase_limits(P)
-    j0 = max(range(n), key=limits.__getitem__)
+    j0 = max(range(len(P)), key=limits.__getitem__)
     mu = limits[j0]
     j = j0 + 1  # 1-based site within the period
 
-    back_pre = tuple(P[(j0 - k) % n] for k in range(1, j0 + 1))  # c_{j-1}..c_1
-    back_period = tuple(P[(j0 - k) % n] for k in range(j0 + 1, j0 + 1 + n))
-    periodic_back = eval_periodic(EPCF(0, back_pre, back_period))
+    # both tails of the purely periodic word at j0
+    lv = lambda_at(BiSeq(P, P, 0, P), j0)
+    back_pre = lv.left_tail.preperiod  # c_{j-1}..c_1
+    periodic_back = eval_periodic(EPCF(0, back_pre, lv.left_tail.period))
     finite_back = eval_finite(FiniteCF(0, back_pre + tuple(reversed(R)))) if (
         back_pre or R
     ) else None
@@ -196,7 +198,7 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
         )
 
     gamma_prime = EPCF(0, R, P)
-    forward = eval_periodic(EPCF(P[j0], (), _rot(P, j0 + 1)))
+    forward = eval_periodic(EPCF(P[j0], lv.right_tail.preperiod, lv.right_tail.period))
     ms = tuple(range(1, check_m + 1))
     lams = []
     for m in ms:

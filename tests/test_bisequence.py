@@ -5,12 +5,15 @@ import pytest
 
 from lagspec.bisequence import (
     BiSeq,
+    _side_classes,
     lambda_at,
     limsup_lambda,
     periodic_phase_limits,
     sup_lambda,
 )
+from lagspec.cfrac import EPCF, eval_periodic
 from lagspec.constructions import build_a0, gap_left_endpoint
+from lagspec.parsing import parse_biseq
 from lagspec.quadfield import QuadExt, QuadSum
 
 
@@ -103,6 +106,13 @@ def test_sup_inconclusive_at_tiny_window():
     assert cert.attained is False
 
 
+def test_sup_needs_a_window():
+    # an empty window would report a sup below the value attained at +-1
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="max_window_periods"):
+            sup_lambda(build_a0(), max_window_periods=k)
+
+
 def test_limsup_examples():
     assert limsup_lambda(build_a0()) == QuadExt(0, 2, 1, 3)
     assert limsup_lambda(BiSeq((1,), (1,), 0, (1,))) == QuadExt(0, 1, 1, 5)
@@ -166,3 +176,141 @@ def test_envelope_soundness_200_random():
                 v = lambda_at(A, i).value
                 assert not v > cert.sup, (A, i)
     assert certified >= 190
+
+
+# Reference tail readers, copied from the earlier implementation that built
+# each tail by hand: lambda_at and periodic_phase_limits must agree with them.
+def _ref_rot(word, k):
+    k %= len(word)
+    return word[k:] + word[:k]
+
+
+def _ref_left_tail(A, i):
+    outward = tuple(reversed(A.left_period))
+    if i >= A.start:
+        pre = tuple(A.at(j) for j in range(i - 1, A.start - 1, -1))
+        return EPCF(A.at(i), pre, outward)
+    k = A.start - 1 - i
+    return EPCF(A.at(i), (), _ref_rot(outward, k + 1))
+
+
+def _ref_right_tail(A, i):
+    if i < A.end:
+        pre = tuple(A.at(j) for j in range(i + 1, A.end + 1))
+        return EPCF(0, pre, A.right_period)
+    return EPCF(0, (), _ref_rot(A.right_period, i - A.end))
+
+
+def _ref_phase_limits(period):
+    m = len(period)
+    out = []
+    for phase in range(m):
+        left = EPCF(
+            period[phase], (), tuple(period[(phase - 1 - k) % m] for k in range(m))
+        )
+        right = EPCF(0, (), _ref_rot(period, phase + 1))
+        out.append(QuadSum(eval_periodic(left), eval_periodic(right)))
+    return out
+
+
+def test_tails_and_phase_limits_match_reference_readers():
+    rng = random.Random(20160601)
+    for _ in range(150):
+        A = _random_biseq(rng)
+        L, R = len(A.left_period), len(A.right_period)
+        for i in range(A.start - 3 * L, A.end + 3 * R + 1):
+            lv = lambda_at(A, i)
+            assert lv.left_tail == _ref_left_tail(A, i), (A, i)
+            assert lv.right_tail == _ref_right_tail(A, i), (A, i)
+        for P in (A.left_period, A.core, A.right_period):
+            got = [str(v) for v in periodic_phase_limits(P)]
+            assert got == [str(v) for v in _ref_phase_limits(P)], P
+
+
+# Every SupCertificate field at windows 1, 2 and 12, for sequences drawn from
+# a seeded generator over the alphabet 1..4 plus the reference sequence:
+# purely periodic, attained at once, attained after widening (inconclusive
+# at small windows), and unattained.
+# (sequence, max_window_periods, sup, attained, attaining_indices, window, margin, status)
+_PINNED_SUP = [
+    ('<(4) | 4* | (4)>', 1, '2*sqrt(5)', True, (-1, 0, 1), (-1, 1), '1', 'certified'),
+    ('<(4) | 4* | (4)>', 2, '2*sqrt(5)', True, (-1, 0, 1), (-1, 1), '1', 'certified'),
+    ('<(4) | 4* | (4)>', 12, '2*sqrt(5)', True, (-1, 0, 1), (-1, 1), '1', 'certified'),
+    ('<(2,2,2) | 2*,2,2 | (2,2,2)>', 1, '2*sqrt(2)', True, (-3, -2, -1, 0, 1, 2, 3, 4, 5), (-3, 5), '1', 'certified'),
+    ('<(2,2,2) | 2*,2,2 | (2,2,2)>', 2, '2*sqrt(2)', True, (-3, -2, -1, 0, 1, 2, 3, 4, 5), (-3, 5), '1', 'certified'),
+    ('<(2,2,2) | 2*,2,2 | (2,2,2)>', 12, '2*sqrt(2)', True, (-3, -2, -1, 0, 1, 2, 3, 4, 5), (-3, 5), '1', 'certified'),
+    ('<(2,3,4) | 2,3*,4 | (2,3,4)>', 1, 'sqrt(1093)/7', True, (-2, 1, 4), (-4, 4), '503711/630000', 'certified'),
+    ('<(2,3,4) | 2,3*,4 | (2,3,4)>', 2, 'sqrt(1093)/7', True, (-2, 1, 4), (-4, 4), '503711/630000', 'certified'),
+    ('<(2,3,4) | 2,3*,4 | (2,3,4)>', 12, 'sqrt(1093)/7', True, (-2, 1, 4), (-4, 4), '503711/630000', 'certified'),
+    ('<(3,3,3) | 3,3*,3 | (3,3,3)>', 1, 'sqrt(13)', True, (-4, -3, -2, -1, 0, 1, 2, 3, 4), (-4, 4), '1', 'certified'),
+    ('<(3,3,3) | 3,3*,3 | (3,3,3)>', 2, 'sqrt(13)', True, (-4, -3, -2, -1, 0, 1, 2, 3, 4), (-4, 4), '1', 'certified'),
+    ('<(3,3,3) | 3,3*,3 | (3,3,3)>', 12, 'sqrt(13)', True, (-4, -3, -2, -1, 0, 1, 2, 3, 4), (-4, 4), '1', 'certified'),
+    ('<(4,3,1) | 4,3,1,4,3,1* | (4,3,1)>', 1, 'sqrt(101)/2', True, (-8, -5, -2, 1), (-8, 3), '60399/80000', 'certified'),
+    ('<(4,3,1) | 4,3,1,4,3,1* | (4,3,1)>', 2, 'sqrt(101)/2', True, (-8, -5, -2, 1), (-8, 3), '60399/80000', 'certified'),
+    ('<(4,3,1) | 4,3,1,4,3,1* | (4,3,1)>', 12, 'sqrt(101)/2', True, (-8, -5, -2, 1), (-8, 3), '60399/80000', 'certified'),
+    ('<(3) | 4,2,2,2,1,1* | (1)>', 1, '(51-sqrt(5))/118 + (5+sqrt(13))/2', True, (-5,), (-6, 1), '1303589/11800000', 'certified'),
+    ('<(3) | 4,2,2,2,1,1* | (1)>', 2, '(51-sqrt(5))/118 + (5+sqrt(13))/2', True, (-5,), (-6, 1), '1303589/11800000', 'certified'),
+    ('<(3) | 4,2,2,2,1,1* | (1)>', 12, '(51-sqrt(5))/118 + (5+sqrt(13))/2', True, (-5,), (-6, 1), '1303589/11800000', 'certified'),
+    ('<(3) | 3,4,1* | (1)>', 1, '(-1+sqrt(5))/2 + (5+sqrt(13))/2', True, (-1,), (-3, 1), '1261/4000', 'certified'),
+    ('<(3) | 3,4,1* | (1)>', 2, '(-1+sqrt(5))/2 + (5+sqrt(13))/2', True, (-1,), (-3, 1), '1261/4000', 'certified'),
+    ('<(3) | 3,4,1* | (1)>', 12, '(-1+sqrt(5))/2 + (5+sqrt(13))/2', True, (-1,), (-3, 1), '1261/4000', 'certified'),
+    ('<(1) | 1,4,3,4,3* | (3,1,1)>', 1, '(7+sqrt(5))/2 + (1069-sqrt(17))/3442', True, (-3,), (-5, 3), '381583039/688400000', 'certified'),
+    ('<(1) | 1,4,3,4,3* | (3,1,1)>', 2, '(7+sqrt(5))/2 + (1069-sqrt(17))/3442', True, (-3,), (-5, 3), '381583039/688400000', 'certified'),
+    ('<(1) | 1,4,3,4,3* | (3,1,1)>', 12, '(7+sqrt(5))/2 + (1069-sqrt(17))/3442', True, (-3,), (-5, 3), '381583039/688400000', 'certified'),
+    ('<(1,1) | 4*,2,2,4,2 | (1,1,2)>', 1, '(7+sqrt(5))/2 + (396-sqrt(10))/962', True, (0,), (-2, 7), '12422191/7696000', 'certified'),
+    ('<(1,1) | 4*,2,2,4,2 | (1,1,2)>', 2, '(7+sqrt(5))/2 + (396-sqrt(10))/962', True, (0,), (-2, 7), '12422191/7696000', 'certified'),
+    ('<(1,1) | 4*,2,2,4,2 | (1,1,2)>', 12, '(7+sqrt(5))/2 + (396-sqrt(10))/962', True, (0,), (-2, 7), '12422191/7696000', 'certified'),
+    ('<(3,4) | 3*,4,1,3,3 | (4,3)>', 1, '(27+2*sqrt(3))/6', False, (), (-2, 6), '0', 'inconclusive'),
+    ('<(3,4) | 3*,4,1,3,3 | (4,3)>', 2, '(27+2*sqrt(3))/6', True, (1,), (-4, 8), '160103/480000', 'certified'),
+    ('<(3,4) | 3*,4,1,3,3 | (4,3)>', 12, '(27+2*sqrt(3))/6', True, (1,), (-4, 8), '160103/480000', 'certified'),
+    ('<(2,1,1) | 2* | (4,4,3)>', 1, '(10+sqrt(10))/3 + (-53+sqrt(3485))/26', False, (), (-3, 3), '0', 'inconclusive'),
+    ('<(2,1,1) | 2* | (4,4,3)>', 2, '(10+sqrt(10))/3 + (-53+sqrt(3485))/26', True, (1,), (-6, 6), '736009/15600000', 'certified'),
+    ('<(2,1,1) | 2* | (4,4,3)>', 12, '(10+sqrt(10))/3 + (-53+sqrt(3485))/26', True, (1,), (-6, 6), '736009/15600000', 'certified'),
+    ('<(2,2,2) | 4* | (4)>', 1, '3+sqrt(2) + -2+sqrt(5)', False, (), (-3, 1), '0', 'inconclusive'),
+    ('<(2,2,2) | 4* | (4)>', 2, '3+sqrt(2) + -2+sqrt(5)', False, (), (-6, 2), '0', 'inconclusive'),
+    ('<(2,2,2) | 4* | (4)>', 12, '3+sqrt(2) + -2+sqrt(5)', True, (0,), (-12, 4), '21257/400000', 'certified'),
+    ('<(4,2) | 3*,1,4,4,2 | (1)>', 1, '(11+sqrt(5))/58 + (12-sqrt(6))/2', False, (), (-2, 5), '0', 'inconclusive'),
+    ('<(4,2) | 3*,1,4,4,2 | (1)>', 2, '(11+sqrt(5))/58 + (12-sqrt(6))/2', False, (), (-4, 6), '0', 'inconclusive'),
+    ('<(4,2) | 3*,1,4,4,2 | (1)>', 12, '(11+sqrt(5))/58 + (12-sqrt(6))/2', True, (2,), (-6, 7), '1699007/23200000', 'certified'),
+    ('<(3) | 1,3,4,2,3*,4 | (1,4,4)>', 1, '(275753+sqrt(13))/64278 + (-17+sqrt(629))/10', False, (), (-5, 4), '0', 'inconclusive'),
+    ('<(3) | 1,3,4,2,3*,4 | (1,4,4)>', 2, '(275753+sqrt(13))/64278 + (-17+sqrt(629))/10', True, (1,), (-6, 7), '13067461549/257112000000', 'certified'),
+    ('<(3) | 1,3,4,2,3*,4 | (1,4,4)>', 12, '(275753+sqrt(13))/64278 + (-17+sqrt(629))/10', True, (1,), (-6, 7), '13067461549/257112000000', 'certified'),
+    ('<(4,3) | 4,2,4*,2,2 | (2)>', 1, '-1+sqrt(2) + (42+4*sqrt(3))/11', False, (), (-4, 3), '0', 'inconclusive'),
+    ('<(4,3) | 4,2,4*,2,2 | (2)>', 2, '-1+sqrt(2) + (42+4*sqrt(3))/11', True, (0,), (-6, 4), '1563257/13200000', 'certified'),
+    ('<(4,3) | 4,2,4*,2,2 | (2)>', 12, '-1+sqrt(2) + (42+4*sqrt(3))/11', True, (0,), (-6, 4), '1563257/13200000', 'certified'),
+    ('<(2,1) | 1,2,3,3*,3,2,1 | (1,2)>', 1, '(62976-1498*sqrt(3))/16357', False, (), (-5, 5), '0', 'inconclusive'),
+    ('<(2,1) | 1,2,3,3*,3,2,1 | (1,2)>', 2, '(62976-1498*sqrt(3))/16357', True, (-1, 1), (-7, 7), '1339562217/13085600000', 'certified'),
+    ('<(2,1) | 1,2,3,3*,3,2,1 | (1,2)>', 12, '(62976-1498*sqrt(3))/16357', True, (-1, 1), (-7, 7), '1339562217/13085600000', 'certified'),
+    ('<(4,4) | 3* | (4,1)>', 1, '4*sqrt(2)', False, (), (-2, 2), '68471/100000', 'certified'),
+    ('<(4,4) | 3* | (4,1)>', 2, '4*sqrt(2)', False, (), (-2, 2), '68471/100000', 'certified'),
+    ('<(4,4) | 3* | (4,1)>', 12, '4*sqrt(2)', False, (), (-2, 2), '68471/100000', 'certified'),
+    ('<(4,3) | 3,2,1,2*,2,1 | (2)>', 1, '(8*sqrt(3))/3', False, (), (-5, 3), '6547/10000', 'certified'),
+    ('<(4,3) | 3,2,1,2*,2,1 | (2)>', 2, '(8*sqrt(3))/3', False, (), (-5, 3), '6547/10000', 'certified'),
+    ('<(4,3) | 3,2,1,2*,2,1 | (2)>', 12, '(8*sqrt(3))/3', False, (), (-5, 3), '6547/10000', 'certified'),
+    ('<(3) | 3* | (4,3)>', 1, '(8*sqrt(3))/3', False, (), (-1, 2), '331/25000', 'certified'),
+    ('<(3) | 3* | (4,3)>', 2, '(8*sqrt(3))/3', False, (), (-1, 2), '331/25000', 'certified'),
+    ('<(3) | 3* | (4,3)>', 12, '(8*sqrt(3))/3', False, (), (-1, 2), '331/25000', 'certified'),
+    ('<(3) | 3* | (1,3)>', 1, 'sqrt(21)', False, (), (-1, 2), '0', 'inconclusive'),
+    ('<(3) | 3* | (1,3)>', 2, 'sqrt(21)', False, (), (-2, 4), '95403/200000', 'certified'),
+    ('<(3) | 3* | (1,3)>', 12, 'sqrt(21)', False, (), (-2, 4), '95403/200000', 'certified'),
+]
+
+
+def _purely_periodic(A):
+    P = A.right_period
+    return A.left_period == P and A.core == P * (len(A.core) // len(P))
+
+
+def test_sup_certificates_pinned():
+    periodic = 0
+    for text, K, *fields in _PINNED_SUP:
+        A = parse_biseq(text)
+        c = sup_lambda(A, max_window_periods=K)
+        got = [str(c.sup), c.attained, c.attaining_indices, c.window, str(c.margin), c.status]
+        assert got == fields, (text, K)
+        if _purely_periodic(A):
+            periodic += 1
+            # no class can exceed its limit, so the sup is attained in the window
+            assert not any(may_exceed for _, may_exceed, _ in _side_classes(A)), text
+            assert c.attained
+    assert periodic == 15

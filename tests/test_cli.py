@@ -67,6 +67,13 @@ def test_sup_inconclusive_exit_2(capsys):
     assert "inconclusive" in out
 
 
+def test_sup_nonpositive_max_window_exit_1(capsys):
+    for k in ("0", "-2"):
+        code, out, err = run(capsys, "sup", A0_TEXT, "--max-window", k)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "max_window_periods" in err
+
+
 def test_limsup(capsys):
     code, out, _ = run(capsys, "limsup", A0_TEXT, "--digits", "6")
     assert code == 0

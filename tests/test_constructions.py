@@ -162,6 +162,12 @@ def test_attainable_bad_prefix_word():
         attainable_from_periodic((1,), (2,), check_m=2)
 
 
+def test_attainable_needs_a_check():
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="check_m"):
+            attainable_from_periodic((2, 2), (2, 1), check_m=m)
+
+
 def test_block_word():
     assert block_word([(2, 2), (2, 1)], [1, 1]) == (2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1)
     assert block_word([(1,)], [2]) == (1, 1, 1, 1, 1)
