@@ -11,15 +11,15 @@ matrix and its left interval down the search; it counts a subtree that
 already carries the center pattern and whose lower bound clears the
 threshold without enumeration, live leaves by pattern and dead ones by
 bound.  Everything is rational arithmetic; deepening the search never
-loosens a bound.  The non-attainability audit brackets every position
-of a known word in two linear passes over its matrix products.
+loosens a bound.  The non-attainability audit clears each position of a
+known word from a doubling window around it, exact once past the word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 from .cfrac import FiniteCF, mobius, mobius_image
 from .quadfield import QuadSum
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
+_WINDOW = 16  # the audit's first window; it changes only speed, never a verdict
 
 
 class NotSeparatedError(Exception):
@@ -113,10 +114,12 @@ class Constraints:
 
 
 def _reversed(constraints: Constraints) -> Constraints:
-    """The constraints on words read right to left."""
-    return Constraints(
+    """The constraints on words read right to left; the same object when
+    the forbidden set is closed under reversal, so its tables are shared."""
+    rev = Constraints(
         constraints.alphabet_max, frozenset(f[::-1] for f in constraints.forbidden)
     )
+    return constraints if rev == constraints else rev
 
 
 def gap_constraints() -> Constraints:
@@ -242,8 +245,10 @@ def site_lambda_bounds(
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
     rev = _reversed(constraints)
-    right = _tail_bounds(constraints)(constraints._walk(w), depth)
-    left = _tail_bounds(rev)(rev._walk(reversed(w)), depth)
+    right_tails = _tail_bounds(constraints)
+    left_tails = right_tails if rev is constraints else _tail_bounds(rev)
+    right = right_tails(constraints._walk(w), depth)
+    left = left_tails(rev._walk(reversed(w)), depth)
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
     rint = mobius_image(mobius((0,) + w[pattern.site + 1 :]), right)
@@ -314,7 +319,8 @@ def pattern_necessity(
     center = window_len // 2
     table = constraints._table
     rev = _reversed(constraints)
-    right_tails, left_tails = _tail_bounds(constraints), _tail_bounds(rev)
+    right_tails = _tail_bounds(constraints)
+    left_tails = right_tails if rev is constraints else _tail_bounds(rev)
     total = lambda subs: sum(n for _, n in subs)
     count_words = _levels(table, lambda s: 1, total)
     # windows whose last state leaves an admissible right tail of the depth
@@ -369,34 +375,25 @@ def pattern_necessity(
     )
 
 
-def _one_sided_brackets(w: tuple[int, ...], start: int, stop: int):
-    """Brackets of one_sided_lambda_bracket(w, n) for n = start..stop, in
-    two linear passes.  Right to left: the matrix of reversed(w[n:]) is the
-    transpose of that of w[n:] (each step [[a, 1], [1, 0]] is symmetric), so
-    it holds the cylinder of [0; w[n:]]; the identity gives (0, 1).  Left to
-    right: the matrix of [0; w[:n-1]] gives the backward value by the mirror
-    formula [0; b_{n-1}, ..., b_1] = q_{n-2}/q_{n-1}."""
-    suffix = [mobius(reversed(w[stop:]))]
-    for n in range(stop, start, -1):
-        suffix.append(mobius((w[n - 1],), suffix[-1]))
-    m = mobius((0,) + w[: start - 1])
-    for n in range(start, stop + 1):
-        p1, q1, p0, q0 = suffix.pop()  # transposed: w[n:] has (p1, p0, q1, q0)
-        lo, hi = mobius_image((q1, q0, p1, p0), (1, None))  # [0; ...] swaps rows
-        base = w[n - 1] + Fraction(m[3], m[2])  # q_{n-2}/q_{n-1}
-        yield base + lo, base + hi
-        m = mobius((w[n - 1],), m)
+def _bracket(w: tuple[int, ...], n: int, k: int) -> tuple[Fraction, Fraction]:
+    """Bracket of the one-sided value at position n from the cylinders of
+    [0; w[n:n+k]] and [0; w[n-2], ..., w[n-1-k]], the backward one exact
+    once it reaches w[0].  Dropping known symbols only widens a cylinder,
+    so this holds the exact bracket, and is it once k >= max(n-1, len(w)-n)."""
+    fwd = mobius_image(mobius((0,) + w[n : n + k]), (1, None))
+    m = mobius((0,) + w[max(n - 1 - k, 0) : n - 1][::-1])
+    back = mobius_image(m, (1, None)) if k < n - 1 else (Fraction(m[0], m[2]),) * 2
+    return w[n - 1] + fwd[0] + back[0], w[n - 1] + fwd[1] + back[1]
 
 
 def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     """Exact bracket of the one-sided value at position n (1-based) of
-    [0; b1, ..., bL, unknown...]: the backward part is a finite word and
-    evaluates exactly; the forward part is bracketed by the cylinder of
-    the remaining known prefix."""
+    [0; b1, ..., bL, unknown...]: the backward word evaluates exactly, and
+    the forward part is bracketed by the cylinder of the known rest."""
     w = tuple(word)
     if not 1 <= n <= len(w):
         raise ValueError("position outside the word")
-    return next(_one_sided_brackets(w, n, n))
+    return _bracket(w, n, len(w))
 
 
 @dataclass(frozen=True)
@@ -429,8 +426,10 @@ def audit_not_attained(
     reference; a site whose value approaches the reference needs the
     known word to reach one symbol past the point where it leaves the
     reference's periodic tail.  For the block word with m blocks that
-    means guard >= 2m + 3 (19 covers the default 8 blocks).  Every
-    position is bracketed in two linear passes over the word.
+    means guard >= 2m + 3 (19 covers the default 8 blocks).  A position
+    is cleared once a rational lower bound of the reference exceeds its
+    bracket from k symbols on each side, k = 16, 32, ...; the exact test
+    runs only when the window covers the word, so `flagged` is its own.
     """
     w = alpha_prefix.tail
     stop = len(w) - guard
@@ -440,6 +439,14 @@ def audit_not_attained(
         raise PrefixTooShortError(
             f"audit range [{start}, {stop}] is empty for a word of length {len(w)}"
         )
-    brackets = _one_sided_brackets(w, start, stop)
-    flagged = [n for n, (_, hi) in enumerate(brackets, start) if not reference > hi]
+    bracket = getattr(reference, "bracket", lambda _: (reference,))  # int, Fraction
+    lower = cache(lambda k: bracket(2 * k)[0])  # at most the reference, 10**-2k close
+    flagged = []
+    for n in range(start, stop + 1):
+        k, exact = _WINDOW, max(n - 1, len(w) - n)
+        # reference >= lower(k) > windowed hi >= exact hi clears n
+        while k < exact and not lower(k) > _bracket(w, n, k)[1]:
+            k *= 2
+        if k >= exact and not reference > _bracket(w, n, exact)[1]:
+            flagged.append(n)
     return AuditReport(start=start, stop=stop, guard=guard, flagged=tuple(flagged))

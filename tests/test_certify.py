@@ -1,5 +1,6 @@
 import random
 import signal
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lagspec.bisequence import BiSeq, lambda_at
 from lagspec.certify import (
     CENTER_PATTERN,
+    GAP_CERTIFICATION_ORDER,
     Constraints,
     NotSeparatedError,
     Pattern,
@@ -22,8 +24,9 @@ from lagspec.certify import (
     pattern_necessity,
     site_lambda_bounds,
     violates,
+    _reversed,
 )
-from lagspec.cfrac import FiniteCF, cylinder, eval_finite
+from lagspec.cfrac import EPCF, FiniteCF, cylinder, eval_finite, eval_periodic
 from lagspec.constructions import alpha0_prefix, gap_left_endpoint
 from lagspec.quadfield import QuadExt, QuadSum
 
@@ -155,23 +158,30 @@ def test_bounds_at_depth_1200():
     assert deep.lower >= site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 40).lower
 
 
-def test_long_forbidden_word_bounds_fast():
-    # one forbidden word of 20 symbols: 20 automaton states
-    c = Constraints(3, frozenset({(1,) * 19 + (3,)}))
+@contextmanager
+def _deadline(seconds, what):
+    """Raise TimeoutError in the block once it has run for `seconds`."""
 
     def overrun(signum, frame):
-        raise TimeoutError("a 20-symbol forbidden word at depth 30 took over 10 s")
+        raise TimeoutError(f"{what} took over {seconds} s")
 
     previous = signal.signal(signal.SIGALRM, overrun)
     # repeat every second: an alarm that lands in a garbage-collector
     # callback (hypothesis installs one) is swallowed there, and a one-shot
     # timer would then let an exponential search run until memory runs out
-    signal.setitimer(signal.ITIMER_REAL, 10, 1)
+    signal.setitimer(signal.ITIMER_REAL, seconds, 1)
     try:
-        cert = site_lambda_bounds(Pattern((2, 2), 0), c, 30)
+        yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_long_forbidden_word_bounds_fast():
+    # one forbidden word of 20 symbols: 20 automaton states
+    c = Constraints(3, frozenset({(1,) * 19 + (3,)}))
+    with _deadline(10, "a 20-symbol forbidden word at depth 30"):
+        cert = site_lambda_bounds(Pattern((2, 2), 0), c, 30)
     free = site_lambda_bounds(Pattern((2, 2), 0), Constraints(3), 30)
     assert free.lower <= cert.lower <= cert.upper <= free.upper
 
@@ -424,3 +434,97 @@ def test_one_sided_bracket_edges():
     assert lo == 3 + Fraction(1, 3) and hi == 3 + Fraction(1, 3) + 1
     with pytest.raises(ValueError):
         one_sided_lambda_bracket(word, 4)
+
+
+@pytest.mark.parametrize(
+    "reference, flagged",
+    [
+        (LAM0, (58, 68)),
+        (Fraction(3691, 1000), (18, 20, 35, 37, 56, 58, 68)),
+        (4, ()),
+        (QuadExt(3, 1, 1, 2), ()),
+    ],
+)
+def test_audit_accepts_rational_and_quadratic_references(reference, flagged):
+    # an int or Fraction has no bracket method; it is its own lower bound
+    rep = audit_not_attained(alpha0_prefix(4), reference, start=12, guard=0)
+    assert (rep.stop, rep.flagged) == (68, flagged)
+
+
+def _two_sided_periodic_limit(rot):
+    """The value at a rot[0] of the bi-infinite word ...rot rot rot..."""
+    forward = eval_periodic(EPCF(rot[0], (), rot[1:] + rot[:1]))
+    backward = eval_periodic(EPCF(0, (), tuple(reversed(rot))))
+    return QuadSum(forward) + QuadSum(backward)
+
+
+@pytest.mark.parametrize(
+    "period, reps", [((1, 2), 150), ((2, 1), 150), ((1, 1, 2), 100), ((2, 2, 1, 3), 60)]
+)
+def test_audit_periodic_word_against_its_own_limit(period, reps):
+    # every position comes close to one of these limits, so windows must
+    # grow deep and flagged positions come from the exact fallback
+    word = period * reps
+    for phase in range(len(period)):
+        ref = _two_sided_periodic_limit(period[phase:] + period[:phase])
+        rep = audit_not_attained(FiniteCF(0, word), ref, start=1, guard=0)
+        expected = [
+            n for n in range(1, len(word) + 1) if not ref > _reference_bracket(word, n)[1]
+        ]
+        assert expected and list(rep.flagged) == expected
+
+
+class _Loose(Fraction):
+    """A rational reference whose brackets are width 2 at every precision."""
+
+    def bracket(self, k):
+        return self - 1, self + 1
+
+
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=200), st.data())
+@settings(max_examples=60)
+def test_audit_flags_a_position_at_its_exact_bracket(word, data):
+    # a reference equal to the exact upper end is never cleared by a window,
+    # and a window may clear a position only below the reference's lower end
+    w = tuple(word)
+    n = data.draw(st.integers(1, len(w)))
+    ref = _reference_bracket(w, n)[1]
+    expected = [m for m in range(1, len(w) + 1) if not ref > _reference_bracket(w, m)[1]]
+    for reference in (ref, _Loose(ref)):
+        rep = audit_not_attained(FiniteCF(0, w), reference, start=1, guard=0)
+        assert n in rep.flagged and list(rep.flagged) == expected
+
+
+BLOCK_WORD_AUDITS = {  # blocks -> (stop, flagged) at guard 0
+    8: (200, (182, 200)),
+    16: (656, (622, 656)),
+    32: (2336, (2270, 2336)),
+    48: (5040, (4942, 5040)),
+}
+
+
+@pytest.mark.parametrize("m", sorted(BLOCK_WORD_AUDITS))
+def test_audit_block_word_pinned(m):
+    word = alpha0_prefix(m)
+    guarded = audit_not_attained(word, LAM0, 12, 2 * m + 3)
+    assert (guarded.stop, guarded.flagged) == (len(word.tail) - 2 * m - 3, ())
+    bare = audit_not_attained(word, LAM0, 12, 0)
+    assert (bare.stop, bare.flagged) == BLOCK_WORD_AUDITS[m]
+
+
+def test_audit_100_blocks_fast():
+    # linear in the word length: 20,900 symbols in well under a second
+    word = alpha0_prefix(100)
+    with _deadline(10, "the 100-block audit"):
+        rep = audit_not_attained(word, LAM0, 12, 203)
+    assert rep.clean and rep.stop == len(word.tail) - 203
+
+
+def test_reversal_closed_constraints_are_their_own_reverse():
+    for _, forbidden in GAP_CERTIFICATION_ORDER:
+        c = Constraints(3, forbidden)
+        assert _reversed(c) is c
+    c = gap_constraints()
+    assert _reversed(c) is c
+    c = Constraints(3, {(1, 2)})
+    assert _reversed(c) is not c and _reversed(c) == Constraints(3, {(2, 1)})
