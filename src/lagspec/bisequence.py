@@ -106,11 +106,11 @@ class BiSeq:
         return f"<({lp}) | {','.join(parts)} | ({rp})>"
 
 
-def _right_tail(A: BiSeq, i: int, a0: int = 0) -> EPCF:
-    """[a0; a_{i+1}, a_{i+2}, ...] as an EPCF."""
-    pre = tuple(A.at(j) for j in range(i + 1, A.end + 1))
-    rp = A.right_period
-    k = max(0, i - A.end) % len(rp)
+def _right_tail(lp, core, c: int, rp, a0: int = 0) -> EPCF:
+    """[a0; x_{c+1}, x_{c+2}, ...] as an EPCF, for the sequence x with
+    left period lp, core x_0, x_1, ... and right period rp."""
+    pre = tuple(lp[j % len(lp)] for j in range(c + 1, 0)) + core[max(c + 1, 0) :]
+    k = max(0, c + 1 - len(core)) % len(rp)
     return EPCF(a0, pre, rp[k:] + rp[:k])
 
 
@@ -125,9 +125,10 @@ class LambdaValue:
 
 
 def lambda_at(A: BiSeq, i: int) -> LambdaValue:
-    # the left tail [a_i; a_{i-1}, ...] is the right tail of the reflection at -i
-    lt = _right_tail(A.reversed(), -i, A.at(i))
-    rt = _right_tail(A, i)
+    # the left tail [a_i; a_{i-1}, ...] is a right tail of the reflection
+    c, lp, core, rp = i + A.origin, A.left_period, A.core, A.right_period
+    lt = _right_tail(rp[::-1], core[::-1], len(core) - 1 - c, lp[::-1], A.at(i))
+    rt = _right_tail(lp, core, c, rp)
     return LambdaValue(i, QuadSum(eval_periodic(lt), eval_periodic(rt)), lt, rt)
 
 

@@ -6,12 +6,15 @@ pattern are computed from exact cylinder intervals: admissible
 continuations to a fixed depth are folded bottom-up, level by level over
 the automaton states, and every interval, from a leaf's cylinder to the
 fold through the known word, is the image of a tail interval under a
-Moebius matrix, cfrac.mobius_image.  The window sweep carries its
-matrix and its left interval down the search; it counts a subtree that
-already carries the center pattern and whose lower bound clears the
-threshold without enumeration, live leaves by pattern and dead ones by
-bound.  Everything is rational arithmetic; deepening the search never
-loosens a bound.  The non-attainability audit clears each position of a
+Moebius matrix, cfrac.mobius_pairs, on unreduced integer (num, den)
+pairs.  The window sweep carries its matrix and its left interval down
+the search, folds the threshold, the center symbol and the left interval
+into one pair per end, and tests each node with two products; it counts
+a subtree that already carries the center pattern and whose lower bound
+clears the threshold without enumeration, live leaves by pattern and
+dead ones by bound.  Everything is exact rational arithmetic, with
+Fractions only in reported bounds; deepening a search never loosens a
+bound.  The non-attainability audit clears each position of a
 known word from a doubling window around it, exact once past the word.
 """
 
@@ -19,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, cmp_to_key
+from itertools import count
+from math import inf
 
-from .cfrac import FiniteCF, mobius, mobius_image
+from .cfrac import FiniteCF, mobius, mobius_pairs
 from .quadfield import QuadSum
 
 __all__ = [
@@ -46,6 +51,13 @@ __all__ = [
 
 CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
 _WINDOW = 16  # the audit's first window; it changes only speed, never a verdict
+_FREE = (1, 1, 1, 0)  # the free tail [1, inf] as (ln, ld, hn, hd), den 0 being inf
+_order = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])  # (num, den), den > 0
+
+
+def _sum(a: int, x, y) -> tuple[int, int]:
+    """a + x + y for (num, den) pairs, as one unreduced pair."""
+    return a * x[1] * y[1] + x[0] * y[1] + y[0] * x[1], x[1] * y[1]
 
 
 class NotSeparatedError(Exception):
@@ -222,16 +234,19 @@ def _levels(table, base, join):
 
 
 def _tail_bounds(constraints: Constraints):
-    """at(s, n): the closed rational interval containing every
-    [x1; ..., xn, t] with the x's admissible from state s and t free in
-    [1, inf), or None when no such x's exist.  The level-0 interval is the
-    free one itself, so the leaf endpoints are exactly cylinder endpoints."""
+    """at(s, n): the closed interval (ln, ld, hn, hd), hd 0 being +inf,
+    containing every [x1; ..., xn, t] with the x's admissible from state s
+    and t free in [1, inf), or None when no such x's exist.  The level-0
+    interval is the free one itself, so the leaf endpoints are exactly
+    cylinder endpoints; x -> a + 1/x keeps each end in lowest terms."""
 
     def join(subs):
-        ivs = [mobius_image(mobius((a,)), sub) for a, sub in subs if sub is not None]
-        return (min(lo for lo, _ in ivs), max(hi for _, hi in ivs)) if ivs else None
+        # subs ascend in a, and [a; x] lies in [a, a + 1]: the first child
+        # gives the lower end, the last the upper one
+        ivs = [mobius_pairs(mobius((a,)), sub) for a, sub in subs if sub is not None]
+        return ivs[0][:2] + ivs[-1][2:] if ivs else None
 
-    return _levels(constraints._table, lambda s: (Fraction(1), None), join)  # None is +inf
+    return _levels(constraints._table, lambda s: _FREE, join)
 
 
 def site_lambda_bounds(
@@ -251,15 +266,10 @@ def site_lambda_bounds(
     left = left_tails(rev._walk(reversed(w)), depth)
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
-    rint = mobius_image(mobius((0,) + w[pattern.site + 1 :]), right)
-    lint = mobius_image(mobius((0,) + tuple(reversed(w[: pattern.site]))), left)
-    return BoundCertificate(
-        pattern=pattern,
-        constraints=constraints,
-        depth=depth,
-        lower=w[pattern.site] + rint[0] + lint[0],
-        upper=w[pattern.site] + rint[1] + lint[1],
-    )
+    rint = mobius_pairs(mobius((0,) + w[pattern.site + 1 :]), right)
+    lint = mobius_pairs(mobius((0,) + tuple(reversed(w[: pattern.site]))), left)
+    ends = (Fraction(*_sum(w[pattern.site], rint[i : i + 2], lint[i : i + 2])) for i in (0, 2))
+    return BoundCertificate(pattern, constraints, depth, *ends)
 
 
 def certify_forbidden(
@@ -279,7 +289,8 @@ def certify_forbidden(
 class NecessityReport:
     """Window sweep outcome: every admissible window either has its center
     value certified below the threshold or carries the center pattern with
-    the center on an outer 3; `exceptions` lists windows doing neither."""
+    the center on an outer 3; `exceptions` lists windows doing neither.
+    An inconclusive sweep ran out of nodes, and its counts are partial."""
 
     threshold: Fraction
     constraints: Constraints
@@ -289,10 +300,11 @@ class NecessityReport:
     passed_by_bound: int
     passed_by_pattern: int
     exceptions: tuple[tuple[int, ...], ...]
+    inconclusive: bool = False
 
     @property
     def holds(self) -> bool:
-        return not self.exceptions
+        return not self.exceptions and not self.inconclusive
 
 
 def pattern_necessity(
@@ -300,6 +312,7 @@ def pattern_necessity(
     constraints: Constraints,
     window_len: int = 15,
     depth: int = 25,
+    max_nodes: int | None = None,
 ) -> NecessityReport:
     """Sweep every admissible window of the given length.
 
@@ -309,13 +322,18 @@ def pattern_necessity(
     already below the threshold are counted without enumeration, and so
     are subtrees that already carry the center pattern with a lower bound
     at least the threshold: their live leaves (those with an admissible
-    right tail) pass by pattern, their dead ones by bound.
+    right tail) pass by pattern, their dead ones by bound.  The search
+    visits at most max_nodes words (None: no limit) and is inconclusive
+    when it needs more.
     """
     if window_len < 7:
         raise ValueError("window_len must be at least 7")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError("max_nodes must be nonnegative")
     threshold = Fraction(threshold)
+    tn, td = threshold.numerator, threshold.denominator
     center = window_len // 2
     table = constraints._table
     rev = _reversed(constraints)
@@ -328,25 +346,37 @@ def pattern_necessity(
     n = len(CENTER_PATTERN)
     # the offsets that put the center on the pattern's first or last 3
     offsets = [o for o in (center - 2, center + 3 - n) if o >= 0]
+    h = max(map(len, constraints.forbidden), default=1) - 1  # the longest state's length
+    budget, nodes = inf if max_nodes is None else max_nodes, count()
 
     exceptions: list[tuple[int, ...]] = []
     stats = {"bound": 0, "pattern": 0}
 
-    def dfs(word, state, lint, m):
-        """lint is the left interval once the word covers the center (None
-        when the left side has no admissible tail), m the matrix of
-        [0; word[center+1:]...]."""
-        if len(word) > center:
-            rest = window_len - len(word)
-            tail = None if lint is None else right_tails(state, rest + depth)
-            iv = None if tail is None else mobius_image(m, tail)
-            if iv is None or word[center] + lint[1] + iv[1] < threshold:
+    def dfs(word, state, s, m):
+        """s is the left interval at the center (None when the left side has
+        no admissible tail), and below it threshold - center symbol - left
+        interval at the upper and the lower end, two (num, den) pairs; m is
+        the word's matrix up to the center, then that of [0; word[center+1:]
+        ...].  Past the budget, return."""
+        if next(nodes) >= budget:
+            return
+        k = len(word)
+        if k > center:
+            if k == center + 1 and s is not None:
+                ln, ld, hn, hd = s
+                r = tn - word[center] * td
+                s = (r * hd - hn * td, td * hd, r * ld - ln * td, td * ld)
+            rest = window_len - k
+            tail = None if s is None else right_tails(state, rest + depth)
+            iv = None if tail is None else mobius_pairs(m, tail)
+            # center + left + iv < threshold, at the upper ends, is iv < s
+            if iv is None or iv[2] * s[1] < s[0] * iv[3]:
                 stats["bound"] += count_words(state, rest)
                 return
             if any(word[o : o + n] == CENTER_PATTERN for o in offsets):
                 # at a leaf, or where the hull of the live leaves below clears
                 # the threshold: live leaves pass by pattern, dead ones by bound
-                if rest == 0 or word[center] + lint[0] + iv[0] >= threshold:
+                if rest == 0 or iv[0] * s[3] >= s[2] * iv[1]:
                     live = count_live(state, rest)
                     stats["pattern"] += live
                     stats["bound"] += count_words(state, rest) - live
@@ -354,15 +384,16 @@ def pattern_necessity(
             elif rest == 0:
                 exceptions.append(word)
                 return
-        elif len(word) == center:
-            back = tuple(reversed(word))
-            tail = left_tails(rev._walk(back), depth)
-            lint = None if tail is None else mobius_image(mobius((0,) + back), tail)
+        elif k == center:
+            # the reversed word's state is that of its last h symbols, and its
+            # matrix is m transposed, so [0; reversed word] has (p0, q0, p1, q1)
+            tail = left_tails(rev._walk(word[:h][::-1]), depth)
+            s = None if tail is None else mobius_pairs((m[1], m[3], m[0], m[2]), tail)
         for a, nxt in enumerate(table[state], 1):
             if nxt is not None:
-                dfs(word + (a,), nxt, lint, m if len(word) <= center else mobius((a,), m))
+                dfs(word + (a,), nxt, s, mobius((0,)) if k == center else mobius((a,), m))
 
-    dfs((), (), None, mobius((0,)))
+    dfs((), (), None, mobius(()))
     return NecessityReport(
         threshold=threshold,
         constraints=constraints,
@@ -372,18 +403,19 @@ def pattern_necessity(
         passed_by_bound=stats["bound"],
         passed_by_pattern=stats["pattern"],
         exceptions=tuple(exceptions),
+        inconclusive=next(nodes) > budget,
     )
 
 
-def _bracket(w: tuple[int, ...], n: int, k: int) -> tuple[Fraction, Fraction]:
-    """Bracket of the one-sided value at position n from the cylinders of
-    [0; w[n:n+k]] and [0; w[n-2], ..., w[n-1-k]], the backward one exact
-    once it reaches w[0].  Dropping known symbols only widens a cylinder,
-    so this holds the exact bracket, and is it once k >= max(n-1, len(w)-n)."""
-    fwd = mobius_image(mobius((0,) + w[n : n + k]), (1, None))
+def _sides(w: tuple[int, ...], n: int, k: int):
+    """The forward and backward intervals (ln, ld, hn, hd) of the one-sided
+    value at position n, the cylinders of [0; w[n:n+k]] and [0; w[n-2], ...,
+    w[n-1-k]], the backward one exact once it reaches w[0].  Dropping known
+    symbols only widens a cylinder, so w[n-1] plus these holds the exact
+    bracket, and is it once k >= max(n-1, len(w)-n)."""
+    fwd = mobius_pairs(mobius((0,) + w[n : n + k]), _FREE)
     m = mobius((0,) + w[max(n - 1 - k, 0) : n - 1][::-1])
-    back = mobius_image(m, (1, None)) if k < n - 1 else (Fraction(m[0], m[2]),) * 2
-    return w[n - 1] + fwd[0] + back[0], w[n - 1] + fwd[1] + back[1]
+    return fwd, mobius_pairs(m, _FREE) if k < n - 1 else (m[0], m[2]) * 2
 
 
 def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
@@ -393,7 +425,8 @@ def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     w = tuple(word)
     if not 1 <= n <= len(w):
         raise ValueError("position outside the word")
-    return _bracket(w, n, len(w))
+    fwd, back = _sides(w, n, len(w))
+    return tuple(Fraction(*_sum(w[n - 1], fwd[i : i + 2], back[i : i + 2])) for i in (0, 2))
 
 
 @dataclass(frozen=True)
@@ -440,13 +473,15 @@ def audit_not_attained(
             f"audit range [{start}, {stop}] is empty for a word of length {len(w)}"
         )
     bracket = getattr(reference, "bracket", lambda _: (reference,))  # int, Fraction
-    lower = cache(lambda k: bracket(2 * k)[0])  # at most the reference, 10**-2k close
+    # at most the reference, 10**-2k close, and the bracket's upper end only
+    lower = cache(lambda k: _order(bracket(2 * k)[0].as_integer_ratio()))
+    upper = lambda n, k: _sum(w[n - 1], *(side[2:] for side in _sides(w, n, k)))
     flagged = []
     for n in range(start, stop + 1):
         k, exact = _WINDOW, max(n - 1, len(w) - n)
         # reference >= lower(k) > windowed hi >= exact hi clears n
-        while k < exact and not lower(k) > _bracket(w, n, k)[1]:
+        while k < exact and not lower(k) > _order(upper(n, k)):
             k *= 2
-        if k >= exact and not reference > _bracket(w, n, exact)[1]:
+        if k >= exact and not reference > Fraction(*upper(n, exact)):
             flagged.append(n)
     return AuditReport(start=start, stop=stop, guard=guard, flagged=tuple(flagged))

@@ -4,9 +4,10 @@ Words are kept as combinatorial objects: [0;2,1] and [0;3] denote the
 same rational but stay distinct words, since trailing quotients matter
 for pattern analysis.  Every convergent recurrence runs through one 2x2
 matrix kernel, mobius, and every cylinder interval is the image of a tail
-interval under such a matrix, mobius_image.  Evaluation is exact (Fraction or QuadExt), period
-detection works on exact surd states, and prefix comparison follows the
-alternating parity rule for continued fractions.
+interval under such a matrix: mobius_pairs on integer pairs, which
+mobius_image wraps in Fractions.  Evaluation is exact (Fraction or
+QuadExt), period detection works on exact surd states, and prefix
+comparison follows the alternating parity rule for continued fractions.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "expand",
     "mobius",
     "mobius_image",
+    "mobius_pairs",
 ]
 
 
@@ -138,18 +140,26 @@ def mobius(word, m=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
     return p1, p0, q1, q0
 
 
+def mobius_pairs(m, tail) -> tuple[int, int, int, int]:
+    """mobius_image on integer pairs: the tail interval (ln/ld, hn/hd), hd 0
+    being +inf, goes to unreduced ends (ln, ld, hn, hd), lower end first,
+    with positive denominators for a nonempty word's m and a tail in
+    [1, inf].  A word's map rises when its length is even, det m > 0."""
+    p1, p0, q1, q0 = m
+    ln, ld, hn, hd = tail
+    lo, hi = (p1 * ln + p0 * ld, q1 * ln + q0 * ld), (p1 * hn + p0 * hd, q1 * hn + q0 * hd)
+    return lo + hi if p1 * q0 > p0 * q1 else hi + lo
+
+
 def mobius_image(m, tail) -> tuple[Fraction, Fraction]:
     """(min, max) of (p1*x + p0)/(q1*x + q0) over the closed tail interval
     (lo, hi), hi None being +inf, the projective point 1/0.  Over the free
     tail (1, None) these are the last convergent p1/q1 and the mediant
     (p1 + p0)/(q1 + q0) of the matrix's word."""
-    p1, p0, q1, q0 = m
     lo, hi = tail
-    hn, hd = (1, 0) if hi is None else (hi.numerator, hi.denominator)
-    at_lo = Fraction(p1 * lo.numerator + p0 * lo.denominator,
-                     q1 * lo.numerator + q0 * lo.denominator)
-    at_hi = Fraction(p1 * hn + p0 * hd, q1 * hn + q0 * hd)
-    return (at_lo, at_hi) if at_lo <= at_hi else (at_hi, at_lo)
+    hi = (1, 0) if hi is None else hi.as_integer_ratio()
+    ln, ld, hn, hd = mobius_pairs(m, lo.as_integer_ratio() + hi)
+    return Fraction(ln, ld), Fraction(hn, hd)
 
 
 def convergents(w) -> list[tuple[int, int]]:

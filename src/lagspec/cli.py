@@ -162,6 +162,7 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
         constraints,
         window_len=args.window,
         depth=args.depth,
+        max_nodes=args.max_nodes,
     )
     rec = {
         "threshold": str(report.threshold),
@@ -178,6 +179,9 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
         f"  center-pattern: {report.passed_by_pattern}  exceptions: {len(report.exceptions)}"
     )
     text += "".join(f"\n  exception: {','.join(map(str, w))}" for w in report.exceptions)
+    if report.inconclusive:
+        rec["status"] = "inconclusive"
+        text += f"\ninconclusive: the counts are partial after {args.max_nodes} nodes"
     return (0 if report.holds else 2), rec, text
 
 
@@ -271,6 +275,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--depth", type=int, default=25)
     sp.add_argument("--alphabet-max", type=int, default=3)
     sp.add_argument("--forbid", help="override the default forbidden list")
+    sp.add_argument("--max-nodes", type=int, default=None, help="search budget (default: none)")
 
     sp = add("audit-alpha0", _cmd_audit_alpha0, help="non-attainability audit of the block word")
     sp.add_argument("--blocks", type=int, default=8)

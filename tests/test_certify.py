@@ -286,6 +286,7 @@ def test_necessity_sweep_holds():
         (21, (5841517, 5836965, 4552)),
         (25, (104373561, 104291901, 81660)),
         (27, (441187243, 440842465, 344778)),
+        (31, (7882933073, 7876767435, 6165638)),
     ):
         report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), window, 25)
         assert report.holds
@@ -347,6 +348,23 @@ def test_necessity_counts_match_leaf_classification(case):
     assert report.passed_by_bound == by_bound
     assert report.passed_by_pattern == by_pattern
     assert report.exceptions == exceptions
+
+
+def test_necessity_budget_is_inconclusive():
+    threshold, gap = Fraction(3691, 1000), gap_constraints()
+    cut = pattern_necessity(threshold, gap, 25, 25, max_nodes=1000)
+    assert cut.inconclusive and not cut.holds
+    assert cut.passed_by_bound + cut.passed_by_pattern + len(cut.exceptions) < cut.windows_total
+    assert cut.windows_total == 104373561
+    # the w15 sweep visits 1134 words: a budget of that many changes nothing
+    full = pattern_necessity(threshold, gap, 15, 25)
+    assert not full.inconclusive and full.holds
+    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=1134) == full
+    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=1133).inconclusive
+    empty = pattern_necessity(threshold, gap, 15, 25, max_nodes=0)
+    assert empty.inconclusive and (empty.passed_by_bound, empty.passed_by_pattern) == (0, 0)
+    with pytest.raises(ValueError, match="max_nodes"):
+        pattern_necessity(threshold, gap, 15, 25, max_nodes=-1)
 
 
 def test_necessity_middle_three_passes_by_bound():

@@ -20,6 +20,7 @@ from lagspec.cfrac import (
     expand,
     mobius,
     mobius_image,
+    mobius_pairs,
 )
 from lagspec.quadfield import QuadExt, QuadSum
 
@@ -81,6 +82,27 @@ def test_mobius_image_of_tail_interval(a0, tail, s, t):
     # +inf as 1/0: the tail drops out and the word itself is the endpoint
     ends = sorted((_value_with_tail(word, lo), _value_with_tail(word[:-1], word[-1])))
     assert mobius_image(mobius(word), (lo, None)) == tuple(ends)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=5), max_size=10),
+    st.fractions(min_value=1, max_value=50, max_denominator=30),
+    st.one_of(st.none(), st.fractions(min_value=0, max_value=50, max_denominator=30)),
+)
+def test_mobius_pairs_match_mobius_image(tail, lo, width):
+    # [0; tail..., x] over x in [lo, hi], hi = lo + width or +inf (den 0);
+    # the empty tail is the word (0,), x -> 1/x
+    word = (0,) + tuple(tail)
+    hi = None if width is None else lo + width
+    pairs = lo.as_integer_ratio() + ((1, 0) if hi is None else hi.as_integer_ratio())
+    ln, ld, hn, hd = mobius_pairs(mobius(word), pairs)
+    assert ld > 0 and hd > 0
+    ends = Fraction(ln, ld), Fraction(hn, hd)
+    assert ends == mobius_image(mobius(word), (lo, hi))
+    # the map rises for an even word length, so lo gives the lower end
+    at_lo = _value_with_tail(word, lo)
+    at_hi = _value_with_tail(word[:-1], word[-1]) if hi is None else _value_with_tail(word, hi)
+    assert ends == ((at_lo, at_hi) if len(word) % 2 == 0 else (at_hi, at_lo))
 
 
 def test_eval_finite():

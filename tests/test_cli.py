@@ -123,6 +123,21 @@ def test_necessity_failing_threshold(capsys):
     assert "exception" in out
 
 
+def test_necessity_node_budget_exit_2(capsys):
+    argv = ["necessity", "--threshold", "3691/1000", "--window", "31", "--max-nodes", "1000"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and "inconclusive" in out
+    code, out, _ = run(capsys, *argv, "--structured")
+    rec = json.loads(out)
+    assert code == 2 and rec["status"] == "inconclusive" and rec["holds"] is False
+    # a budget the sweep does not reach leaves the record as it is without one
+    argv = ["necessity", "--threshold", "3691/1000", "--structured"]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0 and run(capsys, *argv, "--max-nodes", "1134")[1] == plain
+    code, _, err = run(capsys, *argv, "--max-nodes", "-1")
+    assert code == 1 and "max_nodes" in err
+
+
 def test_audit(capsys):
     code, out, _ = run(capsys, "audit-alpha0", "--blocks", "4", "--start", "12")
     assert code == 0
