@@ -4,18 +4,19 @@ Every forbidden-factor test runs on one factor automaton compiled from
 the constraints.  Bounds on the two-sided value at a site inside a
 pattern are computed from exact cylinder intervals: admissible
 continuations to a fixed depth are folded bottom-up, level by level over
-the automaton states, and every interval, from a leaf's cylinder to the
-fold through the known word, is the image of a tail interval under a
-Moebius matrix, cfrac.mobius_pairs, on unreduced integer (num, den)
-pairs.  The window sweep carries its matrix and its left interval down
-the search, folds the threshold, the center symbol and the left interval
-into one pair per end, and tests each node with two products; it counts
-a subtree that already carries the center pattern and whose lower bound
-clears the threshold without enumeration, live leaves by pattern and
-dead ones by bound.  Everything is exact rational arithmetic, with
-Fractions only in reported bounds; deepening a search never loosens a
-bound.  The non-attainability audit clears each position of a
-known word from a doubling window around it, exact once past the word.
+the automaton states, keeping only the levels that are read, and every
+interval, from a leaf's cylinder to the fold through the known word, is
+the image of a tail interval under a Moebius matrix, cfrac.mobius_pairs,
+on unreduced integer (num, den) pairs.  The window sweep carries its
+matrix and its left interval down the search, folds the threshold, the
+center symbol and the left interval into one pair per end, and tests
+each node with two products; it counts a subtree that already carries
+the center pattern and whose lower bound clears the threshold without
+enumeration, live leaves by pattern and dead ones by bound.  Everything
+is exact rational arithmetic, with Fractions only in reported bounds;
+deepening a search never loosens a bound.  The non-attainability audit
+clears each position of a known word from a doubling window around it,
+exact once past the word.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
-from itertools import count
+from itertools import count, islice
 from math import inf
 
 from .cfrac import FiniteCF, mobius, mobius_pairs
@@ -215,38 +216,38 @@ def admissible_extensions(prefix, constraints: Constraints, depth: int):
 
 
 def _levels(table, base, join):
-    """levels[n][s], a value over the admissible n-symbol words read from
-    automaton state s: base(s) at n = 0, then join([(a, levels[n-1][t]),
-    ...]) over the symbols a allowed at s, t the state after a.  Returns
-    at(s, n), which builds the levels bottom-up as far as n on demand."""
-    levels = [{s: base(s) for s in table}]
-
-    def at(state, n):
-        while len(levels) <= n:
-            prev = levels[-1]
-            levels.append({
-                s: join([(a, prev[t]) for a, t in enumerate(row, 1) if t is not None])
-                for s, row in table.items()
-            })
-        return levels[n][state]
-
-    return at
+    """Yields level 0, 1, ...: level n maps each automaton state s to a
+    value over the admissible n-symbol words read from s, base(s) at n = 0,
+    then join([(a, level n-1 at t), ...]) over the symbols a allowed at s,
+    t the state after a.  Only the level last yielded is kept."""
+    level = {s: base(s) for s in table}
+    while True:
+        yield level
+        level = {
+            s: join([(a, level[t]) for a, t in enumerate(row, 1) if t is not None])
+            for s, row in table.items()
+        }
 
 
-def _tail_bounds(constraints: Constraints):
-    """at(s, n): the closed interval (ln, ld, hn, hd), hd 0 being +inf,
-    containing every [x1; ..., xn, t] with the x's admissible from state s
-    and t free in [1, inf), or None when no such x's exist.  The level-0
-    interval is the free one itself, so the leaf endpoints are exactly
-    cylinder endpoints; x -> a + 1/x keeps each end in lowest terms."""
+def _join_tails(subs):
+    # subs ascend in a, and [a; x] lies in [a, a + 1]: the first child
+    # gives the lower end, the last the upper one
+    ivs = [mobius_pairs(mobius((a,)), sub) for a, sub in subs if sub is not None]
+    return ivs[0][:2] + ivs[-1][2:] if ivs else None
 
-    def join(subs):
-        # subs ascend in a, and [a; x] lies in [a, a + 1]: the first child
-        # gives the lower end, the last the upper one
-        ivs = [mobius_pairs(mobius((a,)), sub) for a, sub in subs if sub is not None]
-        return ivs[0][:2] + ivs[-1][2:] if ivs else None
 
-    return _levels(constraints._table, lambda s: _FREE, join)
+def _tails(constraints: Constraints, depth: int, reach: int = 0):
+    """(rev, left, right): the reversed constraints, the left tail level at
+    the depth, and the right ones at depth, ..., depth + reach.  A tail
+    level maps state s to the closed interval (ln, ld, hn, hd), hd 0 being
+    +inf, containing every [x1; ..., xn, t] with the x's admissible from s
+    and t free in [1, inf), or None when no such x's exist.  Level 0 is the
+    free interval itself, so the leaf endpoints are exactly cylinder
+    endpoints; x -> a + 1/x keeps each end in lowest terms."""
+    rev = _reversed(constraints)
+    levels = lambda c: islice(_levels(c._table, lambda s: _FREE, _join_tails), depth, None)
+    right = list(islice(levels(constraints), reach + 1))
+    return rev, right[0] if rev is constraints else next(levels(rev)), right
 
 
 def site_lambda_bounds(
@@ -259,11 +260,8 @@ def site_lambda_bounds(
         raise ValueError("depth must be nonnegative")
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
-    rev = _reversed(constraints)
-    right_tails = _tail_bounds(constraints)
-    left_tails = right_tails if rev is constraints else _tail_bounds(rev)
-    right = right_tails(constraints._walk(w), depth)
-    left = left_tails(rev._walk(reversed(w)), depth)
+    rev, left, right = _tails(constraints, depth)
+    right, left = right[0][constraints._walk(w)], left[rev._walk(reversed(w))]
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
     rint = mobius_pairs(mobius((0,) + w[pattern.site + 1 :]), right)
@@ -336,13 +334,13 @@ def pattern_necessity(
     tn, td = threshold.numerator, threshold.denominator
     center = window_len // 2
     table = constraints._table
-    rev = _reversed(constraints)
-    right_tails = _tail_bounds(constraints)
-    left_tails = right_tails if rev is constraints else _tail_bounds(rev)
-    total = lambda subs: sum(n for _, n in subs)
-    count_words = _levels(table, lambda s: 1, total)
-    # windows whose last state leaves an admissible right tail of the depth
-    count_live = _levels(table, lambda s: int(right_tails(s, depth) is not None), total)
+    # right[r] is the tail level at r + depth, r the symbols left to choose
+    rev, left, right = _tails(constraints, depth, window_len - center - 1)
+    # counts[r][s]: the r-symbol words read from s, and those among them that
+    # leave an admissible right tail of the depth
+    total = lambda subs: (sum(v[0] for _, v in subs), sum(v[1] for _, v in subs))
+    base = lambda s: (1, int(right[0][s] is not None))
+    counts = list(islice(_levels(table, base, total), window_len + 1))
     n = len(CENTER_PATTERN)
     # the offsets that put the center on the pattern's first or last 3
     offsets = [o for o in (center - 2, center + 3 - n) if o >= 0]
@@ -367,19 +365,19 @@ def pattern_necessity(
                 r = tn - word[center] * td
                 s = (r * hd - hn * td, td * hd, r * ld - ln * td, td * ld)
             rest = window_len - k
-            tail = None if s is None else right_tails(state, rest + depth)
+            tail = None if s is None else right[rest][state]
             iv = None if tail is None else mobius_pairs(m, tail)
             # center + left + iv < threshold, at the upper ends, is iv < s
             if iv is None or iv[2] * s[1] < s[0] * iv[3]:
-                stats["bound"] += count_words(state, rest)
+                stats["bound"] += counts[rest][state][0]
                 return
             if any(word[o : o + n] == CENTER_PATTERN for o in offsets):
                 # at a leaf, or where the hull of the live leaves below clears
                 # the threshold: live leaves pass by pattern, dead ones by bound
                 if rest == 0 or iv[0] * s[3] >= s[2] * iv[1]:
-                    live = count_live(state, rest)
+                    words, live = counts[rest][state]
                     stats["pattern"] += live
-                    stats["bound"] += count_words(state, rest) - live
+                    stats["bound"] += words - live
                     return
             elif rest == 0:
                 exceptions.append(word)
@@ -387,7 +385,7 @@ def pattern_necessity(
         elif k == center:
             # the reversed word's state is that of its last h symbols, and its
             # matrix is m transposed, so [0; reversed word] has (p0, q0, p1, q1)
-            tail = left_tails(rev._walk(word[:h][::-1]), depth)
+            tail = left[rev._walk(word[:h][::-1])]
             s = None if tail is None else mobius_pairs((m[1], m[3], m[0], m[2]), tail)
         for a, nxt in enumerate(table[state], 1):
             if nxt is not None:
@@ -399,7 +397,7 @@ def pattern_necessity(
         constraints=constraints,
         window_len=window_len,
         depth=depth,
-        windows_total=count_words((), window_len),
+        windows_total=counts[window_len][()][0],
         passed_by_bound=stats["bound"],
         passed_by_pattern=stats["pattern"],
         exceptions=tuple(exceptions),

@@ -500,13 +500,18 @@ def _round_half_even(f: Fraction) -> int:
     return n if n % 2 == 0 else n + 1
 
 
+def _digits(n: int, width: int = 1) -> str:
+    """n >= 0 in decimal, zero-padded to width, in halves below the int-to-str limit."""
+    if n.bit_length() <= 10_000:  # about 3010 digits, below the 4300 limit
+        return f"{n:0{width}d}"
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _digits(hi, max(width - k, 1)) + _digits(lo, k)
+
+
 def _format_scaled(n: int, digits: int) -> str:
-    sign = "-" if n < 0 else ""
-    n = abs(n)
-    if digits == 0:
-        return f"{sign}{n}"
-    ip, fp = divmod(n, 10**digits)
-    return f"{sign}{ip}.{fp:0{digits}d}"
+    ip, fp = divmod(abs(n), 10**digits)
+    return ("-" if n < 0 else "") + _digits(ip) + (f".{_digits(fp, digits)}" if digits else "")
 
 
 def _decimal(value, digits: int) -> str:
@@ -514,9 +519,6 @@ def _decimal(value, digits: int) -> str:
     if digits < 0 or digits > 10_000:
         raise ValueError("digits out of range")
     scale = 10**digits
-    lo, hi = value.bracket(digits + 2)
-    if lo == hi:
-        return _format_scaled(_round_half_even(lo * scale), digits)
     guard = digits + 8
     while True:
         lo, hi = value.bracket(guard)

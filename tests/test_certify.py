@@ -1,6 +1,5 @@
 import random
-import signal
-from contextlib import contextmanager
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from lagspec.bisequence import BiSeq, lambda_at
 from lagspec.certify import (
     CENTER_PATTERN,
@@ -158,29 +158,10 @@ def test_bounds_at_depth_1200():
     assert deep.lower >= site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 40).lower
 
 
-@contextmanager
-def _deadline(seconds, what):
-    """Raise TimeoutError in the block once it has run for `seconds`."""
-
-    def overrun(signum, frame):
-        raise TimeoutError(f"{what} took over {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    # repeat every second: an alarm that lands in a garbage-collector
-    # callback (hypothesis installs one) is swallowed there, and a one-shot
-    # timer would then let an exponential search run until memory runs out
-    signal.setitimer(signal.ITIMER_REAL, seconds, 1)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def test_long_forbidden_word_bounds_fast():
     # one forbidden word of 20 symbols: 20 automaton states
     c = Constraints(3, frozenset({(1,) * 19 + (3,)}))
-    with _deadline(10, "a 20-symbol forbidden word at depth 30"):
+    with deadline(10, "a 20-symbol forbidden word at depth 30"):
         cert = site_lambda_bounds(Pattern((2, 2), 0), c, 30)
     free = site_lambda_bounds(Pattern((2, 2), 0), Constraints(3), 30)
     assert free.lower <= cert.lower <= cert.upper <= free.upper
@@ -367,6 +348,26 @@ def test_necessity_budget_is_inconclusive():
         pattern_necessity(threshold, gap, 15, 25, max_nodes=-1)
 
 
+def _peak_kib(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_budgeted_sweep_keeps_only_the_levels_it_reads():
+    # a 10-node sweep at depth 1000 keeps the 5 right tail levels it reads,
+    # not the 1005 below them
+    sweep = lambda: pattern_necessity(Fraction(3691, 1000), gap_constraints(), 9, 1000, max_nodes=10)
+    assert _peak_kib(sweep) < 1024
+
+
+def test_deep_site_bounds_keep_one_level():
+    assert _peak_kib(lambda: site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 1200)) < 256
+
+
 def test_necessity_middle_three_passes_by_bound():
     cert = site_lambda_bounds(Pattern((3, 3, 3), 1), ONLY_13_31, 25)
     assert QuadSum(cert.upper) < Fraction(3691, 1000)
@@ -533,7 +534,7 @@ def test_audit_block_word_pinned(m):
 def test_audit_100_blocks_fast():
     # linear in the word length: 20,900 symbols in well under a second
     word = alpha0_prefix(100)
-    with _deadline(10, "the 100-block audit"):
+    with deadline(10, "the 100-block audit"):
         rep = audit_not_attained(word, LAM0, 12, 203)
     assert rep.clean and rep.stop == len(word.tail) - 203
 

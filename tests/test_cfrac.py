@@ -1,11 +1,11 @@
 import random
-import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import deadline
 from lagspec.cfrac import (
     EPCF,
     FiniteCF,
@@ -281,17 +281,6 @@ def test_long_period_round_trip(length, seed):
     rng = random.Random(seed)
     cf = EPCF(0, (), tuple(rng.choice((1, 2, 3)) for _ in range(length)))
 
-    def overrun(signum, frame):
-        raise TimeoutError(f"period of {length} terms took over 10 s")
-
-    previous = signal.signal(signal.SIGALRM, overrun)
-    # repeat every second: an alarm that lands in a garbage-collector
-    # callback (hypothesis installs one) is swallowed there, and a one-shot
-    # timer would then let a slow run go on without bound
-    signal.setitimer(signal.ITIMER_REAL, 10, 1)
-    try:
+    with deadline(10, f"a period of {length} terms"):
         x = eval_periodic(cf)
         assert eval_periodic(expand(x)) == x
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +129,14 @@ def test_approx():
     assert QuadSum(QuadExt(0)).approx(6) == "0.000000"
     assert QuadExt(-1, 1, 1, 21).approx(5) == "3.58258"
     assert QuadExt(0, -2, 1, 3).approx(3) == "-3.464"
+
+
+def test_approx_past_the_int_to_str_limit():
+    # 5000 digits of sqrt(3) - 1 from isqrt, rendered in 1000-digit chunks
+    # because str(int) stops at 4300 digits
+    n = (isqrt(3 * 10**10002) + 5) // 10 - 10**5000
+    chunks = (f"{n // 10 ** (1000 * i) % 10**1000:01000d}" for i in range(4, -1, -1))
+    assert (QuadExt.sqrt(3) - 1).approx(5000) == "0." + "".join(chunks)
 
 
 def test_approx_round_half_even_on_rationals():
