@@ -5,18 +5,15 @@ the constraints.  Bounds on the two-sided value at a site inside a
 pattern are computed from exact cylinder intervals: admissible
 continuations to a fixed depth are folded bottom-up, level by level over
 the automaton states, keeping only the levels that are read, and every
-interval, from a leaf's cylinder to the fold through the known word, is
-the image of a tail interval under a Moebius matrix, cfrac.mobius_pairs,
-on unreduced integer (num, den) pairs.  The window sweep carries its
-matrix and its left interval down the search, folds the threshold, the
-center symbol and the left interval into one pair per end, and tests
-each node with two products; it counts a subtree that already carries
-the center pattern and whose lower bound clears the threshold without
-enumeration, live leaves by pattern and dead ones by bound.  Everything
-is exact rational arithmetic, with Fractions only in reported bounds;
-deepening a search never loosens a bound.  The non-attainability audit
-clears each position of a known word from a doubling window around it,
-exact once past the word.
+interval is the image of a tail interval under a Moebius matrix,
+cfrac.mobius_pairs, on unreduced integer (num, den) pairs.  The window
+sweep grows each window from the center outward and bounds both sides
+at every node; it counts a segment without enumeration once its bound is
+below the threshold, or once it carries the center pattern with its
+lower bound at or above it.  Everything is exact rational arithmetic,
+with Fractions only in reported bounds; deepening a search never loosens
+a bound.  The non-attainability audit clears each position of a known
+word from a doubling window around it, exact once past the word.
 """
 
 from __future__ import annotations
@@ -24,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
-from itertools import count, islice
-from math import inf
+from itertools import islice
 
 from .cfrac import FiniteCF, mobius, mobius_pairs
 from .quadfield import QuadSum
@@ -237,17 +233,18 @@ def _join_tails(subs):
 
 
 def _tails(constraints: Constraints, depth: int, reach: int = 0):
-    """(rev, left, right): the reversed constraints, the left tail level at
-    the depth, and the right ones at depth, ..., depth + reach.  A tail
+    """(rev, left, right): the reversed constraints and the lists of left
+    and right tail levels at depth, ..., depth + reach.  A tail
     level maps state s to the closed interval (ln, ld, hn, hd), hd 0 being
     +inf, containing every [x1; ..., xn, t] with the x's admissible from s
     and t free in [1, inf), or None when no such x's exist.  Level 0 is the
     free interval itself, so the leaf endpoints are exactly cylinder
     endpoints; x -> a + 1/x keeps each end in lowest terms."""
     rev = _reversed(constraints)
-    levels = lambda c: islice(_levels(c._table, lambda s: _FREE, _join_tails), depth, None)
-    right = list(islice(levels(constraints), reach + 1))
-    return rev, right[0] if rev is constraints else next(levels(rev)), right
+    stop = depth + reach + 1
+    levels = lambda c: list(islice(_levels(c._table, lambda s: _FREE, _join_tails), depth, stop))
+    right = levels(constraints)
+    return rev, right if rev is constraints else levels(rev), right
 
 
 def site_lambda_bounds(
@@ -261,7 +258,7 @@ def site_lambda_bounds(
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
     rev, left, right = _tails(constraints, depth)
-    right, left = right[0][constraints._walk(w)], left[rev._walk(reversed(w))]
+    right, left = right[0][constraints._walk(w)], left[0][rev._walk(reversed(w))]
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
     rint = mobius_pairs(mobius((0,) + w[pattern.site + 1 :]), right)
@@ -298,6 +295,7 @@ class NecessityReport:
     passed_by_bound: int
     passed_by_pattern: int
     exceptions: tuple[tuple[int, ...], ...]
+    nodes: int  # the words visited
     inconclusive: bool = False
 
     @property
@@ -316,13 +314,14 @@ def pattern_necessity(
 
     Unknown context beyond the window is bounded by worst-case admissible
     tails, so a window passes case (a) only if its center value is below
-    the threshold for every completion.  Subtrees whose uniform bound is
-    already below the threshold are counted without enumeration, and so
-    are subtrees that already carry the center pattern with a lower bound
-    at least the threshold: their live leaves (those with an admissible
-    right tail) pass by pattern, their dead ones by bound.  The search
-    visits at most max_nodes words (None: no limit) and is inconclusive
-    when it needs more.
+    the threshold for every completion.  Windows grow from the center out,
+    one symbol right, then one left, so each step fixes the most
+    significant unknown symbol of its side.  Segments whose bound is below
+    the threshold are counted without enumeration, and so are segments
+    that carry the center pattern with a lower bound at least the
+    threshold: their live windows (admissible tails on both sides) pass by
+    pattern, their dead ones by bound.  The search visits at most
+    max_nodes words (None: no limit) and is inconclusive when it needs more.
     """
     if window_len < 7:
         raise ValueError("window_len must be at least 7")
@@ -332,76 +331,76 @@ def pattern_necessity(
         raise ValueError("max_nodes must be nonnegative")
     threshold = Fraction(threshold)
     tn, td = threshold.numerator, threshold.denominator
-    center = window_len // 2
-    table = constraints._table
-    # right[r] is the tail level at r + depth, r the symbols left to choose
-    rev, left, right = _tails(constraints, depth, window_len - center - 1)
+    center, n = window_len // 2, len(CENTER_PATTERN)
+    # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
+    rev, left, right = _tails(constraints, depth, center)
     # counts[r][s]: the r-symbol words read from s, and those among them that
-    # leave an admissible right tail of the depth
+    # leave an admissible tail of the depth, one table per reading direction
     total = lambda subs: (sum(v[0] for _, v in subs), sum(v[1] for _, v in subs))
-    base = lambda s: (1, int(right[0][s] is not None))
-    counts = list(islice(_levels(table, base, total), window_len + 1))
-    n = len(CENTER_PATTERN)
-    # the offsets that put the center on the pattern's first or last 3
-    offsets = [o for o in (center - 2, center + 3 - n) if o >= 0]
+    base = lambda tails: lambda s: (1, int(tails[0][s] is not None))
+    counts = lambda c, tails: list(islice(_levels(c._table, base(tails), total), window_len + 1))
+    right_counts = counts(constraints, right)
+    left_counts = right_counts if rev is constraints else counts(rev, left)
+    sites = (2, n - 3)  # the pattern's first and last 3, where the center must sit
     h = max(map(len, constraints.forbidden), default=1) - 1  # the longest state's length
-    budget, nodes = inf if max_nodes is None else max_nodes, count()
-
-    exceptions: list[tuple[int, ...]] = []
-    stats = {"bound": 0, "pattern": 0}
-
-    def dfs(word, state, s, m):
-        """s is the left interval at the center (None when the left side has
-        no admissible tail), and below it threshold - center symbol - left
-        interval at the upper and the lower end, two (num, den) pairs; m is
-        the word's matrix up to the center, then that of [0; word[center+1:]
-        ...].  Past the budget, return."""
-        if next(nodes) >= budget:
-            return
-        k = len(word)
-        if k > center:
-            if k == center + 1 and s is not None:
-                ln, ld, hn, hd = s
-                r = tn - word[center] * td
-                s = (r * hd - hn * td, td * hd, r * ld - ln * td, td * ld)
-            rest = window_len - k
-            tail = None if s is None else right[rest][state]
-            iv = None if tail is None else mobius_pairs(m, tail)
-            # center + left + iv < threshold, at the upper ends, is iv < s
-            if iv is None or iv[2] * s[1] < s[0] * iv[3]:
-                stats["bound"] += counts[rest][state][0]
-                return
-            if any(word[o : o + n] == CENTER_PATTERN for o in offsets):
-                # at a leaf, or where the hull of the live leaves below clears
-                # the threshold: live leaves pass by pattern, dead ones by bound
-                if rest == 0 or iv[0] * s[3] >= s[2] * iv[1]:
-                    words, live = counts[rest][state]
-                    stats["pattern"] += live
-                    stats["bound"] += words - live
-                    return
-            elif rest == 0:
-                exceptions.append(word)
-                return
-        elif k == center:
-            # the reversed word's state is that of its last h symbols, and its
-            # matrix is m transposed, so [0; reversed word] has (p0, q0, p1, q1)
-            tail = left[rev._walk(word[:h][::-1])]
-            s = None if tail is None else mobius_pairs((m[1], m[3], m[0], m[2]), tail)
-        for a, nxt in enumerate(table[state], 1):
-            if nxt is not None:
-                dfs(word + (a,), nxt, s, mobius((0,)) if k == center else mobius((a,), m))
-
-    dfs((), (), None, mobius(()))
+    # the window's positions from the center outward, right before left
+    order = sorted(range(window_len), key=lambda p: (abs(p - center), p < center))
+    by_bound = by_pattern = nodes = 0
+    exceptions = []
+    # a node: the segment, its length left of the center, its forward and reverse
+    # states (a step on one side keeps the other's once the segment has h symbols),
+    # and the matrices of [0; its left part read outward ...] and [0; its right part ...]
+    stack = [((), 0, (), (), mobius((0,)), mobius((0,)))]
+    while stack and (max_nodes is None or nodes < max_nodes):
+        nodes += 1
+        seg, i, fs, rs, ml, mr = stack.pop()
+        k = len(seg)
+        lo, rest = center - i, window_len - center - k + i  # unknown symbols per side
+        if k:
+            lt, rt = left[lo][rs], right[rest][fs]
+            below = lt is None or rt is None
+            if not below:
+                lv, rv = mobius_pairs(ml, lt), mobius_pairs(mr, rt)
+                num, den = _sum(seg[i], lv[2:], rv[2:])
+                below = num * td < tn * den
+            # from h symbols on, no forbidden word spans both sides' extensions
+            if k >= h or k == window_len:
+                if below:
+                    by_bound += left_counts[lo][rs][0] * right_counts[rest][fs][0]
+                    continue
+                if any(i >= p and seg[i - p : i - p + n] == CENTER_PATTERN for p in sites):
+                    num, den = _sum(seg[i], lv[:2], rv[:2])
+                    if k == window_len or num * td >= tn * den:
+                        (lw, ll), (rw, rl) = left_counts[lo][rs], right_counts[rest][fs]
+                        by_pattern += ll * rl
+                        by_bound += lw * rw - ll * rl
+                        continue
+            if k == window_len:
+                exceptions.append(seg)
+                continue
+        if order[k] >= center:  # the center itself, then the right side
+            for a, f in enumerate(constraints._table[fs], 1):
+                if f is not None:
+                    s = seg + (a,)
+                    r = rs if k >= h else rev._walk(s[::-1])
+                    stack.append((s, i, f, r, ml, mobius((a,), mr) if k else mr))
+        else:
+            for a, r in enumerate(rev._table[rs], 1):
+                if r is not None:
+                    s = (a,) + seg
+                    f = fs if k >= h else constraints._walk(s)
+                    stack.append((s, i + 1, f, r, mobius((a,), ml), mr))
     return NecessityReport(
         threshold=threshold,
         constraints=constraints,
         window_len=window_len,
         depth=depth,
-        windows_total=counts[window_len][()][0],
-        passed_by_bound=stats["bound"],
-        passed_by_pattern=stats["pattern"],
-        exceptions=tuple(exceptions),
-        inconclusive=next(nodes) > budget,
+        windows_total=right_counts[window_len][()][0],
+        passed_by_bound=by_bound,
+        passed_by_pattern=by_pattern,
+        exceptions=tuple(sorted(exceptions)),
+        nodes=nodes,
+        inconclusive=bool(stack),
     )
 
 

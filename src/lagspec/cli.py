@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ from .parsing import (
     parse_expression,
     parse_word,
 )
-from .quadfield import MixedRadicandError, QuadSum
+from .quadfield import MixedRadicandError, QuadSum, _digits
 
 
 class CliError(Exception):
@@ -172,6 +173,7 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
         "passed_by_bound": report.passed_by_bound,
         "passed_by_pattern": report.passed_by_pattern,
         "exceptions": [list(w) for w in report.exceptions],
+        "nodes": report.nodes,
         "holds": report.holds,
     }
     text = (
@@ -297,6 +299,25 @@ def _build_parser() -> _Parser:
 _PARSER = _build_parser()
 
 
+def _json(record) -> str:
+    """The record as one line of JSON; integers past the interpreter's
+    int-to-str limit print in full, still as JSON numbers."""
+    try:
+        return json.dumps(record)
+    except ValueError:  # such an integer; mark each, then write it out
+        big = []
+
+    def mark(x):
+        if isinstance(x, int) and x.bit_length() > 10_000:
+            big.append(_digits(x))
+            return f"\0{len(big) - 1}"  # no computed record string holds a NUL
+        if isinstance(x, dict):
+            return {k: mark(v) for k, v in x.items()}
+        return list(map(mark, x)) if isinstance(x, list) else x
+
+    return re.sub(r'"\\u0000(\d+)"', lambda m: big[int(m[1])], json.dumps(mark(record)))
+
+
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
@@ -307,7 +328,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError, MixedRadicandError, ZeroDivisionError, PeriodNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(json.dumps(record) if args.structured else text)
+    print(_json(record) if args.structured else text)
     return code
 
 

@@ -85,16 +85,9 @@ def _sign_lin(A: int, B: int, d: int) -> int:
     """Sign of A + B*sqrt(d) for integers A, B and d >= 1."""
     if d == 1:
         return _sign(A + B)
-    if B == 0:
-        return _sign(A)
-    if A == 0:
-        return _sign(B)
-    if A > 0 and B > 0:
-        return 1
-    if A < 0 and B < 0:
-        return -1
-    t = _sign(A * A - B * B * d)
-    return t * _sign(A)
+    if A == 0 or B == 0 or (A > 0) == (B > 0):
+        return _sign(A) or _sign(B)
+    return _sign(A * A - B * B * d) * _sign(A)
 
 
 def _sign_two(A: int, B: int, d1: int, C: int, d2: int) -> int:
@@ -103,14 +96,9 @@ def _sign_two(A: int, B: int, d1: int, C: int, d2: int) -> int:
     Isolates one radical and squares once, reducing the query to a single
     quadratic field; exact for every input.
     """
-    sL = _sign_lin(A, B, d1)
-    sR = _sign(C)
-    if sR == 0:
-        return sL
-    if sL == 0:
-        return sR
-    if sL == sR:
-        return sL
+    sL, sR = _sign_lin(A, B, d1), _sign(C)
+    if sL * sR >= 0:  # one of them zero, or the two agree
+        return sL or sR
     # opposite signs: compare |A + B*sqrt(d1)| with |C*sqrt(d2)|
     return sL * _sign_lin(A * A + B * B * d1 - C * C * d2, 2 * A * B, d1)
 
@@ -501,9 +489,11 @@ def _round_half_even(f: Fraction) -> int:
 
 
 def _digits(n: int, width: int = 1) -> str:
-    """n >= 0 in decimal, zero-padded to width, in halves below the int-to-str limit."""
+    """n in decimal, zero-padded to width, in halves below the int-to-str limit."""
     if n.bit_length() <= 10_000:  # about 3010 digits, below the 4300 limit
-        return f"{n:0{width}d}"
+        return str(n).zfill(width)
+    if n < 0:
+        return "-" + _digits(-n, width - 1)
     k = n.bit_length() * 3 // 20  # about half of n's digits
     hi, lo = divmod(n, 10**k)
     return _digits(hi, max(width - k, 1)) + _digits(lo, k)
@@ -530,22 +520,12 @@ def _decimal(value, digits: int) -> str:
 
 
 def _format_terms(a: int, b: int, c: int, d: int) -> str:
-    if b == 0:
-        return str(a) if c == 1 else f"{a}/{c}"
-    if b == 1:
-        root = f"sqrt({d})"
-    elif b == -1:
-        root = f"-sqrt({d})"
-    else:
-        root = f"{b}*sqrt({d})"
-    if a == 0:
-        num = root
-        single = True
-    else:
-        num = f"{a}+{root}" if not root.startswith("-") else f"{a}{root}"
-        single = False
-    if c == 1:
-        return num
-    if single and "*" not in num:
-        return f"{num}/{c}"
-    return f"({num})/{c}"
+    a, b, c, d = map(_digits, (a, b, c, d))
+    if b == "0":
+        return a if c == "1" else f"{a}/{c}"
+    num = {"1": "", "-1": "-"}.get(b, f"{b}*") + f"sqrt({d})"
+    if a != "0":
+        num = a + ("" if num[0] == "-" else "+") + num
+    elif "*" not in num:  # a lone root, negated or not, takes no parentheses
+        return num if c == "1" else f"{num}/{c}"
+    return num if c == "1" else f"({num})/{c}"

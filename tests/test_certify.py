@@ -268,9 +268,10 @@ def test_necessity_sweep_holds():
         (25, (104373561, 104291901, 81660)),
         (27, (441187243, 440842465, 344778)),
         (31, (7882933073, 7876767435, 6165638)),
+        (33, (33321173362, 33295112598, 26060764)),
     ):
         report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), window, 25)
-        assert report.holds
+        assert report.holds and report.nodes < 1000
         assert report.exceptions == ()
         assert report.passed_by_bound + report.passed_by_pattern == report.windows_total
         assert (report.windows_total, report.passed_by_bound, report.passed_by_pattern) == counts
@@ -305,13 +306,13 @@ def _leaf_classification(threshold, constraints, window_len, depth):
 @st.composite
 def sweep_cases(draw):
     """Alphabet 1..m (m <= 3), windows of 7-9 symbols, depths 0-6, and
-    forbidden words of at most center+1 symbols, so the left automaton
-    state of a window depends on its symbols left of the center only, as
-    it does in the sweep.  At most 3**8 windows, so a case takes under
-    two seconds: the reference bounds each window on its own."""
+    forbidden words of up to the window's length, so a forbidden word can
+    reach across the center from either side.  At most 3**8 windows, so a
+    case takes under two seconds: the reference bounds each window on its
+    own."""
     m = draw(st.integers(1, 3))
     window = draw(st.integers(7, 9 if m < 3 else 8))
-    words = st.lists(st.integers(1, m), min_size=1, max_size=window // 2 + 1).map(tuple)
+    words = st.lists(st.integers(1, m), min_size=1, max_size=window).map(tuple)
     forbidden = draw(st.frozensets(words, max_size=4))
     threshold = draw(st.fractions(2, 5, max_denominator=1000))
     return threshold, Constraints(m, forbidden), window, draw(st.integers(0, 6))
@@ -321,6 +322,10 @@ def sweep_cases(draw):
 @example((Fraction(3691, 1000), gap_constraints(), 9, 4))  # both pattern offsets
 # a pattern subtree with a dead leaf: 1032 windows pass by bound, 2 by pattern
 @example((Fraction(2), Constraints(3, frozenset({(1, 1, 1), (1, 1, 2), (1, 1, 3)})), 8, 3))
+# a forbidden word longer than center + 1: (3,2,1,1,1,3,2) passes by bound only
+# because its left tail may not start with 3 (it would complete 3,3,2,1,1), which
+# the whole window's state tells and its left symbols' state does not
+@example((Fraction(309, 125), Constraints(3, frozenset({(3, 3, 2, 1, 1), (3, 3, 3)})), 7, 3))
 @settings(max_examples=30, deadline=None)
 def test_necessity_counts_match_leaf_classification(case):
     threshold, constraints, window, depth = case
@@ -333,19 +338,30 @@ def test_necessity_counts_match_leaf_classification(case):
 
 def test_necessity_budget_is_inconclusive():
     threshold, gap = Fraction(3691, 1000), gap_constraints()
-    cut = pattern_necessity(threshold, gap, 25, 25, max_nodes=1000)
-    assert cut.inconclusive and not cut.holds
+    cut = pattern_necessity(threshold, gap, 25, 25, max_nodes=100)
+    assert pattern_necessity(threshold, gap, 25, 25).nodes > 100
+    assert cut.inconclusive and not cut.holds and cut.nodes == 100
     assert cut.passed_by_bound + cut.passed_by_pattern + len(cut.exceptions) < cut.windows_total
     assert cut.windows_total == 104373561
-    # the w15 sweep visits 1134 words: a budget of that many changes nothing
+    # a budget of exactly the words the sweep visits changes nothing
     full = pattern_necessity(threshold, gap, 15, 25)
     assert not full.inconclusive and full.holds
-    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=1134) == full
-    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=1133).inconclusive
+    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=full.nodes) == full
+    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=full.nodes - 1).inconclusive
     empty = pattern_necessity(threshold, gap, 15, 25, max_nodes=0)
     assert empty.inconclusive and (empty.passed_by_bound, empty.passed_by_pattern) == (0, 0)
     with pytest.raises(ValueError, match="max_nodes"):
         pattern_necessity(threshold, gap, 15, 25, max_nodes=-1)
+
+
+def test_wide_window_sweep_stays_small():
+    # each node fixes the most significant unknown symbol of its side, so the
+    # words visited stop growing with the window
+    with deadline(10, "the window-61 sweep"):
+        report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), 61, 25)
+    assert report.holds
+    assert report.passed_by_bound + report.passed_by_pattern == report.windows_total
+    assert report.nodes < 1000
 
 
 def _peak_kib(f):

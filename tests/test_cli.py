@@ -3,7 +3,9 @@ import json
 import pytest
 
 from lagspec import cli
+from lagspec.bisequence import lambda_at
 from lagspec.cli import main
+from lagspec.parsing import parse_biseq
 
 LAM0_EXPR = "[3;3,3,2,1,(1,2)]+[0;2,1,(1,2)]"
 A0_TEXT = "<(2,1) | 1,2,3,3*,3,2,1 | (1,2)>"
@@ -34,6 +36,24 @@ def test_eval_deterministic(capsys):
     _, out1, _ = run(capsys, "eval", LAM0_EXPR)
     _, out2, _ = run(capsys, "eval", LAM0_EXPR)
     assert out1 == out2
+
+
+def test_values_print_past_the_int_to_str_limit(capsys):
+    # the coefficients at index 10000 have about 5700 digits, past the
+    # interpreter's 4300-digit int-to-str limit, in str() and in the record
+    argv = ["lambda", A0_TEXT, "--index", "10000"]
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, _ = run(capsys, *argv, "--structured")
+    rec = json.loads(out, parse_int=str)  # JSON numbers, read back as digits
+    assert code == 0 and text.startswith(rec["value"] + " ≈ ")
+    (term,) = rec["terms"]
+    a, b, c, d = (term[k] for k in "abcd")
+    assert rec["value"] == f"({a}+{b}*sqrt({d}))/{c}" and len(a) > 4300
+    (exact,) = lambda_at(parse_biseq(A0_TEXT), 10000).value.terms()
+    for digits, n in zip((a, b, c, d), (exact.a, exact.b, exact.c, exact.d)):
+        head = max(len(digits) - 1000, 0)
+        assert int(digits[:1000]) == n // 10**head and int(digits[-1000:]) == n % 10**1000
 
 
 def test_lambda(capsys):
@@ -124,7 +144,7 @@ def test_necessity_failing_threshold(capsys):
 
 
 def test_necessity_node_budget_exit_2(capsys):
-    argv = ["necessity", "--threshold", "3691/1000", "--window", "31", "--max-nodes", "1000"]
+    argv = ["necessity", "--threshold", "3691/1000", "--window", "31", "--max-nodes", "100"]
     code, out, _ = run(capsys, *argv)
     assert code == 2 and "inconclusive" in out
     code, out, _ = run(capsys, *argv, "--structured")
@@ -133,7 +153,8 @@ def test_necessity_node_budget_exit_2(capsys):
     # a budget the sweep does not reach leaves the record as it is without one
     argv = ["necessity", "--threshold", "3691/1000", "--structured"]
     code, plain, _ = run(capsys, *argv)
-    assert code == 0 and run(capsys, *argv, "--max-nodes", "1134")[1] == plain
+    nodes = str(json.loads(plain)["nodes"])
+    assert code == 0 and run(capsys, *argv, "--max-nodes", nodes)[1] == plain
     code, _, err = run(capsys, *argv, "--max-nodes", "-1")
     assert code == 1 and "max_nodes" in err
 
@@ -259,7 +280,8 @@ README_STRUCTURED = [
     (
         ["necessity", "--threshold", "3691/1000", "--window", "15", "--depth", "25"],
         '{"threshold": "3691/1000", "window_len": 15, "depth": 25, "windows_total": 77345,'
-        ' "passed_by_bound": 77275, "passed_by_pattern": 70, "exceptions": [], "holds": true}',
+        ' "passed_by_bound": 77275, "passed_by_pattern": 70, "exceptions": [], "nodes": 125,'
+        ' "holds": true}',
     ),
     (
         ["audit-alpha0", "--blocks", "8", "--start", "12"],
