@@ -2,18 +2,22 @@
 
 Every forbidden-factor test runs on one factor automaton compiled from
 the constraints.  Bounds on the two-sided value at a site inside a
-pattern are computed from exact cylinder intervals: admissible
-continuations to a fixed depth are folded bottom-up, level by level over
-the automaton states, keeping only the levels that are read, and every
-interval is the image of a tail interval under a Moebius matrix,
-cfrac.mobius_pairs, on unreduced integer (num, den) pairs.  The window
-sweep grows each window from the center outward and bounds both sides
-at every node; it counts a segment without enumeration once its bound is
-below the threshold, or once it carries the center pattern with its
-lower bound at or above it.  Everything is exact rational arithmetic,
-with Fractions only in reported bounds; deepening a search never loosens
-a bound.  The non-attainability audit clears each position of a known
-word from a doubling window around it, exact once past the word.
+pattern are computed from exact cylinder intervals over the admissible
+continuations to a fixed depth.  Each state's interval is read from two
+children only, the smallest live symbol's for the lower end and the
+largest one's for the upper end; levels are stepped one at a time until
+the set of live states repeats, and from there pointer doubling over
+those fixed choices reaches the depth in O(log depth) matrix products.
+Every interval is the image of a tail interval under a Moebius matrix,
+on unreduced integer (num, den) pairs.  The window sweep grows each
+window from the center outward and bounds both sides at every node; it
+counts a segment without enumeration once its bound is below the
+threshold, or once it carries the center pattern with its lower bound at
+or above it.  Everything is exact rational arithmetic, with Fractions
+only in reported bounds; deepening a search never loosens a bound.  The
+non-attainability audit clears each position of a known word from a
+doubling window around it, exact once past the word, and brackets each
+distinct window once.
 """
 
 from __future__ import annotations
@@ -62,9 +66,8 @@ class NotSeparatedError(Exception):
 
     def __init__(self, certificate: "BoundCertificate"):
         self.certificate = certificate
-        super().__init__(
-            f"bounds [{certificate.lower}, {certificate.upper}] straddle the threshold"
-        )
+        lo, hi = QuadSum(certificate.lower), QuadSum(certificate.upper)  # past 4300 digits too
+        super().__init__(f"bounds [{lo}, {hi}] straddle the threshold")
 
 
 class PrefixTooShortError(ValueError):
@@ -225,11 +228,58 @@ def _levels(table, base, join):
         }
 
 
-def _join_tails(subs):
-    # subs ascend in a, and [a; x] lies in [a, a + 1]: the first child
-    # gives the lower end, the last the upper one
-    ivs = [mobius_pairs(mobius((a,)), sub) for a, sub in subs if sub is not None]
-    return ivs[0][:2] + ivs[-1][2:] if ivs else None
+def _mul(m, n):
+    """The 2x2 matrix product m n, both as (p1, p0, q1, q0)."""
+    p1, p0, q1, q0 = m
+    r1, r0, s1, s0 = n
+    return p1 * r1 + p0 * s1, p1 * r0 + p0 * s0, q1 * r1 + q0 * s1, q1 * r0 + q0 * s0
+
+
+def _tail_levels(table, depth: int, reach: int) -> list:
+    """The tail levels depth, ..., depth + reach over one automaton (see
+    _tails).  A level is kept as its ends: (s, 0) and (s, 2) map a live
+    state s to the (num, den) pairs of its interval's lower and upper end.
+    Every tail lies in [1, inf], so [a; x] lies in [a, a + 1]: the lower end
+    is a + 1/(upper end of the child after a), a the smallest symbol with a
+    live child, and the upper end is b + 1/(lower end of the child after b),
+    b the largest.  The live states shrink level by level until they
+    repeat, within len(table) levels; from there those extreme children are
+    fixed, so the ends form a functional graph whose edges are one-symbol
+    matrices, and pointer doubling pushes them the remaining levels in
+    O(log depth) matrix products per end."""
+
+    def edges(ends):
+        # each end of a state with a live child: (its symbol's matrix, the child end it reads)
+        g = {}
+        for s, row in table.items():
+            kids = [(a, t) for a, t in enumerate(row, 1) if (t, 0) in ends]
+            if kids:
+                (a, t), (b, u) = kids[0], kids[-1]
+                g[s, 0], g[s, 2] = ((a, 1, 1, 0), (t, 2)), ((b, 1, 1, 0), (u, 0))
+        return g
+
+    def push(g, ends):
+        return {v: (m[0] * ends[w][0] + m[1] * ends[w][1], m[2] * ends[w][0] + m[3] * ends[w][1])
+                for v, (m, w) in g.items()}
+
+    ends = {(s, e): _FREE[e : e + 2] for s in table for e in (0, 2)}  # level 0
+    g, n = edges(ends), 0
+    while n < depth and len(g) < len(ends):  # the live states still shrink
+        ends, n = push(g, ends), n + 1
+        g = edges(ends)
+    k = depth - n  # g is fixed from here on: apply it k times, by doubling
+    while k:
+        if k & 1:
+            ends = push(g, ends)
+        k >>= 1
+        if k:
+            g = {v: (_mul(m, g[w][0]), g[w][1]) for v, (m, w) in g.items()}
+    out = []
+    for r in range(reach + 1):
+        if r:
+            ends = push(edges(ends), ends)
+        out.append({s: ends[s, 0] + ends[s, 2] if (s, 0) in ends else None for s in table})
+    return out
 
 
 def _tails(constraints: Constraints, depth: int, reach: int = 0):
@@ -239,12 +289,11 @@ def _tails(constraints: Constraints, depth: int, reach: int = 0):
     +inf, containing every [x1; ..., xn, t] with the x's admissible from s
     and t free in [1, inf), or None when no such x's exist.  Level 0 is the
     free interval itself, so the leaf endpoints are exactly cylinder
-    endpoints; x -> a + 1/x keeps each end in lowest terms."""
+    endpoints; the matrices have determinant -1 or 1, so each end stays in
+    lowest terms."""
     rev = _reversed(constraints)
-    stop = depth + reach + 1
-    levels = lambda c: list(islice(_levels(c._table, lambda s: _FREE, _join_tails), depth, stop))
-    right = levels(constraints)
-    return rev, right if rev is constraints else levels(rev), right
+    right = _tail_levels(constraints._table, depth, reach)
+    return rev, right if rev is constraints else _tail_levels(rev._table, depth, reach), right
 
 
 def site_lambda_bounds(
@@ -349,18 +398,20 @@ def pattern_necessity(
     exceptions = []
     # a node: the segment, its length left of the center, its forward and reverse
     # states (a step on one side keeps the other's once the segment has h symbols),
-    # and the matrices of [0; its left part read outward ...] and [0; its right part ...]
-    stack = [((), 0, (), (), mobius((0,)), mobius((0,)))]
+    # the matrices of [0; its left part read outward ...] and [0; its right part ...],
+    # and their images of that side's tail level (None: no admissible tail), so a
+    # step on one side reuses the other side's image
+    image = lambda m, tail: tail and mobius_pairs(m, tail)
+    m0 = mobius((0,))
+    stack = [((), 0, (), (), m0, m0, image(m0, left[center][()]), None)]  # rv: read from k = 1
     while stack and (max_nodes is None or nodes < max_nodes):
         nodes += 1
-        seg, i, fs, rs, ml, mr = stack.pop()
+        seg, i, fs, rs, ml, mr, lv, rv = stack.pop()
         k = len(seg)
         lo, rest = center - i, window_len - center - k + i  # unknown symbols per side
         if k:
-            lt, rt = left[lo][rs], right[rest][fs]
-            below = lt is None or rt is None
+            below = lv is None or rv is None
             if not below:
-                lv, rv = mobius_pairs(ml, lt), mobius_pairs(mr, rt)
                 num, den = _sum(seg[i], lv[2:], rv[2:])
                 below = num * td < tn * den
             # from h symbols on, no forbidden word spans both sides' extensions
@@ -383,13 +434,17 @@ def pattern_necessity(
                 if f is not None:
                     s = seg + (a,)
                     r = rs if k >= h else rev._walk(s[::-1])
-                    stack.append((s, i, f, r, ml, mobius((a,), mr) if k else mr))
+                    m = mobius((a,), mr) if k else mr
+                    l_img = lv if k >= h else image(ml, left[lo][r])
+                    stack.append((s, i, f, r, ml, m, l_img, image(m, right[rest - 1][f])))
         else:
             for a, r in enumerate(rev._table[rs], 1):
                 if r is not None:
                     s = (a,) + seg
                     f = fs if k >= h else constraints._walk(s)
-                    stack.append((s, i + 1, f, r, mobius((a,), ml), mr))
+                    m = mobius((a,), ml)
+                    r_img = rv if k >= h else image(mr, right[rest][f])
+                    stack.append((s, i + 1, f, r, m, mr, image(m, left[lo - 1][r]), r_img))
     return NecessityReport(
         threshold=threshold,
         constraints=constraints,
@@ -460,6 +515,9 @@ def audit_not_attained(
     is cleared once a rational lower bound of the reference exceeds its
     bracket from k symbols on each side, k = 16, 32, ...; the exact test
     runs only when the window covers the word, so `flagged` is its own.
+    The windows w[n-1-k : n+k] that cleared, while the test at k reads each
+    of them whole (k < n-1 and n+k <= len), are kept for this call only: a
+    later position with the same window is cleared without a bracket.
     """
     w = alpha_prefix.tail
     stop = len(w) - guard
@@ -473,11 +531,19 @@ def audit_not_attained(
     # at most the reference, 10**-2k close, and the bracket's upper end only
     lower = cache(lambda k: _order(bracket(2 * k)[0].as_integer_ratio()))
     upper = lambda n, k: _sum(w[n - 1], *(side[2:] for side in _sides(w, n, k)))
-    flagged = []
+    flagged, cleared = [], set()
     for n in range(start, stop + 1):
         k, exact = _WINDOW, max(n - 1, len(w) - n)
         # reference >= lower(k) > windowed hi >= exact hi clears n
-        while k < exact and not lower(k) > _order(upper(n, k)):
+        while k < exact:
+            # the symbols the test at k reads, when it reads them all; None near an end of w
+            window = w[n - 1 - k : n + k] if k < n - 1 and n + k <= len(w) else None
+            if window in cleared:
+                break
+            if lower(k) > _order(upper(n, k)):
+                if window:
+                    cleared.add(window)
+                break
             k *= 2
         if k >= exact and not reference > Fraction(*upper(n, exact)):
             flagged.append(n)

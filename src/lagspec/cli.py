@@ -136,8 +136,8 @@ def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
         "alphabet_max": cert.constraints.alphabet_max,
         "forbidden": [list(f) for f in sorted(cert.constraints.forbidden)],
         "depth": cert.depth,
-        "lower": f"{cert.lower.numerator}/{cert.lower.denominator}",
-        "upper": f"{cert.upper.numerator}/{cert.upper.denominator}",
+        "lower": f"{_digits(cert.lower.numerator)}/{_digits(cert.lower.denominator)}",
+        "upper": f"{_digits(cert.upper.numerator)}/{_digits(cert.upper.denominator)}",
         "lower_decimal": lower,
         "upper_decimal": upper,
         "kind": "site_lower_bound",

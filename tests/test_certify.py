@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -25,8 +26,9 @@ from lagspec.certify import (
     site_lambda_bounds,
     violates,
     _reversed,
+    _tails,
 )
-from lagspec.cfrac import EPCF, FiniteCF, cylinder, eval_finite, eval_periodic
+from lagspec.cfrac import EPCF, FiniteCF, cylinder, eval_finite, eval_periodic, mobius, mobius_pairs
 from lagspec.constructions import alpha0_prefix, gap_left_endpoint
 from lagspec.quadfield import QuadExt, QuadSum
 
@@ -384,6 +386,55 @@ def test_deep_site_bounds_keep_one_level():
     assert _peak_kib(lambda: site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 1200)) < 256
 
 
+def _reference_tail_levels(constraints, depth, reach):
+    """The tail levels depth, ..., depth + reach, folded level by level: each
+    state's interval is the hull of the images of all its live children."""
+    value = lambda end: Fraction(*end) if end[1] else math.inf
+    table, level, out = constraints._table, {s: (1, 1, 1, 0) for s in constraints._table}, []
+    for n in range(depth + reach + 1):
+        if n >= depth:
+            out.append(level)
+        images = {
+            s: [mobius_pairs(mobius((a,)), level[t]) for a, t in enumerate(row, 1) if level.get(t)]
+            for s, row in table.items()
+        }
+        level = {
+            s: min((iv[:2] for iv in ivs), key=value) + max((iv[2:] for iv in ivs), key=value)
+            if ivs else None
+            for s, ivs in images.items()
+        }
+    return out
+
+
+@st.composite
+def tail_cases(draw):
+    """Alphabet 1..m (2 <= m <= 4), up to 8 forbidden words of 1-5 symbols,
+    so states die and sets are seldom closed under reversal; depths up to
+    300, far past the level where the live states stop shrinking."""
+    m = draw(st.integers(2, 4))
+    words = st.lists(st.integers(1, m), min_size=1, max_size=5).map(tuple)
+    forbidden = draw(st.frozensets(words, max_size=8))
+    return Constraints(m, forbidden), draw(st.integers(0, 300)), draw(st.integers(0, 6))
+
+
+@given(tail_cases())
+# (1,2,1) dies at level 1 and (1,2) at level 2, so the largest live child of
+# (1,) changes at level 3; the reverse set has a state dying at level 1
+@example((Constraints(2, frozenset({(1, 2, 1, 1), (1, 2, 1, 2), (1, 2, 2)})), 9, 2))
+# (1,1,1,1), (1,1,1) and (1,1) die at levels 1, 2 and 3, so the smallest live
+# child of (1,) changes at level 4
+@example((Constraints(3, frozenset({(1, 1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 1, 1, 1, 3),
+                                    (1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 2), (1, 1, 3)})), 40, 6))
+@example((gap_constraints(), 300, 3))
+@settings(max_examples=150)
+def test_tails_match_level_by_level_fold(case):
+    constraints, depth, reach = case
+    rev, left, right = _tails(constraints, depth, reach)
+    assert rev == _reversed(constraints)
+    assert right == _reference_tail_levels(constraints, depth, reach)
+    assert left == _reference_tail_levels(rev, depth, reach)
+
+
 def test_necessity_middle_three_passes_by_bound():
     cert = site_lambda_bounds(Pattern((3, 3, 3), 1), ONLY_13_31, 25)
     assert QuadSum(cert.upper) < Fraction(3691, 1000)
@@ -528,6 +579,34 @@ def test_audit_flags_a_position_at_its_exact_bracket(word, data):
     for reference in (ref, _Loose(ref)):
         rep = audit_not_attained(FiniteCF(0, w), reference, start=1, guard=0)
         assert n in rep.flagged and list(rep.flagged) == expected
+
+
+def test_audit_recurring_windows_match_exact_brackets():
+    # a repeated block with one defect: positions a period apart share their
+    # first window, yet their exact brackets differ; each reference lies
+    # between two such brackets, so the shared window clears neither position
+    # and one of them, in either order along the word, is flagged
+    rng = random.Random(14)
+    pairs = set()
+    for _ in range(30):
+        block = [rng.randint(1, 3) for _ in range(rng.randint(2, 9))]
+        w = block * (140 // len(block))
+        w[rng.randrange(len(w))] = rng.randint(1, 3)
+        w = tuple(w)
+        uppers = {n: one_sided_lambda_bracket(w, n)[1] for n in range(1, len(w) + 1)}
+        shared = [
+            (n, n + len(block))
+            for n in range(18, len(w) - 16 - len(block))
+            if w[n - 17 : n + 16] == w[n - 17 + len(block) : n + 16 + len(block)]
+            and uppers[n] != uppers[n + len(block)]
+        ]
+        for n, m in rng.sample(shared, min(3, len(shared))):
+            reference = (uppers[n] + uppers[m]) / 2
+            rep = audit_not_attained(FiniteCF(0, w), reference, start=1, guard=0)
+            expected = tuple(p for p in range(1, len(w) + 1) if not reference > uppers[p])
+            assert rep.flagged == expected and (n in expected) != (m in expected)
+            pairs.add(m in expected)
+    assert pairs == {False, True}  # the later position flagged, and the earlier one
 
 
 BLOCK_WORD_AUDITS = {  # blocks -> (stop, flagged) at guard 0

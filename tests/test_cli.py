@@ -1,9 +1,11 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from lagspec import cli
 from lagspec.bisequence import lambda_at
+from lagspec.certify import Constraints, Pattern, site_lambda_bounds
 from lagspec.cli import main
 from lagspec.parsing import parse_biseq
 
@@ -127,6 +129,31 @@ def test_certify_pattern_structured(capsys):
     assert rec["forbidden"] == [[1, 3], [3, 1]]
     num, den = rec["lower"].split("/")
     assert int(den) > 0
+
+
+def _read_int(digits):
+    """A decimal string of any length, read in chunks below the int-to-str limit."""
+    n = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i : i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return n
+
+
+@pytest.mark.parametrize("pattern, site, exit_code", [("3,1", 0, 0), ("3,3,3", 1, 2)])
+def test_certify_pattern_past_the_int_to_str_limit(capsys, pattern, site, exit_code):
+    # at depth 20000 the bounds' terms have over 13,000 digits
+    argv = ["certify-pattern", pattern, "--site", str(site), "--threshold", LAM0_EXPR, "--depth", "20000"]
+    code, text, _ = run(capsys, *argv)
+    assert code == exit_code and text.startswith(("certified", "not separated"))
+    code, out, _ = run(capsys, *argv, "--structured")
+    assert code == exit_code
+    rec = json.loads(out)
+    cert = site_lambda_bounds(Pattern(tuple(map(int, pattern.split(","))), site), Constraints(3), 20000)
+    assert len(rec["lower"]) > 4300
+    for key, bound in (("lower", cert.lower), ("upper", cert.upper)):
+        num, den = rec[key].split("/")
+        assert Fraction(_read_int(num), _read_int(den)) == bound
 
 
 def test_necessity(capsys):
