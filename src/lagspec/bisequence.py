@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cfrac import EPCF, distance_bounds, eval_periodic
-from .quadfield import QuadSum
+from .cfrac import EPCF, _periodic_box, distance_bounds, eval_periodic
+from .quadfield import _SCALE, QuadSum, _box
 
 __all__ = [
     "BiSeq",
@@ -124,11 +124,15 @@ class LambdaValue:
     right_tail: EPCF
 
 
-def lambda_at(A: BiSeq, i: int) -> LambdaValue:
+def _tails(A: BiSeq, i: int) -> tuple[EPCF, EPCF]:
     # the left tail [a_i; a_{i-1}, ...] is a right tail of the reflection
     c, lp, core, rp = i + A.origin, A.left_period, A.core, A.right_period
     lt = _right_tail(rp[::-1], core[::-1], len(core) - 1 - c, lp[::-1], A.at(i))
-    rt = _right_tail(lp, core, c, rp)
+    return lt, _right_tail(lp, core, c, rp)
+
+
+def lambda_at(A: BiSeq, i: int) -> LambdaValue:
+    lt, rt = _tails(A, i)
     return LambdaValue(i, QuadSum(eval_periodic(lt), eval_periodic(rt)), lt, rt)
 
 
@@ -218,42 +222,48 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
     """Certified sup of lambda_i over all integers i.
 
     Inspects the core widened by K copies of each period, K deepening up
-    to max_window_periods, evaluating each window index once, and
-    certifies every uninspected index against the phase limits of the
-    purely periodic tails.  A class whose limit is the sup is certified
-    only if none of its values can exceed the limit; if A is purely
-    periodic the limit is then attained inside the window.  Returns an
-    inconclusive certificate if the window cap is reached without
-    separation; raises ValueError if the cap is below 1.
+    to max_window_periods, bracketing lambda_i * 2**64 once per window
+    index, and certifies every uninspected index against the phase limits
+    of the purely periodic tails.  Exact sums are built only for indices
+    whose bracket reaches the highest lower end, for envelope tests the
+    brackets leave open, and for the margins.  A class whose limit is the
+    sup is certified only if none of its values can exceed the limit; if
+    A is purely periodic the limit is then attained inside the window.
+    Returns an inconclusive certificate if the window cap is reached
+    without separation; raises ValueError if the cap is below 1.
     """
     if max_window_periods < 1:
         raise ValueError("max_window_periods must be positive")
-    classes = _side_classes(A)
-    max_lim = max(lim for lim, _, _ in classes)
-    values: dict[int, QuadSum] = {}
+    classes = [(lim, _box(lim.terms()), may, plen) for lim, may, plen in _side_classes(A)]
+    max_lim = max(lim for lim, _, _, _ in classes)
+    near, values, span, fixed = [], {}, range(0), {}
     for K in range(1, max_window_periods + 1):
         window = (A.start - K * len(A.left_period), A.end + K * len(A.right_period))
-        span = range(window[0], window[1] + 1)
-        for i in span:
-            if i not in values:
-                values[i] = lambda_at(A, i).value
-        best = max(values[i] for i in span)
+        old, span = span, range(window[0], window[1] + 1)
+        near += [(i, *_periodic_box(_tails(A, i), fixed)) for i in span if i not in old]
+        top = max(lo for _, lo, _ in near)
+        near = sorted(t for t in near if t[2] >= top)  # every index of the sup is here
+        values = {i: values[i] if i in values else lambda_at(A, i).value for i, _, _ in near}
+        best = max(values.values())
         target = best if best >= max_lim else max_lim
-        margins: list[Fraction] = []
-        for lim, may_exceed, plen in classes:
+        tlo, thi = _box(target.terms())
+        gaps = []
+        for lim, (llo, lhi), may_exceed, plen in classes:
             if lim == target:
                 if may_exceed:
                     break
                 continue
             # lim < target: need the envelope lim + eps below target
-            gap = target - lim - distance_bounds(K * plen).eps
-            if gap.sign() <= 0:
+            eps = distance_bounds(K * plen).eps
+            bar = eps * 2**_SCALE
+            if thi - llo <= bar or tlo - lhi <= bar and (target - lim - eps).sign() <= 0:
                 break
-            margins.append(_rational_lower_bound(gap))
+            gaps.append((lim, eps))
         else:
+            margins = [_rational_lower_bound(target - lim - eps) for lim, eps in gaps]
             margin = min(margins, default=Fraction(1))
             if best >= max_lim:
-                arg = tuple(i for i in span if values[i] == best)
+                arg = tuple(i for i, v in values.items() if v == best)
                 return SupCertificate(best, True, arg, window, margin, "certified")
             return SupCertificate(max_lim, False, (), window, margin, "certified")
     return SupCertificate(target, False, (), window, Fraction(0), "inconclusive")

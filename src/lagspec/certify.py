@@ -62,12 +62,13 @@ def _sum(a: int, x, y) -> tuple[int, int]:
 
 
 class NotSeparatedError(Exception):
-    """Bounds straddle the threshold at this depth; deepen the search."""
+    """Bounds straddle the threshold at this depth (deepen the search) or lie below it."""
 
-    def __init__(self, certificate: "BoundCertificate"):
+    def __init__(self, certificate: "BoundCertificate", threshold):
         self.certificate = certificate
+        self.relation = "lie below" if threshold > certificate.upper else "straddle"
         lo, hi = QuadSum(certificate.lower), QuadSum(certificate.upper)  # past 4300 digits too
-        super().__init__(f"bounds [{lo}, {hi}] straddle the threshold")
+        super().__init__(f"bounds [{lo}, {hi}] {self.relation} the threshold")
 
 
 class PrefixTooShortError(ValueError):
@@ -326,7 +327,7 @@ def certify_forbidden(
     cert = site_lambda_bounds(pattern, constraints, depth)
     if QuadSum(cert.lower) > threshold:
         return cert
-    raise NotSeparatedError(cert)
+    raise NotSeparatedError(cert, threshold)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .quadfield import QuadExt
+from .quadfield import _SCALE, QuadExt, squarefree_decompose
 
 __all__ = [
     "EPCF",
@@ -178,22 +178,35 @@ def eval_finite(w) -> Fraction:
     return Fraction(p, q)
 
 
-def eval_periodic(cf: EPCF) -> QuadExt:
-    """Exact value of an eventually periodic continued fraction.
+def _fixed_point(period) -> tuple[int, int, int]:
+    """(u, disc, v) with [(period)] = (u + sqrt(disc)) / v, the fixed point above 1."""
+    p1, p0, q1, q0 = mobius(period)
+    return p1 - q0, (p1 - q0) ** 2 + 4 * q1 * p0, 2 * q1
 
-    The purely periodic tail solves its Moebius fixed point; the root
-    greater than 1 is the value since the tail starts with a positive
-    quotient.  The preperiod map is then applied exactly.
-    """
-    p1, p0, q1, q0 = mobius(cf.period)
-    # y = (p1*y + p0) / (q1*y + q0)
-    A, B, C = q1, q0 - p1, -p0
-    assert A != 0, "degenerate period map"
-    disc = B * B - 4 * A * C
-    y = QuadExt(-B, 1, 2 * A, disc)
-    # apply [a0; preperiod..., y]
+
+def eval_periodic(cf: EPCF) -> QuadExt:
+    """Exact value of an eventually periodic continued fraction: the
+    preperiod map at the period's fixed point y = (u + s*sqrt(d)) / v is
+    (n1 + n2*sqrt(d)) / (m1 + m2*sqrt(d)), rationalised in one step."""
+    u, disc, v = _fixed_point(cf.period)
+    s, d = squarefree_decompose(disc)
     p1, p0, q1, q0 = mobius((cf.a0,) + cf.preperiod)
-    return (p1 * y + p0) / (q1 * y + q0)
+    n1, n2, m1, m2 = p1 * u + p0 * v, p1 * s, q1 * u + q0 * v, q1 * s
+    return QuadExt._reduced(n1 * m1 - n2 * m2 * d, n2 * m1 - n1 * m2, m1 * m1 - m2 * m2 * d, d)
+
+
+def _periodic_box(cfs, fixed: dict) -> tuple[int, int]:
+    """Integers lo <= v * 2**_SCALE <= hi for a sum v of eventually periodic
+    fractions: preperiod maps over brackets of the fixed points, kept in `fixed`."""
+    lo = hi = 0
+    for cf in cfs:
+        if cf.period not in fixed:
+            u, disc, v = _fixed_point(cf.period)
+            n, v = (u << _SCALE) + isqrt(disc << 2 * _SCALE), v << _SCALE
+            fixed[cf.period] = (n, v, n + 1, v)
+        ln, ld, hn, hd = mobius_pairs(mobius((cf.a0,) + cf.preperiod), fixed[cf.period])
+        lo, hi = lo + (ln << _SCALE) // ld, hi - (-hn << _SCALE) // hd
+    return lo, hi
 
 
 def expand(x, max_terms: int = 512):

@@ -125,10 +125,11 @@ def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
     pattern = Pattern(parse_word(args.pattern), args.site)
     threshold = evaluate(parse_expression(args.threshold))
     constraints = Constraints(args.alphabet_max, _parse_forbidden(args.forbid))
+    relation = None  # how the bounds sit against the threshold when not separated
     try:
         cert, certified = certify_forbidden(pattern, threshold, constraints, args.depth), True
     except NotSeparatedError as e:
-        cert, certified = e.certificate, False
+        cert, certified, relation = e.certificate, False, e.relation
     lower, upper = (QuadSum(b).approx(args.digits) for b in (cert.lower, cert.upper))
     rec = {
         "pattern": list(cert.pattern.word),
@@ -145,7 +146,7 @@ def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
     }
     limit = threshold.approx(args.digits)
     text = (
-        f"not separated: bounds [{lower}, {upper}] straddle {threshold} ≈ {limit}"
+        f"not separated: bounds [{lower}, {upper}] {relation} {threshold} ≈ {limit}"
         if not certified
         else f"certified: lambda at site {pattern.site} of {rec['pattern']}"
         f" >= {lower} > threshold {limit}"

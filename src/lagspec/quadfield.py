@@ -8,9 +8,10 @@ differ by a square factor, such as 10009 and 10007**2 * 10009; equality,
 hashing and arithmetic treat them as one field (the square-class test).
 Sums of two values over different fields are handled by QuadSum.  Both
 types share one set of operators; one fold puts every QuadSum in canonical
-form, and every comparison, across fields or not, is the sign of the
-folded difference.  Every sign, order, floor and rounding query is decided
-exactly with integer arithmetic; nothing here touches floating point.
+form.  A comparison, across fields or not, compares integer brackets of
+v * 2**64 (one isqrt per term) and folds the difference only when they
+overlap.  Every sign, order, floor and rounding query is decided exactly
+with integer arithmetic; nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ __all__ = [
     "QuadSum",
     "squarefree_decompose",
 ]
+
+_SCALE = 64  # comparisons first compare brackets of v * 2**_SCALE; it changes only speed
 
 
 class MixedRadicandError(ArithmeticError):
@@ -136,6 +139,16 @@ def _common_d(d1: int, d2: int) -> tuple[int, int, int] | None:
     return (g, k1, k2) if k2 * k2 * g == d2 else None
 
 
+def _box(terms) -> tuple[int, int]:
+    """Integers lo <= v * 2**_SCALE <= hi for the sum v of canonical terms."""
+    lo = hi = 0
+    for t in terms:  # r is the floor of |b|*sqrt(d) * 2**_SCALE
+        n, r = t.a << _SCALE, isqrt(t.b * t.b * t.d << 2 * _SCALE)
+        n, m = (n + r, n + r + 1) if t.b > 0 else (n - r - 1, n - r)
+        lo, hi = lo + n // t.c, hi - (-m // t.c)
+    return lo, hi
+
+
 def _invariant(terms):
     """What a sum of canonical terms equals, whatever radicands they carry:
     the rational part, with the set of signed squares b*|b|*d/c**2 of the
@@ -150,8 +163,8 @@ def _invariant(terms):
 
 class _Quad:
     """The operators QuadExt and QuadSum share, written once on top of each
-    type's +, unary - and terms().  Order and equality are the sign of the
-    folded difference (_cmp), so they work across fields."""
+    type's +, unary - and terms().  Order and equality (_cmp) work across
+    fields: brackets first, then the sign of the folded difference."""
 
     __slots__ = ()
 
@@ -177,7 +190,9 @@ class _Quad:
             other = QuadExt.from_rational(other)
         elif not isinstance(other, _Quad):
             raise TypeError(f"cannot compare {type(self).__name__} with {type(other).__name__}")
-        return QuadSum._of(*_fold(self.terms() + (-other).terms())).sign()
+        (lo, hi), (other_lo, other_hi) = _box(self.terms()), _box(other.terms())
+        disjoint = (lo > other_hi) - (hi < other_lo)  # the sign, when the brackets are disjoint
+        return disjoint or QuadSum._of(*_fold(self.terms() + (-other).terms())).sign()
 
     def __eq__(self, other):
         if not isinstance(other, (_Quad, int, Fraction)):

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from lagspec import bisequence, cfrac, quadfield
 from lagspec.bisequence import (
     BiSeq,
+    SupCertificate,
+    _rational_lower_bound,
     _side_classes,
     lambda_at,
     limsup_lambda,
     periodic_phase_limits,
     sup_lambda,
 )
-from lagspec.cfrac import EPCF, eval_periodic
+from lagspec.cfrac import EPCF, distance_bounds, eval_periodic
 from lagspec.constructions import build_a0, gap_left_endpoint
 from lagspec.parsing import parse_biseq
 from lagspec.quadfield import QuadExt, QuadSum
@@ -314,3 +317,64 @@ def test_sup_certificates_pinned():
             assert not any(may_exceed for _, may_exceed, _ in _side_classes(A)), text
             assert c.attained
     assert periodic == 15
+
+
+def _reference_sup_lambda(A, max_window_periods=12):
+    """sup_lambda as it was before the bracket-first window pass: every
+    window index evaluated exactly, the maximum re-taken over the whole
+    span at each K, and every envelope test an exact sum."""
+    classes = _side_classes(A)
+    max_lim = max(lim for lim, _, _ in classes)
+    values = {}
+    for K in range(1, max_window_periods + 1):
+        window = (A.start - K * len(A.left_period), A.end + K * len(A.right_period))
+        span = range(window[0], window[1] + 1)
+        for i in span:
+            if i not in values:
+                values[i] = lambda_at(A, i).value
+        best = max(values[i] for i in span)
+        target = best if best >= max_lim else max_lim
+        margins = []
+        for lim, may_exceed, plen in classes:
+            if lim == target:
+                if may_exceed:
+                    break
+                continue
+            gap = target - lim - distance_bounds(K * plen).eps
+            if gap.sign() <= 0:
+                break
+            margins.append(_rational_lower_bound(gap))
+        else:
+            margin = min(margins, default=Fraction(1))
+            if best >= max_lim:
+                arg = tuple(i for i in span if values[i] == best)
+                return SupCertificate(best, True, arg, window, margin, "certified")
+            return SupCertificate(max_lim, False, (), window, margin, "certified")
+    return SupCertificate(target, False, (), window, Fraction(0), "inconclusive")
+
+
+def _fields(c):
+    return [str(c.sup), c.attained, c.attaining_indices, c.window, str(c.margin), c.status]
+
+
+@pytest.mark.parametrize("scale", [64, 2, 0])
+def test_sup_matches_reference_sup(monkeypatch, scale):
+    # the bracket scale changes only speed: coarse brackets overlap often,
+    # so ties whose brackets differ and the exact fallbacks are exercised too
+    for module in (bisequence, cfrac, quadfield):
+        monkeypatch.setattr(module, "_SCALE", scale)
+    rng = random.Random(15)
+    word = lambda lo, hi: tuple(rng.randint(1, 4) for _ in range(rng.randint(lo, hi)))
+    cases = [(build_a0(), K) for K in range(1, 13)]
+    for _ in range(120):
+        core = word(1, 10)
+        A = BiSeq(word(1, 5), core, rng.randrange(len(core)), word(1, 5))
+        cases += [(A, K) for K in (1, 2, rng.randint(3, 12))]
+    statuses = set()
+    for A, K in cases:
+        got = sup_lambda(A, max_window_periods=K)
+        assert _fields(got) == _fields(_reference_sup_lambda(A, K)), (str(A), K)
+        statuses.add((got.status, got.attained, len(got.attaining_indices) > 1))
+    # every path is taken: inconclusive, attained once and at several indices, unattained
+    assert statuses >= {("inconclusive", False, False), ("certified", True, False),
+                        ("certified", True, True), ("certified", False, False)}

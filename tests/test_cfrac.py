@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import deadline
 from lagspec.cfrac import (
     EPCF,
+    _periodic_box,
     FiniteCF,
     PeriodNotFoundError,
     PrefixOrderUndecided,
@@ -122,6 +123,31 @@ def test_eval_periodic_with_preperiod():
     v = eval_periodic(EPCF(3, (3, 3, 2, 1), (1, 2)))
     w = eval_periodic(EPCF(0, (2, 1), (1, 2)))
     assert QuadSum(v, w) == QuadExt(62976, -1498, 16357, 3)
+
+
+def _reference_eval_periodic(cf):
+    """The generic path: the period's fixed point as a QuadExt, then the
+    preperiod map by QuadExt arithmetic (two products, two sums, a quotient)."""
+    p1, p0, q1, q0 = mobius(cf.period)
+    A, B, C = q1, q0 - p1, -p0
+    y = QuadExt(-B, 1, 2 * A, B * B - 4 * A * C)
+    p1, p0, q1, q0 = mobius((cf.a0,) + cf.preperiod)
+    return (p1 * y + p0) / (q1 * y + q0)
+
+
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.lists(st.integers(min_value=1, max_value=60), max_size=10),
+    st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=8),
+)
+@settings(max_examples=400)
+def test_eval_periodic_matches_generic_arithmetic(a0, pre, per):
+    cf = EPCF(a0, pre, per)
+    v, ref = eval_periodic(cf), _reference_eval_periodic(cf)
+    assert (v.a, v.b, v.c, v.d) == (ref.a, ref.b, ref.c, ref.d)
+    # the integer bracket the bracket-first sup reads holds the value
+    lo, hi = _periodic_box([cf], {})
+    assert Fraction(lo, 2**64) < v < Fraction(hi, 2**64) and hi - lo <= 4
 
 
 def test_expand_examples():

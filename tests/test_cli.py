@@ -5,7 +5,13 @@ import pytest
 
 from lagspec import cli
 from lagspec.bisequence import lambda_at
-from lagspec.certify import Constraints, Pattern, site_lambda_bounds
+from lagspec.certify import (
+    Constraints,
+    NotSeparatedError,
+    Pattern,
+    certify_forbidden,
+    site_lambda_bounds,
+)
 from lagspec.cli import main
 from lagspec.parsing import parse_biseq
 
@@ -114,6 +120,21 @@ def test_certify_pattern_exit_codes(capsys):
         "certify-pattern", "2,2", "--site", "0", "--threshold", LAM0_EXPR, "--depth", "20",
     )
     assert code == 2 and "not separated" in out
+
+
+def test_certify_pattern_says_lie_below_when_both_bounds_are_under(capsys):
+    cases = (
+        ("3,3,3", "1", LAM0_EXPR, "[3.5275252, 3.6127897] lie below (62976-1498*sqrt(3))/16357 ≈ 3.6914708"),
+        ("2,2", "0", "3", "[2.6220202, 3.2330303] straddle 3 ≈ 3.0000000"),
+    )
+    for pattern, site, threshold, text in cases:
+        argv = ["certify-pattern", pattern, "--site", site, "--threshold", threshold, "--depth", "20"]
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (2, f"not separated: bounds {text}\n")
+        code, out, _ = run(capsys, *argv, "--structured")
+        assert code == 2 and json.loads(out)["certified"] is False
+    with pytest.raises(NotSeparatedError, match=r"\] lie below the threshold"):
+        certify_forbidden(Pattern((3, 3, 3), 1), Fraction(3691, 1000), Constraints(3), 20)
 
 
 def test_certify_pattern_structured(capsys):

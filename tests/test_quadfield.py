@@ -11,6 +11,7 @@ from lagspec.quadfield import (
     MixedRadicandError,
     QuadExt,
     QuadSum,
+    _box,
     squarefree_decompose,
 )
 
@@ -337,3 +338,58 @@ def test_order_across_types_and_radicands(x, y):
         assert lt
     elif yhi < xlo:
         assert gt
+
+
+def _folded_sign(x, y) -> int:
+    """Sign of x - y from the exact fold alone: subtraction and sign()
+    compare nothing, so no bracket is involved."""
+    return (_lift(x) - y).sign()
+
+
+TINY = (Fraction(1, 2**80), Fraction(1, 2**200))  # below the filter's 2**-64 brackets
+
+
+@given(values(), values(), st.fractions(-50, 50, max_denominator=50))
+@settings(max_examples=200)
+def test_filtered_order_matches_the_fold(x, y, r):
+    # ties from the other radicand, near-ties below the brackets, rationals on either side
+    near = [_lift(x) + s * t for t in TINY for s in (1, -1)]
+    for u in (x, _lift(x), _other_value(x)):
+        for v in [y, r, x, _other_value(x), _lift(x) + r, *near]:
+            assert u._cmp(v) == _folded_sign(u, v), (u, v)
+            if u == v:
+                assert hash(u) == hash(v)
+        assert QuadExt.from_rational(r)._cmp(u) == _folded_sign(r, u)
+        assert [near[0] > u, near[1] < u, near[2] > u, near[3] < u] == [True] * 4
+        lo, hi = _box(u.terms())  # the filter's bracket holds the value
+        assert _folded_sign(u, Fraction(lo, 2**64)) >= 0 >= _folded_sign(u, Fraction(hi, 2**64))
+
+
+def test_filtered_order_on_ties_and_wide_coefficients():
+    r2, r3 = QuadExt.sqrt(2), QuadExt.sqrt(3)
+    tie = (QuadSum(r2, 1 + r3), QuadSum(1 + r2, r3))
+    u, v = QuadExt(0, 1, 1, P * P * Q), QuadExt(5, -P, 7, Q)
+    # (a + b*sqrt(d))/c with a, b and c past 4300 digits, negative b
+    big = QuadExt(7**5200 + 1, -(7**5200), 3 * 11**4000, 5)
+    lo, hi = map(QuadExt.from_rational, big.bracket(40))
+    cases = [
+        tie,
+        (u, QuadExt(0, P, 1, Q)),
+        (v, QuadExt(5 * P, -1, 7 * P, P * P * Q)),
+        (u, u + TINY[1]),
+        (v - TINY[0], v),
+        (big, big),
+        (big, big + TINY[1]),
+        (big - TINY[0], QuadSum(big, r3) - r3),
+        (big, lo),
+        (hi, big),
+        (QuadSum(big, r2), QuadSum(big + TINY[1], r2)),
+    ]
+    for x, y in cases:
+        for a, b in ((x, y), (y, x)):
+            assert a._cmp(b) == _folded_sign(a, b)
+            assert (a == b) == (_folded_sign(a, b) == 0)
+            if a == b:
+                assert hash(a) == hash(b)
+    assert tie[0] == tie[1] and u == QuadExt(0, P, 1, Q)
+    assert lo < big < hi and big < big + TINY[1] and big - TINY[0] < big
