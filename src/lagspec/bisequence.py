@@ -17,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
-from .cfrac import EPCF, _periodic_box, distance_bounds, eval_periodic
+from .cfrac import EPCF, _eval_mobius, _fixed_box, _mobius_box, eval_periodic, mobius
 from .quadfield import _SCALE, QuadSum, _box
 
 __all__ = [
@@ -106,14 +107,6 @@ class BiSeq:
         return f"<({lp}) | {','.join(parts)} | ({rp})>"
 
 
-def _right_tail(lp, core, c: int, rp, a0: int = 0) -> EPCF:
-    """[a0; x_{c+1}, x_{c+2}, ...] as an EPCF, for the sequence x with
-    left period lp, core x_0, x_1, ... and right period rp."""
-    pre = tuple(lp[j % len(lp)] for j in range(c + 1, 0)) + core[max(c + 1, 0) :]
-    k = max(0, c + 1 - len(core)) % len(rp)
-    return EPCF(a0, pre, rp[k:] + rp[:k])
-
-
 @dataclass(frozen=True)
 class LambdaValue:
     """Exact two-sided value at one index, with both tails."""
@@ -124,22 +117,32 @@ class LambdaValue:
     right_tail: EPCF
 
 
-def _tails(A: BiSeq, i: int) -> tuple[EPCF, EPCF]:
-    # the left tail [a_i; a_{i-1}, ...] is a right tail of the reflection
-    c, lp, core, rp = i + A.origin, A.left_period, A.core, A.right_period
-    lt = _right_tail(rp[::-1], core[::-1], len(core) - 1 - c, lp[::-1], A.at(i))
-    return lt, _right_tail(lp, core, c, rp)
-
-
 def lambda_at(A: BiSeq, i: int) -> LambdaValue:
-    lt, rt = _tails(A, i)
+    """lambda_i and its tails [a_i; a_{i-1}, ...] and [0; a_{i+1}, ...] as EPCFs."""
+    lp, rp = A.left_period[::-1], A.right_period
+    k, h = max(0, A.start - i) % len(lp), max(0, i - A.end) % len(rp)
+    lt = EPCF(A.at(i), tuple(map(A.at, range(i - 1, A.start - 1, -1))), lp[k:] + lp[:k])
+    rt = EPCF(0, tuple(map(A.at, range(i + 1, A.end + 1))), rp[h:] + rp[:h])
     return LambdaValue(i, QuadSum(eval_periodic(lt), eval_periodic(rt)), lt, rt)
 
 
+def _lead(a: int, m):
+    """The matrix of (a,) + w from the matrix m of a word w; a = 0 reads [0; w...]."""
+    p1, p0, q1, q0 = m
+    return a * p1 + q1, a * p0 + q0, p1, p0
+
+
+def _phase_limits(period, radicands: dict) -> list[QuadSum]:
+    """At phase k both tails are periodic in rotation k + 1, the left one reversed (transposed)."""
+    rotations = (mobius(period[k:] + period[:k]) for k in range(1, len(period) + 1))
+    return [QuadSum(_eval_mobius((1, 0, 0, 1), (p1, q1, p0, q0), radicands),
+                    _eval_mobius((0, 1, 1, 0), (p1, p0, q1, q0), radicands))
+            for p1, p0, q1, q0 in rotations]
+
+
 def periodic_phase_limits(period: tuple[int, ...]) -> list[QuadSum]:
-    """Two-sided values of the purely periodic word, one per phase."""
-    pure = BiSeq(period, period, 0, period)
-    return [lambda_at(pure, k).value for k in range(len(period))]
+    """Two-sided values of the purely periodic word, one per phase, over one radicand."""
+    return _phase_limits(tuple(period), {})
 
 
 def limsup_lambda(A: BiSeq) -> QuadSum:
@@ -174,12 +177,12 @@ class SupCertificate:
 
 
 def _rational_lower_bound(v: QuadSum) -> Fraction:
-    """A positive rational strictly below the positive value v."""
+    """A positive rational in [v - 10**-4, v] for the positive value v."""
     k = 4
     while True:
-        lo, _ = v.bracket(k)
-        if lo > 0:
-            return lo
+        ln, ld, _, _ = v._pairs(k)  # v.bracket(k)'s lower end, before its Fraction
+        if ln > 0:
+            return Fraction(ln, ld)
         k *= 2
 
 
@@ -209,58 +212,93 @@ def _may_exceed(A: BiSeq, phase: int) -> bool:
     return (u > v) if (r - 1) % 2 == 1 else (u < v)
 
 
-def _side_classes(A: BiSeq) -> list[tuple[QuadSum, bool, int]]:
+def _side_classes(A: BiSeq, radicands: dict | None = None) -> list[tuple[QuadSum, bool, int]]:
     """(phase limit, may exceed it, period length) for both directions."""
+    radicands = {} if radicands is None else radicands
     return [
         (lim, _may_exceed(seq, phase), len(seq.right_period))
         for seq in (A, A.reversed())
-        for phase, lim in enumerate(periodic_phase_limits(seq.right_period))
+        for phase, lim in enumerate(_phase_limits(seq.right_period, radicands))
     ]
+
+
+def _outward_tails(A: BiSeq):
+    """(i, lead, period, lead, period) of the two tails of lambda_i as in lambda_at's
+    EPCFs, a period being (matrix, _fixed_box) of a rotation: the core, then one period
+    further out per side per step.  Each lead extends a frontier by one symbol."""
+    left, right = ([(M, _fixed_box(M)) for M in (mobius(P[k:] + P[:k]) for k in range(len(P)))]
+                   for P in (A.left_period[::-1], A.right_period))
+    lw, rw = (1, 0, 0, 1), mobius(A.core)  # the words a_i..a_start and a_{i+1}..a_end
+    frontier, start, end, L, R = rw, A.start, A.end, len(left), len(right)
+    for i, a in enumerate(A.core, start):
+        p1, p0, q1, q0 = rw
+        lw, rw = _lead(a, lw), (q1, q0, p1 - a * q1, p0 - a * q0)  # rw loses a_i: X_a^-1 * rw
+        yield i, lw, left[0], _lead(0, rw), right[0]
+    for k in count():
+        for i in range(start - k * L - 1, start - (k + 1) * L - 1, -1):
+            a = A.left_period[(i - start) % L]
+            yield i, (a, 1, 1, 0), left[(start - i) % L], _lead(0, frontier), right[0]
+            frontier = _lead(a, frontier)
+        for i in range(end + k * R + 1, end + (k + 1) * R + 1):
+            lw = _lead(A.right_period[(i - end - 1) % R], lw)
+            yield i, lw, left[0], (0, 1, 1, 0), right[(i - end) % R]
 
 
 def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
     """Certified sup of lambda_i over all integers i.
 
     Inspects the core widened by K copies of each period, K deepening up
-    to max_window_periods, bracketing lambda_i * 2**64 once per window
-    index, and certifies every uninspected index against the phase limits
-    of the purely periodic tails.  Exact sums are built only for indices
-    whose bracket reaches the highest lower end, for envelope tests the
-    brackets leave open, and for the margins.  A class whose limit is the
-    sup is certified only if none of its values can exceed the limit; if
-    A is purely periodic the limit is then attained inside the window.
-    Returns an inconclusive certificate if the window cap is reached
-    without separation; raises ValueError if the cap is below 1.
+    to max_window_periods, and certifies every uninspected index against
+    the phase limits of the purely periodic tails.  An outward matrix sweep
+    per side brackets lambda_i * 2**64 in O(1) steps per index; only indices
+    whose bracket reaches the highest lower end keep matrices and are
+    evaluated exactly, with one radicand per period.  Limits meet the sup
+    exactly only where brackets overlap; margins are computed only where
+    they can be the least.  A class whose limit is the sup is certified only
+    if none of its values can exceed the limit; if A is purely periodic the
+    limit is then attained inside the window.  Returns an inconclusive
+    certificate at the window cap; raises ValueError if the cap is below 1.
     """
     if max_window_periods < 1:
         raise ValueError("max_window_periods must be positive")
-    classes = [(lim, _box(lim.terms()), may, plen) for lim, may, plen in _side_classes(A)]
+    radicands = {}
+    classes = [(lim, _box(lim.terms()), may, n) for lim, may, n in _side_classes(A, radicands)]
     max_lim = max(lim for lim, _, _, _ in classes)
-    near, values, span, fixed = [], {}, range(0), {}
+    L, R, one = len(A.left_period), len(A.right_period), 1 << _SCALE
+    tails, near, values, top = _outward_tails(A), [], {}, -1  # every bracket end is >= 0
     for K in range(1, max_window_periods + 1):
-        window = (A.start - K * len(A.left_period), A.end + K * len(A.right_period))
-        old, span = span, range(window[0], window[1] + 1)
-        near += [(i, *_periodic_box(_tails(A, i), fixed)) for i in span if i not in old]
-        top = max(lo for _, lo, _ in near)
+        window = (A.start - K * L, A.end + K * R)
+        for i, lm, (lM, lbox), rm, (rM, rbox) in islice(tails, L + R + (K == 1) * len(A.core)):
+            (llo, lhi), (rlo, rhi) = _mobius_box(lm, lbox), _mobius_box(rm, rbox)
+            if lhi + rhi >= top:  # top only rises: an index dropped here cannot hold the sup
+                near.append((i, llo + rlo, lhi + rhi, (lm, lM), (rm, rM)))
+                top = max(top, llo + rlo)
         near = sorted(t for t in near if t[2] >= top)  # every index of the sup is here
-        values = {i: values[i] if i in values else lambda_at(A, i).value for i, _, _ in near}
+        values = {
+            i: values[i] if i in values else QuadSum(*(_eval_mobius(*t, radicands) for t in ends))
+            for i, _, _, *ends in near
+        }
         best = max(values.values())
         target = best if best >= max_lim else max_lim
         tlo, thi = _box(target.terms())
         gaps = []
         for lim, (llo, lhi), may_exceed, plen in classes:
-            if lim == target:
+            if llo <= thi and tlo <= lhi and lim == target:
                 if may_exceed:
                     break
                 continue
-            # lim < target: need the envelope lim + eps below target
-            eps = distance_bounds(K * plen).eps
-            bar = eps * 2**_SCALE
-            if thi - llo <= bar or tlo - lhi <= bar and (target - lim - eps).sign() <= 0:
+            n = K * plen - 1  # lim < target: need the envelope lim + 2**-n below target
+            tie = (tlo - lhi) << n <= one  # too close for the brackets to tell
+            if (thi - llo) << n <= one or tie and (target - lim - Fraction(1, 1 << n)).sign() <= 0:
                 break
-            gaps.append((lim, eps))
+            gaps.append((thi - llo, ((tlo - lhi) << n) - one, n, lim))  # lower end * (one << n)
         else:
-            margins = [_rational_lower_bound(target - lim - eps) for lim, eps in gaps]
+            # a margin is at least its gap - 10**-4 (_rational_lower_bound): a gap whose
+            # lower end is that far above the least margin so far cannot lower it
+            margins = []
+            for _, low, n, lim in sorted(gaps, key=lambda g: g[0]):
+                if not margins or Fraction(low, one << n) - Fraction(1, 10**4) < min(margins):
+                    margins.append(_rational_lower_bound(target - lim - Fraction(1, 1 << n)))
             margin = min(margins, default=Fraction(1))
             if best >= max_lim:
                 arg = tuple(i for i, v in values.items() if v == best)

@@ -178,35 +178,41 @@ def eval_finite(w) -> Fraction:
     return Fraction(p, q)
 
 
-def _fixed_point(period) -> tuple[int, int, int]:
-    """(u, disc, v) with [(period)] = (u + sqrt(disc)) / v, the fixed point above 1."""
-    p1, p0, q1, q0 = mobius(period)
+def _fixed_point(M) -> tuple[int, int, int]:
+    """(u, disc, v) with the fixed point above 1 of the period matrix M = (u + sqrt(disc)) / v."""
+    p1, p0, q1, q0 = M
     return p1 - q0, (p1 - q0) ** 2 + 4 * q1 * p0, 2 * q1
 
 
 def eval_periodic(cf: EPCF) -> QuadExt:
-    """Exact value of an eventually periodic continued fraction: the
-    preperiod map at the period's fixed point y = (u + s*sqrt(d)) / v is
-    (n1 + n2*sqrt(d)) / (m1 + m2*sqrt(d)), rationalised in one step."""
-    u, disc, v = _fixed_point(cf.period)
-    s, d = squarefree_decompose(disc)
-    p1, p0, q1, q0 = mobius((cf.a0,) + cf.preperiod)
+    """Exact value of an eventually periodic continued fraction, by _eval_mobius."""
+    return _eval_mobius(mobius((cf.a0,) + cf.preperiod), mobius(cf.period), {})
+
+
+def _eval_mobius(m, M, radicands: dict) -> QuadExt:
+    """The map m of a0 and the preperiod at the fixed point y = (u + s*sqrt(d)) / v of
+    the period's M is (n1 + n2*sqrt(d)) / (m1 + m2*sqrt(d)), rationalised in one step;
+    radicands memoises squarefree_decompose by disc, shared by a period's rotations."""
+    u, disc, v = _fixed_point(M)
+    if disc not in radicands:
+        radicands[disc] = squarefree_decompose(disc)
+    s, d = radicands[disc]
+    p1, p0, q1, q0 = m
     n1, n2, m1, m2 = p1 * u + p0 * v, p1 * s, q1 * u + q0 * v, q1 * s
     return QuadExt._reduced(n1 * m1 - n2 * m2 * d, n2 * m1 - n1 * m2, m1 * m1 - m2 * m2 * d, d)
 
 
-def _periodic_box(cfs, fixed: dict) -> tuple[int, int]:
-    """Integers lo <= v * 2**_SCALE <= hi for a sum v of eventually periodic
-    fractions: preperiod maps over brackets of the fixed points, kept in `fixed`."""
-    lo = hi = 0
-    for cf in cfs:
-        if cf.period not in fixed:
-            u, disc, v = _fixed_point(cf.period)
-            n, v = (u << _SCALE) + isqrt(disc << 2 * _SCALE), v << _SCALE
-            fixed[cf.period] = (n, v, n + 1, v)
-        ln, ld, hn, hd = mobius_pairs(mobius((cf.a0,) + cf.preperiod), fixed[cf.period])
-        lo, hi = lo + (ln << _SCALE) // ld, hi - (-hn << _SCALE) // hd
-    return lo, hi
+def _fixed_box(M) -> tuple[int, int, int, int]:
+    """Integer pairs (n/v, (n + 1)/v) around the fixed point above 1 of M, for mobius_pairs."""
+    u, disc, v = _fixed_point(M)
+    n = (u << _SCALE) + isqrt(disc << 2 * _SCALE)
+    return n, v << _SCALE, n + 1, v << _SCALE
+
+
+def _mobius_box(m, box) -> tuple[int, int]:
+    """Integers lo <= x * 2**_SCALE <= hi for x = m(y), y in the pair bracket box."""
+    ln, ld, hn, hd = mobius_pairs(m, box)
+    return (ln << _SCALE) // ld, -((-hn << _SCALE) // hd)
 
 
 def expand(x, max_terms: int = 512):

@@ -214,6 +214,11 @@ class _Quad:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
+    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
+        """Exact rationals lo <= value <= hi with hi - lo <= 10**-k."""
+        ln, ld, hn, hd = self._pairs(k)
+        return Fraction(ln, ld), Fraction(hn, hd)
+
     def approx(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits."""
         return _decimal(self, digits)
@@ -341,20 +346,12 @@ class QuadExt(_Quad):
 
     # -- decimal output -----------------------------------------------------
 
-    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
-        """Exact rationals lo <= value <= hi with hi - lo <= 10**-k."""
-        if self.b == 0:
-            f = Fraction(self.a, self.c)
-            return f, f
+    def _pairs(self, k: int) -> tuple[int, int, int, int]:
+        """bracket(k) as unreduced integer pairs (lo_num, lo_den, hi_num, hi_den)."""
         scale = 10**k
         s = isqrt(self.b * self.b * self.d * scale * scale)
-        if self.b > 0:
-            lo = Fraction(self.a * scale + s, self.c * scale)
-            hi = Fraction(self.a * scale + s + 1, self.c * scale)
-        else:
-            lo = Fraction(self.a * scale - s - 1, self.c * scale)
-            hi = Fraction(self.a * scale - s, self.c * scale)
-        return lo, hi
+        n, den = self.a * scale + (s if self.b > 0 else -s - 1), self.c * scale
+        return (n, den, n + 1, den) if self.b else (self.a, self.c, self.a, self.c)
 
     def __str__(self):
         return _format_terms(self.a, self.b, self.c, self.d)
@@ -472,10 +469,9 @@ class QuadSum(_Quad):
 
     # -- decimal output --------------------------------------------------------
 
-    def bracket(self, k: int) -> tuple[Fraction, Fraction]:
-        xlo, xhi = self.x.bracket(k + 1)
-        ylo, yhi = self.y.bracket(k + 1)
-        return xlo + ylo, xhi + yhi
+    def _pairs(self, k: int) -> tuple[int, int, int, int]:
+        (xl, xd, xh, xe), (yl, yd, yh, ye) = self.x._pairs(k + 1), self.y._pairs(k + 1)
+        return xl * yd + yl * xd, xd * yd, xh * ye + yh * xe, xe * ye
 
     def __str__(self):
         if self.is_single:
@@ -493,14 +489,10 @@ class QuadSum(_Quad):
 # decimal rendering
 
 
-def _round_half_even(f: Fraction) -> int:
-    n = f.numerator // f.denominator
-    frac = f - n
-    if 2 * frac.numerator > frac.denominator:
-        return n + 1
-    if 2 * frac.numerator < frac.denominator:
-        return n
-    return n if n % 2 == 0 else n + 1
+def _round_half_even(n: int, d: int) -> int:
+    """n / d rounded to the nearest integer, ties to even, for d > 0."""
+    q, r = divmod(n, d)
+    return q + (2 * r > d or 2 * r == d and q % 2)
 
 
 def _digits(n: int, width: int = 1) -> str:
@@ -526,9 +518,8 @@ def _decimal(value, digits: int) -> str:
     scale = 10**digits
     guard = digits + 8
     while True:
-        lo, hi = value.bracket(guard)
-        rlo = _round_half_even(lo * scale)
-        rhi = _round_half_even(hi * scale)
+        ln, ld, hn, hd = value._pairs(guard)
+        rlo, rhi = _round_half_even(ln * scale, ld), _round_half_even(hn * scale, hd)
         if rlo == rhi:
             return _format_scaled(rlo, digits)
         guard *= 2

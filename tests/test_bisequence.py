@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -7,6 +8,7 @@ from lagspec import bisequence, cfrac, quadfield
 from lagspec.bisequence import (
     BiSeq,
     SupCertificate,
+    _may_exceed,
     _rational_lower_bound,
     _side_classes,
     lambda_at,
@@ -14,7 +16,7 @@ from lagspec.bisequence import (
     periodic_phase_limits,
     sup_lambda,
 )
-from lagspec.cfrac import EPCF, distance_bounds, eval_periodic
+from lagspec.cfrac import EPCF, _fixed_box, _mobius_box, distance_bounds, eval_periodic, mobius
 from lagspec.constructions import build_a0, gap_left_endpoint
 from lagspec.parsing import parse_biseq
 from lagspec.quadfield import QuadExt, QuadSum
@@ -320,10 +322,15 @@ def test_sup_certificates_pinned():
 
 
 def _reference_sup_lambda(A, max_window_periods=12):
-    """sup_lambda as it was before the bracket-first window pass: every
-    window index evaluated exactly, the maximum re-taken over the whole
-    span at each K, and every envelope test an exact sum."""
-    classes = _side_classes(A)
+    """sup_lambda as it was before the bracket-first window pass, built on the
+    reference tail readers above: every window index evaluated exactly, the
+    maximum re-taken over the whole span at each K, every envelope test an
+    exact sum, and a margin computed for every class below the sup."""
+    classes = [
+        (lim, _may_exceed(seq, phase), len(seq.right_period))
+        for seq in (A, A.reversed())
+        for phase, lim in enumerate(_ref_phase_limits(seq.right_period))
+    ]
     max_lim = max(lim for lim, _, _ in classes)
     values = {}
     for K in range(1, max_window_periods + 1):
@@ -331,7 +338,8 @@ def _reference_sup_lambda(A, max_window_periods=12):
         span = range(window[0], window[1] + 1)
         for i in span:
             if i not in values:
-                values[i] = lambda_at(A, i).value
+                tails = _ref_left_tail(A, i), _ref_right_tail(A, i)
+                values[i] = QuadSum(*map(eval_periodic, tails))
         best = max(values[i] for i in span)
         target = best if best >= max_lim else max_lim
         margins = []
@@ -370,6 +378,28 @@ def test_sup_matches_reference_sup(monkeypatch, scale):
         core = word(1, 10)
         A = BiSeq(word(1, 5), core, rng.randrange(len(core)), word(1, 5))
         cases += [(A, K) for K in (1, 2, rng.randint(3, 12))]
+    # periods with repeated phases, so classes and indices tie exactly
+    repeated = [(2, 2), (1, 2, 1, 2), (3,)]
+    for lp, rp in list(zip(repeated, repeated)) + [((2, 2), (1, 2, 1, 2)), ((3,), (2, 2))]:
+        for core in (lp, word(1, 6), rp * 3):
+            A = BiSeq(lp, core, rng.randrange(len(core)), rp)
+            cases += [(A, K) for K in (1, 2, rng.randint(3, 12))]
+    # mirror images: lambda_{c-k} = lambda_{c+k} with the tails split differently,
+    # so tied values carry different brackets
+    for _ in range(30):
+        half, rp = word(1, 6), word(1, 4)
+        core = half + word(0, 1) + half[::-1]
+        A = BiSeq(rp[::-1], core, rng.randrange(len(core)), rp)
+        cases += [(A, K) for K in (1, rng.randint(2, 12))]
+    # at coarse scales the sup's index is swept after an index with a higher lower end
+    for text, K in [("<(3) | 4,3,1,1*,2,3,4,4 | (2)>", 3), ("<(3) | 4,1*,1,3,2,1,4 | (4)>", 11),
+                    ("<(4) | 3,4,1,1*,2,1,4 | (4)>", 4)]:
+        cases.append((parse_biseq(text), K))
+    # long cores: the sweep carries frontier matrices of a few hundred symbols
+    for n in (50, 120, 300):
+        core = tuple(rng.randint(1, 4) for _ in range(n))
+        A = BiSeq(word(1, 4), core, rng.randrange(n), word(1, 4))
+        cases += [(A, K) for K in (1, rng.randint(2, 12))]
     statuses = set()
     for A, K in cases:
         got = sup_lambda(A, max_window_periods=K)
@@ -378,3 +408,56 @@ def test_sup_matches_reference_sup(monkeypatch, scale):
     # every path is taken: inconclusive, attained once and at several indices, unattained
     assert statuses >= {("inconclusive", False, False), ("certified", True, False),
                         ("certified", True, True), ("certified", False, False)}
+
+
+def _work_cases():
+    rng = random.Random(16)
+    long_core = tuple(rng.randint(1, 3) for _ in range(200))
+    return ([build_a0(), BiSeq((2, 1), long_core, 100, (1, 2)), BiSeq((2, 2), (2, 2), 0, (2, 2))]
+            + [_random_biseq(rng) for _ in range(80)])
+
+
+def test_sup_reduces_each_radicand_once(monkeypatch):
+    # every rotation and reversal of a period shares its discriminant
+    seen = []
+    real = quadfield.squarefree_decompose
+    for module in (cfrac, quadfield):
+        monkeypatch.setattr(module, "squarefree_decompose", lambda n: seen.append(n) or real(n))
+    for A in _work_cases():
+        seen.clear()
+        sup_lambda(A)
+        assert len(seen) == len(set(seen)) <= 2, (str(A), seen)
+
+
+def test_sup_prunes_margins(monkeypatch):
+    calls = []
+    real = bisequence._rational_lower_bound
+    monkeypatch.setattr(bisequence, "_rational_lower_bound", lambda v: calls.append(v) or real(v))
+    below = 0  # the classes that need a margin: limit below the sup
+    for A in _work_cases():
+        cert = sup_lambda(A)
+        if cert.status == "certified":
+            below += sum(lim < cert.sup for lim, _, _ in _side_classes(A))
+    assert 0 < len(calls) < below
+
+
+@pytest.mark.parametrize("scale", [64, 2, 0])
+def test_outward_sweep_matches_tail_words(monkeypatch, scale):
+    # each index's matrices are those of its tail words, and its integer
+    # bracket holds lambda_i, at any scale
+    monkeypatch.setattr(cfrac, "_SCALE", scale)
+    rng = random.Random(17)
+    for A in _work_cases()[:2] + [_random_biseq(rng) for _ in range(40)]:
+        L, R = len(A.left_period), len(A.right_period)
+        seen = []
+        sweep = islice(bisequence._outward_tails(A), len(A.core) + 12 * (L + R))
+        for i, lm, (lM, lbox), rm, (rM, rbox) in sweep:
+            lt, rt = _ref_left_tail(A, i), _ref_right_tail(A, i)
+            assert (lm, lM) == (mobius((lt.a0,) + lt.preperiod), mobius(lt.period)), (str(A), i)
+            assert (rm, rM) == (mobius((0,) + rt.preperiod), mobius(rt.period)), (str(A), i)
+            assert (lbox, rbox) == (_fixed_box(lM), _fixed_box(rM))
+            (llo, lhi), (rlo, rhi) = _mobius_box(lm, lbox), _mobius_box(rm, rbox)
+            value = lambda_at(A, i).value
+            assert Fraction(llo + rlo, 2**scale) <= value <= Fraction(lhi + rhi, 2**scale), (str(A), i)
+            seen.append(i)
+        assert sorted(seen) == list(range(A.start - 12 * L, A.end + 12 * R + 1))

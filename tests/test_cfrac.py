@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import deadline
 from lagspec.cfrac import (
     EPCF,
-    _periodic_box,
+    _fixed_box,
+    _mobius_box,
     FiniteCF,
     PeriodNotFoundError,
     PrefixOrderUndecided,
@@ -145,8 +146,10 @@ def test_eval_periodic_matches_generic_arithmetic(a0, pre, per):
     cf = EPCF(a0, pre, per)
     v, ref = eval_periodic(cf), _reference_eval_periodic(cf)
     assert (v.a, v.b, v.c, v.d) == (ref.a, ref.b, ref.c, ref.d)
-    # the integer bracket the bracket-first sup reads holds the value
-    lo, hi = _periodic_box([cf], {})
+    # the integer brackets the bracket-first sup reads hold the fixed point and the value
+    n, d, n1, d1 = box = _fixed_box(mobius(cf.period))
+    assert Fraction(n, d) < eval_periodic(EPCF(per[0], per[1:], per)) < Fraction(n1, d1) and n1 - n == 1
+    lo, hi = _mobius_box(mobius((cf.a0,) + cf.preperiod), box)
     assert Fraction(lo, 2**64) < v < Fraction(hi, 2**64) and hi - lo <= 4
 
 

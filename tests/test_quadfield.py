@@ -12,6 +12,7 @@ from lagspec.quadfield import (
     QuadExt,
     QuadSum,
     _box,
+    _format_scaled,
     squarefree_decompose,
 )
 
@@ -393,3 +394,54 @@ def test_filtered_order_on_ties_and_wide_coefficients():
                 assert hash(a) == hash(b)
     assert tie[0] == tie[1] and u == QuadExt(0, P, 1, Q)
     assert lo < big < hi and big < big + TINY[1] and big - TINY[0] < big
+
+
+# Decimal rendering as it was before the integer-pair kernel: Fraction brackets
+# and Fraction rounding.  approx and bracket must give the same digits and the
+# same rationals.
+def _fraction_bracket(v, k):
+    if isinstance(v, QuadSum):
+        (xlo, xhi), (ylo, yhi) = _fraction_bracket(v.x, k + 1), _fraction_bracket(v.y, k + 1)
+        return xlo + ylo, xhi + yhi
+    if v.b == 0:
+        f = Fraction(v.a, v.c)
+        return f, f
+    scale = 10**k
+    s = isqrt(v.b * v.b * v.d * scale * scale)
+    if v.b > 0:
+        return Fraction(v.a * scale + s, v.c * scale), Fraction(v.a * scale + s + 1, v.c * scale)
+    return Fraction(v.a * scale - s - 1, v.c * scale), Fraction(v.a * scale - s, v.c * scale)
+
+
+def _fraction_round_half_even(f):
+    n = f.numerator // f.denominator
+    frac = f - n
+    if 2 * frac.numerator > frac.denominator:
+        return n + 1
+    if 2 * frac.numerator < frac.denominator:
+        return n
+    return n if n % 2 == 0 else n + 1
+
+
+def _fraction_approx(v, digits):
+    scale, guard = 10**digits, digits + 8
+    while True:
+        lo, hi = _fraction_bracket(v, guard)
+        rlo, rhi = _fraction_round_half_even(lo * scale), _fraction_round_half_even(hi * scale)
+        if rlo == rhi:
+            return _format_scaled(rlo, digits)
+        guard *= 2
+
+
+rationals = st.fractions(-50, 50, max_denominator=40).map(QuadExt.from_rational)
+
+
+@given(
+    st.one_of(values(), rationals, st.builds(QuadSum, rationals, rationals)),
+    st.one_of(st.integers(min_value=0, max_value=60), st.just(5000)),
+)
+@settings(max_examples=150)
+def test_integer_pair_decimals_match_fraction_reference(v, digits):
+    assert v.approx(digits) == _fraction_approx(v, digits)
+    k = digits % 61
+    assert v.bracket(k) == _fraction_bracket(v, k)
