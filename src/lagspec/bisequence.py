@@ -15,12 +15,13 @@ pattern.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
 from .cfrac import EPCF, _eval_mobius, _fixed_box, _mobius_box, eval_periodic, mobius
-from .quadfield import _SCALE, QuadSum, _box
+from .quadfield import _SCALE, QuadSum, _Record
+
+_MAX_OUTSIDE_CORE = 10**5  # lambda_at i places out: ~i tail terms, ~i/2 digits; 10**5 takes ~2 s
 
 __all__ = [
     "BiSeq",
@@ -33,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BiSeq:
+class BiSeq(_Record):
     """Eventually periodic two-sided sequence of positive integers.
 
     Periods are stored in display order, the order they are written in
@@ -107,8 +107,7 @@ class BiSeq:
         return f"<({lp}) | {','.join(parts)} | ({rp})>"
 
 
-@dataclass(frozen=True)
-class LambdaValue:
+class LambdaValue(_Record):
     """Exact two-sided value at one index, with both tails."""
 
     index: int
@@ -118,7 +117,10 @@ class LambdaValue:
 
 
 def lambda_at(A: BiSeq, i: int) -> LambdaValue:
-    """lambda_i and its tails [a_i; a_{i-1}, ...] and [0; a_{i+1}, ...] as EPCFs."""
+    """lambda_i and its tails [a_i; a_{i-1}, ...] and [0; a_{i+1}, ...] as EPCFs.
+    Raises ValueError when i lies more than _MAX_OUTSIDE_CORE places outside the core."""
+    if max(A.start - i, i - A.end) > _MAX_OUTSIDE_CORE:
+        raise ValueError(f"index {i} lies more than {_MAX_OUTSIDE_CORE} places outside the core")
     lp, rp = A.left_period[::-1], A.right_period
     k, h = max(0, A.start - i) % len(lp), max(0, i - A.end) % len(rp)
     lt = EPCF(A.at(i), tuple(map(A.at, range(i - 1, A.start - 1, -1))), lp[k:] + lp[:k])
@@ -155,8 +157,7 @@ def limsup_lambda(A: BiSeq) -> QuadSum:
     return max(periodic_phase_limits(A.right_period))
 
 
-@dataclass(frozen=True)
-class SupCertificate:
+class SupCertificate(_Record):
     """Certified value of sup over all i of lambda_i.
 
     When attained, attaining_indices lists every attaining index found in
@@ -262,7 +263,7 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
     if max_window_periods < 1:
         raise ValueError("max_window_periods must be positive")
     radicands = {}
-    classes = [(lim, _box(lim.terms()), may, n) for lim, may, n in _side_classes(A, radicands)]
+    classes = [(lim, lim._scaled_box(), may, n) for lim, may, n in _side_classes(A, radicands)]
     max_lim = max(lim for lim, _, _, _ in classes)
     L, R, one = len(A.left_period), len(A.right_period), 1 << _SCALE
     tails, near, values, top = _outward_tails(A), [], {}, -1  # every bracket end is >= 0
@@ -280,7 +281,7 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
         }
         best = max(values.values())
         target = best if best >= max_lim else max_lim
-        tlo, thi = _box(target.terms())
+        tlo, thi = target._scaled_box()
         gaps = []
         for lim, (llo, lhi), may_exceed, plen in classes:
             if llo <= thi and tlo <= lhi and lim == target:

@@ -22,13 +22,12 @@ distinct window once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
 from itertools import islice
 
 from .cfrac import FiniteCF, mobius, mobius_pairs
-from .quadfield import QuadSum
+from .quadfield import QuadSum, _Record
 
 __all__ = [
     "AuditReport",
@@ -75,8 +74,7 @@ class PrefixTooShortError(ValueError):
     """The known word does not cover the requested audit range."""
 
 
-@dataclass(frozen=True)
-class Constraints:
+class Constraints(_Record):
     """Alphabet bound plus a set of forbidden factors."""
 
     alphabet_max: int
@@ -140,8 +138,7 @@ def gap_constraints() -> Constraints:
     return Constraints(3, frozenset(GAP_FORBIDDEN))
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Record):
     """A word with a distinguished site where the value is evaluated."""
 
     word: tuple[int, ...]
@@ -171,8 +168,7 @@ GAP_CERTIFICATION_ORDER: tuple[tuple[Pattern, frozenset], ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(_Record):
     """Certified rational bounds on the value at a pattern site."""
 
     pattern: Pattern
@@ -330,8 +326,7 @@ def certify_forbidden(
     raise NotSeparatedError(cert, threshold)
 
 
-@dataclass(frozen=True)
-class NecessityReport:
+class NecessityReport(_Record):
     """Window sweep outcome: every admissible window either has its center
     value certified below the threshold or carries the center pattern with
     the center on an outer 3; `exceptions` lists windows doing neither.
@@ -482,8 +477,7 @@ def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     return tuple(Fraction(*_sum(w[n - 1], fwd[i : i + 2], back[i : i + 2])) for i in (0, 2))
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(_Record):
     """Truncated non-attainability audit of a known prefix.
 
     For each audited position the exact upper bracket of the one-sided

@@ -12,11 +12,10 @@ comparison follows the alternating parity rule for continued fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .quadfield import _SCALE, QuadExt, squarefree_decompose
+from .quadfield import _SCALE, QuadExt, _Record, squarefree_decompose
 
 __all__ = [
     "EPCF",
@@ -51,8 +50,7 @@ def _check_quotients(seq, what):
             raise ValueError(f"{what} must be positive integers, got {q}")
 
 
-@dataclass(frozen=True)
-class FiniteCF:
+class FiniteCF(_Record):
     """Finite continued fraction [a0; a1, ..., an]."""
 
     a0: int
@@ -75,8 +73,7 @@ class FiniteCF:
         return f"[{self.a0};{','.join(map(str, self.tail))}]"
 
 
-@dataclass(frozen=True)
-class EPCF:
+class EPCF(_Record):
     """Eventually periodic continued fraction [a0; pre..., (period...)]."""
 
     a0: int
@@ -107,8 +104,7 @@ class EPCF:
         return f"[{self.a0};{per}]"
 
 
-@dataclass(frozen=True)
-class EpsDelta:
+class EpsDelta(_Record):
     """Distance bounds for words agreeing on an n-term prefix."""
 
     n: int

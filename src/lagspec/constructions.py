@@ -9,11 +9,11 @@ certified attainability excursions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import chain
 
 from .bisequence import BiSeq, lambda_at, periodic_phase_limits
 from .cfrac import EPCF, FiniteCF, cmp_prefix, eval_finite, eval_periodic
-from .quadfield import QuadExt, QuadSum
+from .quadfield import QuadExt, QuadSum, _Record
 
 __all__ = [
     "AttainReport",
@@ -69,10 +69,7 @@ def alpha0_prefix(m: int) -> FiniteCF:
     """[0; C1, C2, ..., Cm] with the blocks concatenated in order."""
     if m < 1:
         raise ValueError("need at least one block")
-    word: tuple[int, ...] = ()
-    for n in range(1, m + 1):
-        word += c_block(n)
-    return FiniteCF(0, word)
+    return FiniteCF(0, tuple(chain.from_iterable(map(c_block, range(1, m + 1)))))
 
 
 def alpha0_core_indices(m: int) -> list[tuple[int, int, int]]:
@@ -109,8 +106,7 @@ def dirichlet_repeat(word, n: int) -> tuple[int, int]:
     raise NoRepeatError(f"no repeated parity-aligned window of length {width}")
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
+class SurgeryResult(_Record):
     """Outcome of deleting/duplicating the repeated segment of a word."""
 
     c1: tuple[int, ...]
@@ -155,8 +151,7 @@ def surgery(word, n1: int, n2: int) -> SurgeryResult:
     return SurgeryResult(c1, c2, chosen, r)
 
 
-@dataclass(frozen=True)
-class AttainReport:
+class AttainReport(_Record):
     """Verified strict excursions of an eventually periodic number."""
 
     j: int  # within-period site maximizing the periodic two-sided value

@@ -10,12 +10,11 @@ for example ``3+2*[0;3,2,1,(1,2)]``.  Whitespace is ignored everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .bisequence import BiSeq
 from .cfrac import EPCF, FiniteCF, eval_finite, eval_periodic
-from .quadfield import QuadExt, QuadSum
+from .quadfield import QuadExt, QuadSum, _Record
 
 __all__ = [
     "BiSeqExpr",
@@ -39,21 +38,18 @@ class ExprSyntaxError(ValueError):
         super().__init__(f"{message} at line {line}, column {col}: {token!r}")
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """coef * cf, or a bare rational when cf is None."""
 
     coef: Fraction
     cf: FiniteCF | EPCF | None
 
 
-@dataclass(frozen=True)
-class SumExpr:
+class SumExpr(_Record):
     terms: tuple[Term, ...]
 
 
-@dataclass(frozen=True)
-class BiSeqExpr:
+class BiSeqExpr(_Record):
     seq: BiSeq
 
 

@@ -9,7 +9,7 @@ hashing and arithmetic treat them as one field (the square-class test).
 Sums of two values over different fields are handled by QuadSum.  Both
 types share one set of operators; one fold puts every QuadSum in canonical
 form.  A comparison, across fields or not, compares integer brackets of
-v * 2**64 (one isqrt per term) and folds the difference only when they
+v * 2**64 (one isqrt per term, once per value) and folds the difference only when they
 overlap.  Every sign, order, floor and rounding query is decided exactly
 with integer arithmetic; nothing here touches floating point.
 """
@@ -26,7 +26,7 @@ __all__ = [
     "squarefree_decompose",
 ]
 
-_SCALE = 64  # comparisons first compare brackets of v * 2**_SCALE; it changes only speed
+_SCALE = 64  # comparisons first compare (cached) brackets of v * 2**_SCALE; it changes only speed
 
 
 class MixedRadicandError(ArithmeticError):
@@ -166,7 +166,7 @@ class _Quad:
     type's +, unary - and terms().  Order and equality (_cmp) work across
     fields: brackets first, then the sign of the folded difference."""
 
-    __slots__ = ()
+    __slots__ = ("_scaled",)
 
     def _coerce(self, other):
         if isinstance(other, (QuadExt, type(self))):
@@ -190,9 +190,16 @@ class _Quad:
             other = QuadExt.from_rational(other)
         elif not isinstance(other, _Quad):
             raise TypeError(f"cannot compare {type(self).__name__} with {type(other).__name__}")
-        (lo, hi), (other_lo, other_hi) = _box(self.terms()), _box(other.terms())
+        (lo, hi), (other_lo, other_hi) = self._scaled_box(), other._scaled_box()
         disjoint = (lo > other_hi) - (hi < other_lo)  # the sign, when the brackets are disjoint
         return disjoint or QuadSum._of(*_fold(self.terms() + (-other).terms())).sign()
+
+    def _scaled_box(self) -> tuple[int, int]:
+        """_box(self.terms()), kept in a slot: each value is bracketed once."""
+        box = getattr(self, "_scaled", None)  # no try: most values are bracketed once
+        if box is None:
+            box = self._scaled = _box(self.terms())
+        return box
 
     def __eq__(self, other):
         if not isinstance(other, (_Quad, int, Fraction)):
@@ -222,6 +229,55 @@ class _Quad:
     def approx(self, digits: int) -> str:
         """Correctly rounded decimal string with `digits` fractional digits."""
         return _decimal(self, digits)
+
+
+class _Record:
+    """Base of the frozen value classes: the contract of @dataclass(frozen=True),
+    without importing dataclasses (and inspect) at start-up.  The fields are a
+    subclass's own annotations in order; a class attribute of the same name is
+    that field's default.  __init__ takes the fields by position or keyword and
+    then runs __post_init__.  Instances refuse assignment and deletion; ==
+    (between instances of one class), hash and repr read the field tuple."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            given = dict(zip(fields, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(fields) or given.keys() & kwargs or values.keys() != set(fields):
+                raise TypeError(f"{type(self).__name__}() takes the fields {fields}, once each")
+            args = map(values.__getitem__, fields)
+        for f, v in zip(fields, args):  # not through __dict__, which would slow every read
+            object.__setattr__(self, f, v)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class QuadExt(_Quad):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import islice
 
@@ -45,6 +46,15 @@ def test_lambda_at_reference_sequence():
     assert lambda_at(A, 1).value == lam0
     assert lambda_at(A, -1).value == lam0
     assert lambda_at(A, 0).value == QuadExt(246, 1, 69, 3)
+
+
+def test_lambda_at_caps_the_distance_outside_the_core(monkeypatch):
+    monkeypatch.setattr(bisequence, "_MAX_OUTSIDE_CORE", 3)
+    A = build_a0()  # core indices -3..3
+    assert lambda_at(A, 6).index == 6 and lambda_at(A, -6).index == -6
+    for i in (7, -7):
+        with pytest.raises(ValueError, match=f"index {i} lies more than 3 places outside the core"):
+            lambda_at(A, i)
 
 
 def test_lambda_at_all_ones():
@@ -427,6 +437,22 @@ def test_sup_reduces_each_radicand_once(monkeypatch):
         seen.clear()
         sup_lambda(A)
         assert len(seen) == len(set(seen)) <= 2, (str(A), seen)
+
+
+def test_sup_brackets_each_value_once(monkeypatch):
+    # every _box call comes from the value it brackets, which keeps the result
+    owners = []
+    real = quadfield._box
+
+    def counting(terms):
+        owners.append(sys._getframe(1).f_locals.get("self"))  # kept alive, so ids stay unique
+        return real(terms)
+
+    monkeypatch.setattr(quadfield, "_box", counting)
+    for A in _work_cases():
+        sup_lambda(A)
+    assert owners and all(isinstance(v, quadfield._Quad) for v in owners)
+    assert len(set(map(id, owners))) == len(owners)
 
 
 def test_sup_prunes_margins(monkeypatch):

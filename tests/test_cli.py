@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import deadline
 from lagspec import cli
 from lagspec.bisequence import lambda_at
 from lagspec.certify import (
@@ -62,6 +63,14 @@ def test_values_print_past_the_int_to_str_limit(capsys):
     for digits, n in zip((a, b, c, d), (exact.a, exact.b, exact.c, exact.d)):
         head = max(len(digits) - 1000, 0)
         assert int(digits[:1000]) == n // 10**head and int(digits[-1000:]) == n % 10**1000
+
+
+def test_lambda_far_outside_the_core_exits_1(capsys):
+    # the tails 10**11 places out would have preperiods of 10**11 terms
+    with deadline(5, "lambda --index 100000000000"):
+        code, out, err = run(capsys, "lambda", A0_TEXT, "--index", "100000000000")
+    assert code == 1 and out == ""
+    assert err == "error: index 100000000000 lies more than 100000 places outside the core\n"
 
 
 def test_lambda(capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+from conftest import deadline
 from lagspec.bisequence import lambda_at, periodic_phase_limits
-from lagspec.cfrac import EPCF, distance_bounds, eval_periodic
+from lagspec.cfrac import EPCF, FiniteCF, distance_bounds, eval_periodic
 from lagspec.certify import one_sided_lambda_bracket
 from lagspec.constructions import (
     BadRError,
@@ -44,6 +45,20 @@ def test_alpha0_prefix():
     p2 = alpha0_prefix(2)
     assert p2.tail == p1.tail + (2, 1, 2, 1, 1, 2, 3, 3, 3, 2, 1, 1, 2, 1, 2)
     assert len(alpha0_prefix(8).tail) == sum(4 * n + 7 for n in range(1, 9))
+
+
+def test_alpha0_prefix_matches_block_concatenation():
+    word = ()
+    for m in range(1, 41):
+        word += c_block(m)
+        assert alpha0_prefix(m) == FiniteCF(0, word)
+
+
+def test_alpha0_prefix_is_linear_in_its_length():
+    # 1000 blocks are 2,009,000 symbols; concatenating block by block copies
+    # the word once per block and takes seconds
+    with deadline(5, "alpha0_prefix(1000)"):
+        assert len(alpha0_prefix(1000).tail) == 2 * 1000**2 + 9 * 1000
 
 
 def test_alpha0_core_indices():
