@@ -16,15 +16,16 @@ threshold, or once it carries the center pattern with its lower bound at
 or above it.  Everything is exact rational arithmetic, with Fractions
 only in reported bounds; deepening a search never loosens a bound.  The
 non-attainability audit clears each position of a known word from a
-doubling window around it, exact once past the word, and brackets each
-distinct window once.
+doubling window around it, five symbols first and exact once past the
+word; each distinct window is bracketed once, and its outcome, clear or
+not, serves every later position with that window.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property, cmp_to_key
-from itertools import islice
+from itertools import chain, islice
 
 from .cfrac import FiniteCF, mobius, mobius_pairs
 from .quadfield import QuadSum, _Record
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
-_WINDOW = 16  # the audit's first window; it changes only speed, never a verdict
+_WINDOW = 2  # the audit's first window; it changes only speed, never a verdict
 _FREE = (1, 1, 1, 0)  # the free tail [1, inf] as (ln, ld, hn, hd), den 0 being inf
 _order = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])  # (num, den), den > 0
 
@@ -508,11 +509,13 @@ def audit_not_attained(
     reference's periodic tail.  For the block word with m blocks that
     means guard >= 2m + 3 (19 covers the default 8 blocks).  A position
     is cleared once a rational lower bound of the reference exceeds its
-    bracket from k symbols on each side, k = 16, 32, ...; the exact test
+    bracket from k symbols on each side, k = 2, 4, 8, ...; the exact test
     runs only when the window covers the word, so `flagged` is its own.
-    The windows w[n-1-k : n+k] that cleared, while the test at k reads each
-    of them whole (k < n-1 and n+k <= len), are kept for this call only: a
-    later position with the same window is cleared without a bracket.
+    When the test at k reads its window w[n-1-k : n+k] whole (k < n-1 and
+    n+k <= len), its outcome depends on that window alone and is kept for
+    this call: a later position with the window clears without a bracket,
+    or goes straight to 2k.  The block word has 17 distinct 5-symbol
+    windows at 32 or 100 blocks, so one lookup clears almost every position.
     """
     w = alpha_prefix.tail
     stop = len(w) - guard
@@ -526,20 +529,27 @@ def audit_not_attained(
     # at most the reference, 10**-2k close, and the bracket's upper end only
     lower = cache(lambda k: _order(bracket(2 * k)[0].as_integer_ratio()))
     upper = lambda n, k: _sum(w[n - 1], *(side[2:] for side in _sides(w, n, k)))
-    flagged, cleared = [], set()
-    for n in range(start, stop + 1):
-        k, exact = _WINDOW, max(n - 1, len(w) - n)
+    size, flagged, clears = len(w), [], {}  # window -> whether the test that read it cleared
+    # no word holds a 0, so a padded window is never stored; the one window
+    # that reaches w[0] unpadded may find a clear, which its exact back side keeps
+    pad = (0,) * (_WINDOW + 1)
+    # the first window of each n, w[n-1-k : n+k] at k = _WINDOW, zero-padded, none of them sliced
+    firsts = zip(*(islice(chain(pad, w, pad), start + i, None) for i in range(2 * _WINDOW + 1)))
+    for n, window in zip(range(start, stop + 1), firsts):
+        if clears.get(window):  # one lookup clears almost every position
+            continue
+        k, exact = _WINDOW, max(n - 1, size - n)
         # reference >= lower(k) > windowed hi >= exact hi clears n
         while k < exact:
-            # the symbols the test at k reads, when it reads them all; None near an end of w
-            window = w[n - 1 - k : n + k] if k < n - 1 and n + k <= len(w) else None
-            if window in cleared:
-                break
-            if lower(k) > _order(upper(n, k)):
-                if window:
-                    cleared.add(window)
+            cleared = clears.get(window)
+            if cleared is None:
+                cleared = lower(k) > _order(upper(n, k))
+                if k < n - 1 and n + k <= size:  # the test read the window whole
+                    clears[window] = cleared
+            if cleared:
                 break
             k *= 2
+            window = w[n - 1 - k : n + k] if k < n - 1 and n + k <= size else None
         if k >= exact and not reference > Fraction(*upper(n, exact)):
             flagged.append(n)
     return AuditReport(start=start, stop=stop, guard=guard, flagged=tuple(flagged))

@@ -15,6 +15,8 @@ from .bisequence import BiSeq, lambda_at, periodic_phase_limits
 from .cfrac import EPCF, FiniteCF, cmp_prefix, eval_finite, eval_periodic
 from .quadfield import QuadExt, QuadSum, _Record
 
+_MAX_BLOCKS = 1000  # alpha0_prefix: 2,009,000 symbols; 2000 blocks already peak at 645 MB
+
 __all__ = [
     "AttainReport",
     "BadRError",
@@ -66,9 +68,12 @@ def c_block(n: int) -> tuple[int, ...]:
 
 
 def alpha0_prefix(m: int) -> FiniteCF:
-    """[0; C1, C2, ..., Cm] with the blocks concatenated in order."""
+    """[0; C1, C2, ..., Cm] with the blocks concatenated in order, 2m^2 + 9m
+    symbols.  Raises ValueError above _MAX_BLOCKS blocks."""
     if m < 1:
         raise ValueError("need at least one block")
+    if m > _MAX_BLOCKS:
+        raise ValueError(f"{m} blocks exceed the cap of {_MAX_BLOCKS}")
     return FiniteCF(0, tuple(chain.from_iterable(map(c_block, range(1, m + 1)))))
 
 

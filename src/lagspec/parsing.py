@@ -10,6 +10,7 @@ for example ``3+2*[0;3,2,1,(1,2)]``.  Whitespace is ignored everywhere.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .bisequence import BiSeq
@@ -53,7 +54,11 @@ class BiSeqExpr(_Record):
     seq: BiSeq
 
 
-_PUNCT = "[];,()<>|*+-/"
+# one token per match: a number, a punctuation mark, a newline, a run of other
+# whitespace or any other character; \d and \s match exactly str.isdecimal and
+# str.isspace, so "²", a digit that int() refuses, is any other character
+_TOKEN = re.compile(r"\d+(?:\.\d+)?|[\[\];,()<>|*+/-]|\n|[^\S\n]+|.", re.S)
+_PUNCT = frozenset("[];,()<>|*+-/")
 
 
 class _Lexer:
@@ -62,37 +67,16 @@ class _Lexer:
         self.pos = 0
         self.tokens: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                line += 1
-                col = 1
-                i += 1
-                continue
-            if ch.isspace():
-                col += 1
-                i += 1
-                continue
-            # isdecimal, not isdigit: "²" is a digit that int() refuses
-            if ch.isdecimal():
-                j = i
-                while j < len(text) and text[j].isdecimal():
-                    j += 1
-                if text[j : j + 1] == "." and text[j + 1 : j + 2].isdecimal():
-                    j += 1
-                    while j < len(text) and text[j].isdecimal():
-                        j += 1
-                self.tokens.append(("NUM", text[i:j], line, col))
-                col += j - i
-                i = j
-                continue
-            if ch in _PUNCT:
-                self.tokens.append((ch, ch, line, col))
-                col += 1
-                i += 1
-                continue
-            raise ExprSyntaxError("unexpected character", line, col, ch)
+        for tok in _TOKEN.findall(text):
+            if tok in _PUNCT:
+                self.tokens.append((tok, tok, line, col))
+            elif tok[0].isdecimal():
+                self.tokens.append(("NUM", tok, line, col))
+            elif tok == "\n":
+                line, col = line + 1, 0
+            elif not tok.isspace():
+                raise ExprSyntaxError("unexpected character", line, col, tok)
+            col += len(tok)
         self.tokens.append(("END", "", line, col))
 
     def peek(self):

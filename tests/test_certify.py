@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lagspec.certify as certify
 from conftest import deadline
 from lagspec.bisequence import BiSeq, lambda_at
 from lagspec.certify import (
@@ -582,10 +583,11 @@ def test_audit_flags_a_position_at_its_exact_bracket(word, data):
 
 
 def test_audit_recurring_windows_match_exact_brackets():
-    # a repeated block with one defect: positions a period apart share their
-    # first window, yet their exact brackets differ; each reference lies
-    # between two such brackets, so the shared window clears neither position
-    # and one of them, in either order along the word, is flagged
+    # pins the k = 16 level: a repeated block with one defect, so positions a
+    # period apart share their 33-symbol window, yet their exact brackets
+    # differ; each reference lies between two such brackets, so the shared
+    # window clears neither position and one of them, in either order along
+    # the word, is flagged
     rng = random.Random(14)
     pairs = set()
     for _ in range(30):
@@ -607,6 +609,64 @@ def test_audit_recurring_windows_match_exact_brackets():
             assert rep.flagged == expected and (n in expected) != (m in expected)
             pairs.add(m in expected)
     assert pairs == {False, True}  # the later position flagged, and the earlier one
+
+
+def test_audit_failing_windows_match_exact_brackets():
+    # positions that share their first, 5-symbol window yet differ in their
+    # exact brackets: with the reference between the two, the window fails at
+    # the first of them and sends the second straight to k = 4, and either
+    # one, earlier or later along the word, is flagged
+    rng = random.Random(18)
+    orders = set()
+    for _ in range(20):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(20, 120)))
+        uppers = {n: _reference_bracket(w, n)[1] for n in range(1, len(w) + 1)}
+        by_window = {}
+        for n in range(4, len(w) - 1):  # the test at k = 2 reads w[n-3 : n+2] whole
+            by_window.setdefault(w[n - 3 : n + 2], []).append(n)
+        pairs = [
+            (n, m)
+            for ns in by_window.values()
+            for n, m in zip(ns, ns[1:])
+            if uppers[n] != uppers[m]
+        ]
+        for n, m in rng.sample(pairs, min(3, len(pairs))):
+            reference = (uppers[n] + uppers[m]) / 2
+            rep = audit_not_attained(FiniteCF(0, w), reference, start=1, guard=0)
+            expected = tuple(p for p in range(1, len(w) + 1) if not reference > uppers[p])
+            assert rep.flagged == expected and (n in expected) != (m in expected)
+            orders.add(m in expected)
+    assert orders == {False, True}  # the later position flagged, and the earlier one
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_audit_first_window_changes_no_report(monkeypatch, seed):
+    # the first window changes only which brackets are built, never a report
+    rng = random.Random(seed)
+    cases = [(alpha0_prefix(rng.randint(2, 6)).tail, LAM0, 12, 0)]
+    for _ in range(5):
+        w = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 150)))
+        n = rng.randint(1, len(w))
+        for reference in (_reference_bracket(w, n)[1], Fraction(rng.randint(3000, 4500), 1000)):
+            guard = rng.randint(0, len(w) - 1)
+            cases.append((w, reference, rng.randint(1, len(w) - guard), guard))
+    reports = []
+    for k in (1, 2, 3, 16):
+        monkeypatch.setattr(certify, "_WINDOW", k)
+        reports.append([audit_not_attained(FiniteCF(0, w), *rest) for w, *rest in cases])
+    assert all(r == reports[0] for r in reports)
+    assert any(rep.flagged for rep in reports[0])
+
+
+@pytest.mark.parametrize("m, most", [(32, 120), (100, 300)])
+def test_audit_brackets_few_windows(monkeypatch, m, most):
+    # each distinct window the test reads whole is bracketed once, failing
+    # or not; a 33-symbol first window needed 502 and 1,121 brackets
+    calls = []
+    sides = certify._sides
+    monkeypatch.setattr(certify, "_sides", lambda *args: calls.append(args[1:]) or sides(*args))
+    rep = audit_not_attained(alpha0_prefix(m), LAM0, 12, 2 * m + 3)
+    assert rep.clean and len(calls) <= most
 
 
 BLOCK_WORD_AUDITS = {  # blocks -> (stop, flagged) at guard 0

@@ -73,6 +73,15 @@ def test_lambda_far_outside_the_core_exits_1(capsys):
     assert err == "error: index 100000000000 lies more than 100000 places outside the core\n"
 
 
+@pytest.mark.parametrize("command", [("construct", "alpha0"), ("audit-alpha0",)])
+def test_alpha0_above_the_block_cap_exits_1(capsys, command):
+    # 10,000 blocks are 200 million symbols
+    with deadline(5, f"{command[0]} --blocks 10000"):
+        code, out, err = run(capsys, *command, "--blocks", "10000")
+    assert (code, out) == (1, "")
+    assert err == "error: 10000 blocks exceed the cap of 1000\n"
+
+
 def test_lambda(capsys):
     code, out, _ = run(capsys, "lambda", A0_TEXT, "--index", "0", "--digits", "5")
     assert code == 0

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import lagspec.constructions as constructions
 from conftest import deadline
 from lagspec.bisequence import lambda_at, periodic_phase_limits
 from lagspec.cfrac import EPCF, FiniteCF, distance_bounds, eval_periodic
@@ -59,6 +60,18 @@ def test_alpha0_prefix_is_linear_in_its_length():
     # the word once per block and takes seconds
     with deadline(5, "alpha0_prefix(1000)"):
         assert len(alpha0_prefix(1000).tail) == 2 * 1000**2 + 9 * 1000
+
+
+def test_alpha0_prefix_above_the_cap_raises_at_once(monkeypatch):
+    # 2m^2 + 9m symbols: 10,000 blocks would need about 16 GB
+    def fail(n):
+        raise AssertionError("built a block above the cap")
+
+    monkeypatch.setattr(constructions, "c_block", fail)
+    cap = constructions._MAX_BLOCKS
+    assert cap >= 1000
+    with pytest.raises(ValueError, match=f"{cap + 1} blocks exceed the cap of {cap}"):
+        alpha0_prefix(cap + 1)
 
 
 def test_alpha0_core_indices():

@@ -18,6 +18,7 @@ from lagspec.parsing import (
     parse_cf,
     parse_expression,
     parse_word,
+    _Lexer,
 )
 from lagspec.quadfield import QuadExt
 
@@ -132,3 +133,40 @@ def test_biseq_expression():
     assert isinstance(e, BiSeqExpr)
     with pytest.raises(ValueError):
         evaluate(e)
+
+
+def _reference_tokens(text):
+    """The lexer's tokens, or its error's (line, col, token), one character at a time."""
+    tokens, line, col, i = [], 1, 1, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line, col, i = line + 1, 1, i + 1
+        elif ch.isspace():
+            col, i = col + 1, i + 1
+        elif ch.isdecimal():
+            j = i
+            while j < len(text) and text[j].isdecimal():
+                j += 1
+            if text[j : j + 1] == "." and text[j + 1 : j + 2].isdecimal():
+                j += 1
+                while j < len(text) and text[j].isdecimal():
+                    j += 1
+            tokens.append(("NUM", text[i:j], line, col))
+            col, i = col + j - i, j
+        elif ch in "[];,()<>|*+-/":
+            tokens.append((ch, ch, line, col))
+            col, i = col + 1, i + 1
+        else:
+            return line, col, ch
+    return tokens + [("END", "", line, col)]
+
+
+@given(st.text(st.sampled_from("0123456789.[];,()<>|*+-/ \n\t\r\u00a0\u2003²٣xZé_"), max_size=40))
+@settings(max_examples=500)
+def test_lexer_matches_the_character_scanner(text):
+    try:
+        got = _Lexer(text).tokens
+    except ExprSyntaxError as e:
+        got = e.line, e.col, e.token
+    assert got == _reference_tokens(text)
