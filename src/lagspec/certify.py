@@ -40,7 +40,6 @@ __all__ = [
     "NotSeparatedError",
     "Pattern",
     "PrefixTooShortError",
-    "admissible_extensions",
     "audit_not_attained",
     "certify_forbidden",
     "gap_constraints",
@@ -186,30 +185,6 @@ class BoundCertificate(_Record):
 def violates(word, constraints: Constraints) -> bool:
     """True when the word leaves the alphabet or contains a forbidden factor."""
     return constraints._walk(word) is None
-
-
-def admissible_extensions(prefix, constraints: Constraints, depth: int):
-    """Depth-first lexicographic enumeration of all length-`depth`
-    extensions of the prefix avoiding every forbidden factor; yields the
-    full concatenated words."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    prefix = tuple(prefix)
-    state = constraints._walk(prefix)
-    if state is None:
-        raise ValueError("prefix violates the constraints")
-    table = constraints._table
-    stop = len(prefix) + depth
-    stack = [(prefix, state)]
-    while stack:
-        word, state = stack.pop()
-        if len(word) == stop:
-            yield word
-            continue
-        row = table[state]
-        for a in range(len(row), 0, -1):  # the smallest symbol is popped first
-            if row[a - 1] is not None:
-                stack.append((word + (a,), row[a - 1]))
 
 
 def _levels(table, base, join):

@@ -217,8 +217,10 @@ def expand(x, max_terms: int = 512):
     Rational input yields its FiniteCF in canonical Euclid form; quadratic
     irrationals yield the EPCF found by the first repeated surd state, so
     eval_periodic(expand(x)) == x exactly.  Raises PeriodNotFoundError if
-    no state repeats within max_terms quotients.
+    no state repeats within max_terms quotients, ValueError if max_terms < 1.
     """
+    if max_terms < 1:
+        raise ValueError("max_terms must be positive")
     if isinstance(x, (int, Fraction)):
         x = QuadExt.from_rational(x)
     if x.is_rational:

@@ -6,6 +6,9 @@ under --structured, as text otherwise.
 Exit codes: 0 on success or a certified result, 2 when a certification
 is not separated or inconclusive (or an audit/sweep reports findings),
 1 on parse or precondition errors.
+
+Parsing: plain argv is read in one pass from the parser's own actions,
+other argv by argparse.  An expression that begins with "-" needs "--".
 """
 
 from __future__ import annotations
@@ -232,7 +235,8 @@ def _cmd_construct(args) -> tuple[int, dict, str]:
 
 
 def _build_parser() -> _Parser:
-    p = _Parser(prog="lagspec", description=__doc__)
+    # --help shows the docstring without its note on parsing
+    p = _Parser(prog="lagspec", description=__doc__.partition("\nParsing:")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):
@@ -297,7 +301,56 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _plain_table(parser) -> dict:
+    """Per subcommand of help, one-value store and store_true actions, none
+    with a str default: options by string and positionals by index, the
+    required dests, and the defaults with fn and command."""
+    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for name, sp in sub.choices.items():
+        acts = [a for a in sp._actions if type(a) is not argparse._HelpAction]
+        if all(type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
+               and a.nargs in (None, 0) and type(a.default) is not str for a in acts):
+            actions = {s: a for a in acts for s in a.option_strings}
+            actions.update(enumerate(a for a in acts if not a.option_strings))
+            defaults = {a.dest: a.default for a in acts} | sp._defaults | {sub.dest: name}
+            table[name] = actions, {a.dest for a in acts if a.required}, defaults  # positionals too
+    return table
+
+
 _PARSER = _build_parser()
+_PLAIN = _plain_table(_PARSER)
+
+
+def _parse_plain(argv) -> argparse.Namespace | None:
+    """_PARSER.parse_args(argv) for a plain argv: an exact subcommand, then
+    positionals not starting with "-" and exact, unrepeated option strings,
+    each value the next token (an ASCII negative integer too: argparse takes
+    one as a value).  Otherwise, or if a type or choice fails, None."""
+    if not argv or argv[0] not in _PLAIN:
+        return None
+    actions, required, defaults = _PLAIN[argv[0]]
+    given, tokens, n = {}, iter(argv[1:]), 0
+    for token in tokens:
+        if token[:1] != "-":
+            action, n = actions.get(n), n + 1  # the next positional
+        elif (action := actions.get(token)) is not None and action.nargs is None:
+            token = next(tokens, "-")  # a missing value reads as "-", which declines
+            if token[:1] == "-" and not (token[1:].isascii() and token[1:].isdigit()):
+                return None
+        if action is None or action.dest in given:
+            return None
+        if action.nargs == 0:  # store_true
+            given[action.dest] = action.const
+            continue
+        try:
+            value = token if action.type is None else action.type(token)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+    return argparse.Namespace(**(defaults | given)) if required <= given.keys() else None
 
 
 def _json(record) -> str:
@@ -321,7 +374,7 @@ def _json(record) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_plain(sys.argv[1:] if argv is None else argv) or _PARSER.parse_args(argv)
         code, record, text = args.fn(args)
     except ExprSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)

@@ -23,7 +23,6 @@ __all__ = [
     "SumExpr",
     "Term",
     "evaluate",
-    "format_expression",
     "parse_biseq",
     "parse_cf",
     "parse_expression",
@@ -271,29 +270,3 @@ def evaluate(expr: SumExpr | BiSeqExpr) -> QuadSum:
             )
             total = total + val * QuadExt.from_rational(t.coef)
     return total
-
-
-def _format_coef(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def format_expression(expr: SumExpr | BiSeqExpr) -> str:
-    if isinstance(expr, BiSeqExpr):
-        return str(expr.seq)
-    parts: list[str] = []
-    for t in expr.terms:
-        if t.cf is None:
-            s = _format_coef(t.coef)
-        elif t.coef == 1:
-            s = str(t.cf)
-        else:
-            s = f"{_format_coef(t.coef)}*{t.cf}"
-        if parts and not s.startswith("-"):
-            parts.append("+")
-            parts.append(s)
-        elif parts:
-            parts.append("-")
-            parts.append(s.lstrip("-"))
-        else:
-            parts.append(s)
-    return "".join(parts)

@@ -18,7 +18,6 @@ from lagspec.certify import (
     NotSeparatedError,
     Pattern,
     PrefixTooShortError,
-    admissible_extensions,
     audit_not_attained,
     certify_forbidden,
     gap_constraints,
@@ -35,6 +34,30 @@ from lagspec.quadfield import QuadExt, QuadSum
 
 LAM0 = gap_left_endpoint()
 ONLY_13_31 = Constraints(3, frozenset({(1, 3), (3, 1)}))
+
+
+def admissible_extensions(prefix, constraints: Constraints, depth: int):
+    """Reference enumeration: depth-first, in lexicographic order, every
+    length-`depth` extension of the prefix that avoids every forbidden
+    factor; yields the full concatenated words."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    prefix = tuple(prefix)
+    state = constraints._walk(prefix)
+    if state is None:
+        raise ValueError("prefix violates the constraints")
+    table = constraints._table
+    stop = len(prefix) + depth
+    stack = [(prefix, state)]
+    while stack:
+        word, state = stack.pop()
+        if len(word) == stop:
+            yield word
+            continue
+        row = table[state]
+        for a in range(len(row), 0, -1):  # the smallest symbol is popped first
+            if row[a - 1] is not None:
+                stack.append((word + (a,), row[a - 1]))
 
 
 def test_admissible_extensions_examples():

@@ -1,7 +1,11 @@
+import argparse
 import json
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import deadline
 from lagspec import cli
@@ -374,3 +378,149 @@ def test_readme_examples_structured_output_unchanged(capsys, argv, expected):
     code, out, _ = run(capsys, *argv, "--structured")
     assert code == 0
     assert out == expected + "\n"
+
+
+def test_expand_term_budget_below_1_exits_1(capsys):
+    for value in ("1/3", "[0;(1,2)]"):
+        for budget in ("0", "-1"):
+            code, out, err = run(capsys, "expand", value, "--max-terms", budget)
+            assert (code, out, err) == (1, "", "error: max_terms must be positive\n")
+
+
+# The one-pass parse of plain argv (cli._parse_plain) against argparse.
+
+_SUBPARSERS = next(
+    a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+# values that argparse reads in different ways: ints, ASCII and non-ASCII
+# negative numbers, option-like and empty tokens, choices and bad choices
+_VALUES = (
+    "3", "0", "-4", "-0", "-٣", "٣", " 7", "-x", "--", "-", "", "-1/3", "-1 2",
+    "1/3", "2,1", A0_TEXT, "3691/1000", "a0", "alpha0", "bogus",
+)
+
+
+@st.composite
+def _argvs(draw):
+    """An argv for one subcommand (or an unknown name): its positionals,
+    its required options and some others, each with a value of its type,
+    in any order; then up to three edits, each inserting an irregular chunk
+    (an exact, abbreviated or --opt=value option string and a value from
+    _VALUES), deleting a chunk or repeating one."""
+    name = draw(st.sampled_from([*_SUBPARSERS, "con", "bogus", "-h", ""]))
+    sp = _SUBPARSERS.get(name, _SUBPARSERS["certify-pattern"])
+    chunks = []
+    for action in sp._actions:
+        if not action.option_strings:
+            chunks.append([draw(st.sampled_from(action.choices or ("1/3", "2,1", A0_TEXT)))])
+        elif isinstance(action, argparse._HelpAction):
+            continue
+        elif action.required or draw(st.booleans()):
+            chunks.append([draw(st.sampled_from(action.option_strings))])
+            if action.nargs is None:
+                typed = ("3", "-4", "0") if action.type else ("1/3", "-4")
+                chunks[-1].append(draw(st.sampled_from(typed)))
+    chunks = draw(st.permutations(chunks))
+    options = sorted(sp._option_string_actions)
+    value = st.sampled_from(_VALUES)
+    option = st.one_of(
+        st.sampled_from(options),
+        st.sampled_from([o[:k] for o in options for k in range(3, len(o))]),
+        st.builds("{}={}".format, st.sampled_from(options), value),
+    )
+    irregular = st.one_of(st.tuples(option, value), st.tuples(value), st.tuples(option))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(chunks)))
+        edit = draw(st.sampled_from(("insert", "delete", "repeat")))
+        if edit == "insert":
+            chunks.insert(i, draw(irregular))
+        elif edit == "delete":
+            del chunks[i:i + 1]
+        else:
+            chunks[i:i] = chunks[i:i + 1]
+    return [name, *(token for chunk in chunks for token in chunk)]
+
+
+@given(_argvs())
+@settings(max_examples=1500)
+def test_plain_parse_declines_or_matches_argparse(argv):
+    fast = cli._parse_plain(argv)
+    if fast is not None:  # then argparse accepts argv too, with the same namespace
+        assert vars(fast) == vars(cli._PARSER.parse_args(argv))
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_plain_parse_takes_the_readme_examples(structured):
+    cases = [argv for argv, _ in README_STRUCTURED] + [["lambda", A0_TEXT, "--index", "-4"]]
+    for argv in cases:
+        argv = argv + ["--structured"] * structured
+        fast = cli._parse_plain(argv)
+        assert fast is not None, argv
+        assert vars(fast) == vars(cli._PARSER.parse_args(argv))
+
+
+# Invocations that only argparse parses: help, errors, abbreviations,
+# --opt=value, option-like values and repeated options.
+IRREGULAR = [
+    [],
+    ["bogus"],
+    ["ev", "1/3"],
+    ["-h"],
+    ["--help"],
+    ["eval", "-h"],
+    ["eval"],
+    ["eval", "1/3", "--dig", "3"],
+    ["eval", "1/3", "--struct"],
+    ["eval", "1/3", "--digits=3"],
+    ["eval", "1/3", "--structured=1"],
+    ["eval", "1/3", "2/3"],
+    ["eval", "1/3", "--digits", "x"],
+    ["eval", "1/3", "--digits", ""],
+    ["eval", "1/3", "--digits"],
+    ["eval", "-1/3"],
+    ["eval", "-3"],
+    ["eval", "-"],
+    ["eval", "--", "-1/3"],
+    ["eval", "1/3", "-x"],
+    ["eval", "1/3", "--digits", "3", "--digits", "4"],
+    ["lambda", A0_TEXT, "--index", "-x"],
+    ["lambda", A0_TEXT, "--index", "--digits", "3"],
+    ["lambda", A0_TEXT, "--index", "-٣"],
+    ["lambda", A0_TEXT],
+    ["surgery", "2,1,2,1,3", "--n1", "1"],
+    ["necessity", "--threshold", "-x"],
+    ["construct", "bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", IRREGULAR, ids=" ".join)
+def test_plain_parse_declines_irregular_argv(argv):
+    assert cli._parse_plain(argv) is None
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# compared in one interpreter, because argparse's wording differs between versions
+@pytest.mark.parametrize("argv", IRREGULAR + [["eval", "1/3", "--digits", "٣"]], ids=" ".join)
+def test_fallback_output_equals_argparse_alone(capsys, monkeypatch, argv):
+    with_fast_path = _outcome(capsys, list(argv))
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    assert _outcome(capsys, list(argv)) == with_fast_path
+    if "-h" in argv or "--help" in argv:
+        code, out, _ = with_fast_path
+        assert code == ("SystemExit", 0) and out.startswith("usage: lagspec")
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["lagspec", "eval", LAM0_EXPR])
+    assert _outcome(capsys, None) == (0, "(62976-1498*sqrt(3))/16357 ≈ 3.6914708\n", "")
+    monkeypatch.setattr(sys, "argv", ["lagspec", "eval"])
+    code, out, err = _outcome(capsys, None)
+    assert (code, out) == (1, "") and err.endswith("the following arguments are required: expr\n")

@@ -13,7 +13,6 @@ from lagspec.parsing import (
     SumExpr,
     Term,
     evaluate,
-    format_expression,
     parse_biseq,
     parse_cf,
     parse_expression,
@@ -107,6 +106,31 @@ terms = st.one_of(
     st.builds(Term, rationals, st.none()),
     st.builds(Term, rationals, cf_literals),
 )
+
+
+def _format_coef(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def format_expression(expr: SumExpr) -> str:
+    """The text of a sum expression, in the grammar parse_expression reads."""
+    parts: list[str] = []
+    for t in expr.terms:
+        if t.cf is None:
+            s = _format_coef(t.coef)
+        elif t.coef == 1:
+            s = str(t.cf)
+        else:
+            s = f"{_format_coef(t.coef)}*{t.cf}"
+        if parts and not s.startswith("-"):
+            parts.append("+")
+            parts.append(s)
+        elif parts:
+            parts.append("-")
+            parts.append(s.lstrip("-"))
+        else:
+            parts.append(s)
+    return "".join(parts)
 
 
 @given(st.lists(terms, min_size=1, max_size=3).map(tuple).map(SumExpr))
