@@ -16,9 +16,9 @@ pattern.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, cycle, islice
 
-from .cfrac import EPCF, _eval_mobius, _fixed_box, _mobius_box, eval_periodic, mobius
+from .cfrac import EPCF, _alternating, _eval_mobius, _fixed_box, _mobius_box, eval_periodic, mobius
 from .quadfield import _SCALE, QuadSum, _Record
 
 _MAX_OUTSIDE_CORE = 10**5  # lambda_at i places out: ~i tail terms, ~i/2 digits; 10**5 takes ~2 s
@@ -190,27 +190,18 @@ def _rational_lower_bound(v: QuadSum) -> Fraction:
 def _may_exceed(A: BiSeq, phase: int) -> bool:
     """Whether some lambda_i, i > end in one phase class, may exceed its limit.
 
-    The right tails agree exactly, so the comparison is between the left
-    tail and the purely periodic left tail.  Scanning leftward from the
-    core edge finds the first position x where A leaves the periodic
-    pattern; beyond it the parity rule decides every comparison at once.
-    If no such position exists the two sequences agree everywhere and
-    every lambda_i in the class equals the limit.
+    The right tails agree exactly, so one _alternating call orders the left
+    tail against the purely periodic one: A read leftward from the core edge
+    against the right period extended leftward, over the core and both periods
+    (agreement there is agreement everywhere, and every lambda_i of the class
+    equals the limit).  A first difference j places left of the edge sits at
+    tail index phase + 1 + j + kR, whose parity is constant iff R is even.
     """
     R = len(A.right_period)
-    for x in range(A.end, A.start - len(A.left_period) - R - 1, -1):
-        u, v = A.at(x), A.right_period[(x - A.end - 1) % R]
-        if u != v:
-            break
-    else:
-        # periodic structures coincide on a full L+R stretch, hence everywhere
-        return False
-    # indices i > end in this class have first difference at tail index i - x;
-    # i steps by R, so the parity of i - x is constant iff R is even
-    if R % 2 == 1:
-        return True
-    r = A.end + 1 + phase - x
-    return (u > v) if (r - 1) % 2 == 1 else (u < v)
+    n = len(A.core) + len(A.left_period) + R
+    edge = islice(chain(reversed(A.core), cycle(A.left_period[::-1])), n)
+    sign, _ = _alternating(edge, islice(cycle(A.right_period[::-1]), n))
+    return sign != 0 and (R % 2 == 1 or sign == (-1) ** (phase + 1))
 
 
 def _side_classes(A: BiSeq, radicands: dict | None = None) -> list[tuple[QuadSum, bool, int]]:

@@ -6,14 +6,16 @@ for pattern analysis.  Every convergent recurrence runs through one 2x2
 matrix kernel, mobius, and every cylinder interval is the image of a tail
 interval under such a matrix: mobius_pairs on integer pairs, which
 mobius_image wraps in Fractions.  Evaluation is exact (Fraction or
-QuadExt), period detection works on exact surd states, and prefix
-comparison follows the alternating parity rule for continued fractions.
+QuadExt), and period detection works on exact surd states.  One order
+kernel, _alternating, decides the alternating parity rule for continued
+fractions: cmp_prefix and every other comparison by first difference use it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from itertools import zip_longest
+from math import inf, isqrt
 
 from .quadfield import _SCALE, QuadExt, _Record, squarefree_decompose
 
@@ -260,6 +262,17 @@ def expand(x, max_terms: int = 512):
     raise PeriodNotFoundError(f"no repeated state within {max_terms} terms")
 
 
+def _alternating(x, y) -> tuple[int, int | None]:
+    """Sign of [x0; x1, ...] - [y0; y1, ...] and the first index where the quotient
+    sequences x and y differ: the larger quotient wins at an even index and loses at
+    an odd one, and a sequence that has ended counts as the larger (its tail is +inf).
+    Returns (0, None) when both end together; callers bound every periodic side."""
+    for i, (a, b) in enumerate(zip_longest(x, y, fillvalue=inf)):
+        if a != b:
+            return (1 if (a > b) == (i % 2 == 0) else -1), i
+    return 0, None
+
+
 def cmp_prefix(x, y) -> tuple[int, int | None]:
     """Order two words by the parity rule at their first differing quotient.
 
@@ -269,17 +282,10 @@ def cmp_prefix(x, y) -> tuple[int, int | None]:
     when one word is a strict prefix of the other.
     """
     xw, yw = _word_of(x), _word_of(y)
-    n = min(len(xw), len(yw))
-    for i in range(n):
-        if xw[i] != yw[i]:
-            bigger = 1 if xw[i] > yw[i] else -1
-            if i == 0:
-                return bigger, 0
-            # i-1 shared terms after a0: odd count => larger quotient wins
-            return (bigger if (i - 1) % 2 else -bigger), i
-    if len(xw) == len(yw):
-        return 0, None
-    raise PrefixOrderUndecided("one word is a prefix of the other")
+    order, i = _alternating(xw, yw)
+    if i == min(len(xw), len(yw)):
+        raise PrefixOrderUndecided("one word is a prefix of the other")
+    return order, i
 
 
 def cylinder(w) -> tuple[Fraction, Fraction]:

@@ -9,10 +9,11 @@ certified attainability excursions.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, cycle, islice
 
 from .bisequence import BiSeq, lambda_at, periodic_phase_limits
-from .cfrac import EPCF, FiniteCF, cmp_prefix, eval_finite, eval_periodic
+from .cfrac import EPCF, FiniteCF, PrefixOrderUndecided, _alternating, cmp_prefix
+from .cfrac import eval_finite, eval_periodic
 from .quadfield import QuadExt, QuadSum, _Record
 
 _MAX_BLOCKS = 1000  # alpha0_prefix: 2,009,000 symbols; 2000 blocks already peak at 645 MB
@@ -137,23 +138,17 @@ def surgery(word, n1: int, n2: int) -> SurgeryResult:
         raise ValueError("n1 and n2 must have equal parity")
     if w[n1 - 1] != w[n2 - 1]:
         raise ValueError("word[n1] and word[n2] must agree")
-    r = None
-    for i in range(1, len(w) - n2 + 1):
-        if w[n1 - 1 + i] != w[n2 - 1 + i]:
-            r = i
-            break
-    if r is None:
-        raise PeriodicWithinWordError(
-            "shifted suffixes agree to the end of the word"
-        )
     seg = w[n1 - 1 : n2 - 1]
     c1 = w[: n1 - 1] + w[n2 - 1 :]
     c2 = w[: n1 - 1] + seg + seg + w[n2 - 1 :]
-    ord1, _ = cmp_prefix((0,) + c1, (0,) + w)
+    try:  # c1 reads the suffix from n2 where w reads it from n1
+        ord1, i = cmp_prefix((0,) + c1, (0,) + w)
+    except PrefixOrderUndecided:
+        raise PeriodicWithinWordError("shifted suffixes agree to the end of the word") from None
     ord2, _ = cmp_prefix((0,) + c2, (0,) + w)
     assert ord1 * ord2 == -1, "exactly one variant must exceed the original"
     chosen = "first" if ord1 > 0 else "second"
-    return SurgeryResult(c1, c2, chosen, r)
+    return SurgeryResult(c1, c2, chosen, i - n1)
 
 
 class AttainReport(_Record):
@@ -171,13 +166,16 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
     Requires the strict reversed-tail inequality
     [0; c_{j-1},...,c_1, reversed(R)] > [0; c_{j-1},...,c_1, backward period]
     at the site j maximizing the periodic two-sided value (ties to the
-    smallest j); raises BadRError otherwise.  The report then certifies
-    lambda_{j + 2mn + l} > mu for m = 1..check_m.
+    smallest j), decided by one _alternating call; raises BadRError otherwise.
+    The backward word of each m >= 1 leaves the periodic tail 2mn places later,
+    at the same parity, so the inequality decides every m; the report certifies
+    lambda_{j + 2mn + l} > mu exactly for m = 1..check_m.
     """
     P = tuple(P)
     R = tuple(R)
     if not P:
         raise ValueError("P must be nonempty")
+    gamma_prime = EPCF(0, R, P)  # rejects a quotient below 1 before anything is evaluated
     if check_m < 1:
         raise ValueError("check_m must be positive")
     limits = periodic_phase_limits(P)
@@ -188,16 +186,13 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
     # both tails of the purely periodic word at j0
     lv = lambda_at(BiSeq(P, P, 0, P), j0)
     back_pre = lv.left_tail.preperiod  # c_{j-1}..c_1
-    periodic_back = eval_periodic(EPCF(0, back_pre, lv.left_tail.period))
-    finite_back = eval_finite(FiniteCF(0, back_pre + tuple(reversed(R)))) if (
-        back_pre or R
-    ) else None
-    if finite_back is None or not QuadSum(finite_back) > QuadSum(periodic_back):
+    # the finite side ends first, and a rational never equals the periodic tail
+    periodic_back = islice(cycle(lv.left_tail.period), len(R) + 1)
+    if _alternating((0,) + back_pre + R[::-1], chain((0,) + back_pre, periodic_back))[0] < 0:
         raise BadRError(
             "[0; c_{j-1},...,c_1, reversed(R)] must exceed the periodic tail"
         )
 
-    gamma_prime = EPCF(0, R, P)
     forward = eval_periodic(EPCF(P[j0], lv.right_tail.preperiod, lv.right_tail.period))
     ms = tuple(range(1, check_m + 1))
     lams = []

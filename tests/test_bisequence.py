@@ -10,6 +10,7 @@ from lagspec.bisequence import (
     BiSeq,
     SupCertificate,
     _may_exceed,
+    _phase_limits,
     _rational_lower_bound,
     _side_classes,
     lambda_at,
@@ -191,6 +192,31 @@ def test_envelope_soundness_200_random():
                 v = lambda_at(A, i).value
                 assert not v > cert.sup, (A, i)
     assert certified >= 190
+
+
+def test_may_exceed_matches_exact_values():
+    """Beyond the core, phase class by phase class: when _may_exceed holds some
+    lambda_i lies above the phase limit; otherwise every one lies below it or
+    every one equals it.  Four indices per class, both reading directions."""
+    rng = random.Random(6716)
+    outcomes = set()
+    for _ in range(2000):
+        word = lambda lo, hi: tuple(rng.randint(1, 3) for _ in range(rng.randint(lo, hi)))
+        core = word(1, 6)
+        A = BiSeq(word(1, 3), core, rng.randrange(len(core)), word(1, 3))
+        for seq in (A, A.reversed()):
+            R = len(seq.right_period)
+            for phase, lim in enumerate(_phase_limits(seq.right_period, {})):
+                vals = [lambda_at(seq, seq.end + 1 + phase + k * R).value for k in range(4)]
+                if _may_exceed(seq, phase):
+                    assert any(v > lim for v in vals), (seq, phase)
+                    outcomes.add("all above" if all(v > lim for v in vals) else "some above")
+                elif all(v < lim for v in vals):
+                    outcomes.add("below")
+                else:
+                    assert all(v == lim for v in vals), (seq, phase)
+                    outcomes.add("equal")
+    assert outcomes == {"all above", "some above", "below", "equal"}
 
 
 # Reference tail readers, copied from the earlier implementation that built

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import deadline
 from lagspec.cfrac import (
     EPCF,
+    _alternating,
     _fixed_box,
     _mobius_box,
     FiniteCF,
@@ -236,6 +237,55 @@ def test_cmp_prefix_matches_exact_order(a0, shared, _unused, t1, t2, diff, per):
     va = QuadSum(eval_periodic(EPCF(x[0], x[1:], tuple(per))))
     vb = QuadSum(eval_periodic(EPCF(y[0], y[1:], tuple(per))))
     assert (va - vb).sign() == order
+
+
+@given(
+    words,
+    st.tuples(st.integers(1, 4), st.integers(1, 4)).filter(lambda t: t[0] != t[1]),
+    words,
+    words,
+    periods,
+)
+@settings(max_examples=300)
+def test_alternating_matches_common_extension(shared, diff, t1, t2, per):
+    """Words that first differ after a shared prefix, a0 included: the kernel's
+    sign is the sign of the exact difference under a common periodic extension."""
+    x = tuple(shared) + (diff[0],) + tuple(t1)
+    y = tuple(shared) + (diff[1],) + tuple(t2)
+    sign, i = _alternating(x, y)
+    assert i == len(shared)
+    exact = QuadSum(eval_periodic(EPCF(x[0], x[1:], tuple(per)))) - QuadSum(
+        eval_periodic(EPCF(y[0], y[1:], tuple(per)))
+    )
+    assert exact.sign() == sign
+    assert _alternating(y, x) == (-sign, i)
+
+
+@given(
+    st.integers(min_value=0, max_value=4),
+    words,
+    periods,
+    st.integers(min_value=1, max_value=24),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+)
+@settings(max_examples=300)
+def test_alternating_ended_word_against_periodic(a0, pre, per, k, tail):
+    """A finite word that shares a prefix with an EPCF, often all of the word:
+    the ended sequence counts as the larger quotient, and the sign is that of
+    the exact difference of the rational and the quadratic irrational."""
+    e = EPCF(a0, tuple(pre), tuple(per))
+    w = tuple(map(e.quotient, range(k))) + tuple(tail)
+    sign, i = _alternating(w, map(e.quotient, range(len(w) + 1)))
+    exact = QuadSum(eval_finite(w)) - QuadSum(eval_periodic(e))
+    assert sign == exact.sign() != 0
+    assert k <= i <= len(w)
+
+
+@given(st.integers(min_value=0, max_value=4), words)
+def test_alternating_equal_words(a0, w):
+    x = (a0,) + tuple(w)
+    assert _alternating(x, x) == (0, None)
+    assert _alternating(iter(x), list(x)) == (0, None)
 
 
 @given(

@@ -261,6 +261,12 @@ def test_surgery(capsys):
     assert "c1: 2,1,3" in out and "c2: 2,1,2,1,2,1,3" in out
 
 
+def test_surgery_suffixes_agree_to_the_end(capsys):
+    code, out, err = run(capsys, "surgery", "1,2,1,2,1,2", "--n1", "1", "--n2", "3")
+    assert code == 1 and out == ""
+    assert err == "error: shifted suffixes agree to the end of the word\n"
+
+
 def test_construct(capsys):
     code, out, _ = run(capsys, "construct", "a0")
     assert code == 0 and out.strip() == A0_TEXT

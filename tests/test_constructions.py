@@ -190,6 +190,15 @@ def test_attainable_bad_prefix_word():
         attainable_from_periodic((1,), (2,), check_m=2)
 
 
+def test_attainable_checks_quotients_before_evaluating():
+    # a bad P is rejected before periodic_phase_limits evaluates it
+    with pytest.raises(ValueError, match="partial quotients must be positive integers, got -1"):
+        attainable_from_periodic((2, -1), (2, 1), check_m=2)
+    for P in ((1,), (2, 2)):  # a bad R is a bad quotient, never BadRError
+        with pytest.raises(ValueError, match="partial quotients must be positive integers, got 0"):
+            attainable_from_periodic(P, (0, 3), check_m=2)
+
+
 def test_attainable_needs_a_check():
     for m in (0, -1):
         with pytest.raises(ValueError, match="check_m"):
