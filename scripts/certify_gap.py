@@ -26,7 +26,7 @@ from lagspec.certify import (
     pattern_necessity,
 )
 from lagspec.constructions import alpha0_prefix, build_a0, gap_left_endpoint
-from lagspec.quadfield import QuadSum
+from lagspec.quadfield import QuadSum, _digits
 
 
 def main() -> int:
@@ -63,8 +63,8 @@ def main() -> int:
     t = time.time()
     rep = pattern_necessity(Fraction(3691, 1000), gap_constraints(), args.window, args.depth)
     print(
-        f"[necessity] windows {rep.windows_total}, center-pattern"
-        f" {rep.passed_by_pattern}, exceptions {len(rep.exceptions)}"
+        f"[necessity] windows {_digits(rep.windows_total)}, center-pattern"
+        f" {_digits(rep.passed_by_pattern)}, exceptions {len(rep.exceptions)}"
         f" ({time.time() - t:.2f}s)"
     )
     ok &= rep.holds

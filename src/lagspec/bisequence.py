@@ -187,29 +187,37 @@ def _rational_lower_bound(v: QuadSum) -> Fraction:
         k *= 2
 
 
-def _may_exceed(A: BiSeq, phase: int) -> bool:
-    """Whether some lambda_i, i > end in one phase class, may exceed its limit.
+def _exceeding(A: BiSeq) -> tuple[bool, bool]:
+    """Whether some lambda_i, i > end in a phase class, may exceed its limit,
+    for the even phases and for the odd ones.
 
     The right tails agree exactly, so one _alternating call orders the left
     tail against the purely periodic one: A read leftward from the core edge
     against the right period extended leftward, over the core and both periods
     (agreement there is agreement everywhere, and every lambda_i of the class
     equals the limit).  A first difference j places left of the edge sits at
-    tail index phase + 1 + j + kR, whose parity is constant iff R is even.
+    tail index phase + 1 + j + kR, whose parity is constant iff R is even, so
+    the sign is decided once and only its parity test depends on the phase.
     """
     R = len(A.right_period)
     n = len(A.core) + len(A.left_period) + R
     edge = islice(chain(reversed(A.core), cycle(A.left_period[::-1])), n)
     sign, _ = _alternating(edge, islice(cycle(A.right_period[::-1]), n))
-    return sign != 0 and (R % 2 == 1 or sign == (-1) ** (phase + 1))
+    return tuple(sign != 0 and (R % 2 == 1 or sign == (-1) ** (phase + 1)) for phase in (0, 1))
+
+
+def _may_exceed(A: BiSeq, phase: int) -> bool:
+    """Whether some lambda_i, i > end in one phase class, may exceed its limit."""
+    return _exceeding(A)[phase % 2]
 
 
 def _side_classes(A: BiSeq, radicands: dict | None = None) -> list[tuple[QuadSum, bool, int]]:
     """(phase limit, may exceed it, period length) for both directions."""
     radicands = {} if radicands is None else radicands
     return [
-        (lim, _may_exceed(seq, phase), len(seq.right_period))
+        (lim, may[phase % 2], len(seq.right_period))
         for seq in (A, A.reversed())
+        for may in (_exceeding(seq),)
         for phase, lim in enumerate(_phase_limits(seq.right_period, radicands))
     ]
 

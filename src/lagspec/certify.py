@@ -7,7 +7,9 @@ continuations to a fixed depth.  Each state's interval is read from two
 children only, the smallest live symbol's for the lower end and the
 largest one's for the upper end; levels are stepped one at a time until
 the set of live states repeats, and from there pointer doubling over
-those fixed choices reaches the depth in O(log depth) matrix products.
+those fixed choices reaches the depth in O(log depth) matrix products;
+the levels past the depth step on that fixed graph, rebuilt only while
+the live states still shrink.
 Every interval is the image of a tail interval under a Moebius matrix,
 on unreduced integer (num, den) pairs.  The window sweep grows each
 window from the center outward and bounds both sides at every node; it
@@ -100,13 +102,18 @@ class Constraints(_Record):
         that is a state, or None when some suffix of s+(a,) is forbidden.
         The state of an admissible word, its longest suffix that is a
         state, holds all of its past that a forbidden factor can reach."""
-        states = {f[:i] for f in self.forbidden for i in range(len(f))} | {()}
+        forbidden = self.forbidden
+        states = {f[:i] for f in forbidden for i in range(len(f))} | {()}
 
         def step(t):
-            suffixes = [t[i:] for i in range(len(t) + 1)]
-            if any(u in self.forbidden for u in suffixes):
-                return None
-            return next(u for u in suffixes if u in states)
+            # suffixes shortest first, so the last state seen is the longest
+            for i in range(len(t), -1, -1):
+                u = t[i:]
+                if u in forbidden:
+                    return None
+                if u in states:
+                    state = u
+            return state
 
         return {
             s: tuple(step(s + (a,)) for a in range(1, self.alphabet_max + 1))
@@ -127,10 +134,8 @@ class Constraints(_Record):
 def _reversed(constraints: Constraints) -> Constraints:
     """The constraints on words read right to left; the same object when
     the forbidden set is closed under reversal, so its tables are shared."""
-    rev = Constraints(
-        constraints.alphabet_max, frozenset(f[::-1] for f in constraints.forbidden)
-    )
-    return constraints if rev == constraints else rev
+    fs = frozenset(f[::-1] for f in constraints.forbidden)
+    return constraints if fs == constraints.forbidden else Constraints(constraints.alphabet_max, fs)
 
 
 def gap_constraints() -> Constraints:
@@ -187,18 +192,23 @@ def violates(word, constraints: Constraints) -> bool:
     return constraints._walk(word) is None
 
 
-def _levels(table, base, join):
-    """Yields level 0, 1, ...: level n maps each automaton state s to a
-    value over the admissible n-symbol words read from s, base(s) at n = 0,
-    then join([(a, level n-1 at t), ...]) over the symbols a allowed at s,
-    t the state after a.  Only the level last yielded is kept."""
-    level = {s: base(s) for s in table}
-    while True:
-        yield level
-        level = {
-            s: join([(a, level[t]) for a, t in enumerate(row, 1) if t is not None])
-            for s, row in table.items()
-        }
+def _counts(table, tail, n: int) -> list:
+    """counts[r][s], r = 0, ..., n: the admissible r-symbol words read from
+    automaton state s, and those among them whose last state t has an
+    admissible tail (tail[t] not None), as one pair."""
+    kids = [(s, [t for t in row if t is not None]) for s, row in table.items()]
+    out = [{s: (1, int(tail[s] is not None)) for s in table}]
+    for _ in range(n):
+        level, nxt = out[-1], {}
+        for s, ts in kids:
+            words = live = 0
+            for t in ts:
+                tw, tl = level[t]
+                words += tw
+                live += tl
+            nxt[s] = words, live
+        out.append(nxt)
+    return out
 
 
 def _mul(m, n):
@@ -219,7 +229,9 @@ def _tail_levels(table, depth: int, reach: int) -> list:
     repeat, within len(table) levels; from there those extreme children are
     fixed, so the ends form a functional graph whose edges are one-symbol
     matrices, and pointer doubling pushes them the remaining levels in
-    O(log depth) matrix products per end."""
+    O(log depth) matrix products per end.  Each reach level is one push
+    along the graph from before the doubling, rebuilt only while the live
+    states still shrink, as they may past a small depth."""
 
     def edges(ends):
         # each end of a state with a live child: (its symbol's matrix, the child end it reads)
@@ -232,25 +244,26 @@ def _tail_levels(table, depth: int, reach: int) -> list:
         return g
 
     def push(g, ends):
-        return {v: (m[0] * ends[w][0] + m[1] * ends[w][1], m[2] * ends[w][0] + m[3] * ends[w][1])
-                for v, (m, w) in g.items()}
+        return {v: (p * x + q * y, r * x + s * y)
+                for v, ((p, q, r, s), w) in g.items() for x, y in (ends[w],)}
 
     ends = {(s, e): _FREE[e : e + 2] for s in table for e in (0, 2)}  # level 0
     g, n = edges(ends), 0
     while n < depth and len(g) < len(ends):  # the live states still shrink
         ends, n = push(g, ends), n + 1
         g = edges(ends)
-    k = depth - n  # g is fixed from here on: apply it k times, by doubling
+    k, d = depth - n, g  # g is fixed from here on: apply it k times, by doubling d
     while k:
         if k & 1:
-            ends = push(g, ends)
+            ends = push(d, ends)
         k >>= 1
         if k:
-            g = {v: (_mul(m, g[w][0]), g[w][1]) for v, (m, w) in g.items()}
+            d = {v: (_mul(m, d[w][0]), d[w][1]) for v, (m, w) in d.items()}
     out = []
     for r in range(reach + 1):
-        if r:
-            ends = push(edges(ends), ends)
+        if r:  # from the graph before the doubling, rebuilt only while the live states shrink
+            shrinks, ends = len(g) < len(ends), push(g, ends)
+            g = edges(ends) if shrinks else g
         out.append({s: ends[s, 0] + ends[s, 2] if (s, 0) in ends else None for s in table})
     return out
 
@@ -355,14 +368,9 @@ def pattern_necessity(
     center, n = window_len // 2, len(CENTER_PATTERN)
     # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
     rev, left, right = _tails(constraints, depth, center)
-    # counts[r][s]: the r-symbol words read from s, and those among them that
-    # leave an admissible tail of the depth, one table per reading direction
-    total = lambda subs: (sum(v[0] for _, v in subs), sum(v[1] for _, v in subs))
-    base = lambda tails: lambda s: (1, int(tails[0][s] is not None))
-    counts = lambda c, tails: list(islice(_levels(c._table, base(tails), total), window_len + 1))
-    right_counts = counts(constraints, right)
-    left_counts = right_counts if rev is constraints else counts(rev, left)
-    sites = (2, n - 3)  # the pattern's first and last 3, where the center must sit
+    ftable, rtable = constraints._table, rev._table
+    right_counts = _counts(ftable, right[0], window_len)
+    left_counts = right_counts if rev is constraints else _counts(rtable, left[0], window_len)
     h = max(map(len, constraints.forbidden), default=1) - 1  # the longest state's length
     # the window's positions from the center outward, right before left
     order = sorted(range(window_len), key=lambda p: (abs(p - center), p < center))
@@ -382,18 +390,19 @@ def pattern_necessity(
         k = len(seg)
         lo, rest = center - i, window_len - center - k + i  # unknown symbols per side
         if k:
-            below = lv is None or rv is None
-            if not below:
-                num, den = _sum(seg[i], lv[2:], rv[2:])
-                below = num * td < tn * den
+            c, below = seg[i], lv is None or rv is None
+            if not below:  # the upper ends' sum c + lv + rv, as _sum, below the threshold
+                (ln, ld, hn, hd), (rln, rld, rhn, rhd) = lv, rv
+                below = (c * hd * rhd + hn * rhd + rhn * hd) * td < tn * hd * rhd
             # from h symbols on, no forbidden word spans both sides' extensions
             if k >= h or k == window_len:
                 if below:
                     by_bound += left_counts[lo][rs][0] * right_counts[rest][fs][0]
                     continue
-                if any(i >= p and seg[i - p : i - p + n] == CENTER_PATTERN for p in sites):
-                    num, den = _sum(seg[i], lv[:2], rv[:2])
-                    if k == window_len or num * td >= tn * den:
+                if (i >= 2 and seg[i - 2 : i - 2 + n] == CENTER_PATTERN  # the center on its first
+                        or i >= n - 3 and seg[i - n + 3 : i + 3] == CENTER_PATTERN):  # or last 3
+                    num = c * ld * rld + ln * rld + rln * ld  # the lower ends' sum, over ld * rld
+                    if k == window_len or num * td >= tn * ld * rld:
                         (lw, ll), (rw, rl) = left_counts[lo][rs], right_counts[rest][fs]
                         by_pattern += ll * rl
                         by_bound += lw * rw - ll * rl
@@ -402,19 +411,21 @@ def pattern_necessity(
                 exceptions.append(seg)
                 continue
         if order[k] >= center:  # the center itself, then the right side
-            for a, f in enumerate(constraints._table[fs], 1):
+            p1, p0, q1, q0 = mr
+            for a, f in enumerate(ftable[fs], 1):
                 if f is not None:
                     s = seg + (a,)
                     r = rs if k >= h else rev._walk(s[::-1])
-                    m = mobius((a,), mr) if k else mr
+                    m = (a * p1 + p0, p1, a * q1 + q0, q1) if k else mr  # mobius((a,), mr)
                     l_img = lv if k >= h else image(ml, left[lo][r])
                     stack.append((s, i, f, r, ml, m, l_img, image(m, right[rest - 1][f])))
         else:
-            for a, r in enumerate(rev._table[rs], 1):
+            p1, p0, q1, q0 = ml
+            for a, r in enumerate(rtable[rs], 1):
                 if r is not None:
                     s = (a,) + seg
                     f = fs if k >= h else constraints._walk(s)
-                    m = mobius((a,), ml)
+                    m = a * p1 + p0, p1, a * q1 + q0, q1  # mobius((a,), ml)
                     r_img = rv if k >= h else image(mr, right[rest][f])
                     stack.append((s, i + 1, f, r, m, mr, image(m, left[lo - 1][r]), r_img))
     return NecessityReport(

@@ -180,10 +180,9 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
         "nodes": report.nodes,
         "holds": report.holds,
     }
-    text = (
-        f"windows: {report.windows_total}  below threshold: {report.passed_by_bound}"
-        f"  center-pattern: {report.passed_by_pattern}  exceptions: {len(report.exceptions)}"
-    )
+    counts = report.windows_total, report.passed_by_bound, report.passed_by_pattern
+    text = "windows: {}  below threshold: {}  center-pattern: {}".format(*map(_digits, counts))
+    text += f"  exceptions: {len(report.exceptions)}"  # _digits: counts past the int-to-str limit
     text += "".join(f"\n  exception: {','.join(map(str, w))}" for w in report.exceptions)
     if report.inconclusive:
         rec["status"] = "inconclusive"

@@ -288,16 +288,17 @@ def test_certificate_soundness_200_random():
 
 
 def test_necessity_sweep_holds():
-    for window, counts in (
-        (15, (77345, 77275, 70)),
-        (21, (5841517, 5836965, 4552)),
-        (25, (104373561, 104291901, 81660)),
-        (27, (441187243, 440842465, 344778)),
-        (31, (7882933073, 7876767435, 6165638)),
-        (33, (33321173362, 33295112598, 26060764)),
+    # the words visited pin the traversal order as well as the work
+    for window, counts, nodes in (
+        (15, (77345, 77275, 70), 125),
+        (21, (5841517, 5836965, 4552), 207),
+        (25, (104373561, 104291901, 81660), 272),
+        (27, (441187243, 440842465, 344778), 311),
+        (31, (7882933073, 7876767435, 6165638), 436),
+        (33, (33321173362, 33295112598, 26060764), 495),
     ):
         report = pattern_necessity(Fraction(3691, 1000), gap_constraints(), window, 25)
-        assert report.holds and report.nodes < 1000
+        assert report.holds and report.nodes == nodes
         assert report.exceptions == ()
         assert report.passed_by_bound + report.passed_by_pattern == report.windows_total
         assert (report.windows_total, report.passed_by_bound, report.passed_by_pattern) == counts
@@ -369,6 +370,8 @@ def test_necessity_budget_is_inconclusive():
     assert cut.inconclusive and not cut.holds and cut.nodes == 100
     assert cut.passed_by_bound + cut.passed_by_pattern + len(cut.exceptions) < cut.windows_total
     assert cut.windows_total == 104373561
+    # the partial counts depend on which 100 words come first
+    assert (cut.passed_by_bound, cut.passed_by_pattern, cut.exceptions) == (3481538, 40120, ())
     # a budget of exactly the words the sweep visits changes nothing
     full = pattern_necessity(threshold, gap, 15, 25)
     assert not full.inconclusive and full.holds
@@ -450,6 +453,9 @@ def tail_cases(draw):
 @example((Constraints(3, frozenset({(1, 1, 1, 1, 1), (1, 1, 1, 1, 2), (1, 1, 1, 1, 3),
                                     (1, 1, 1, 2), (1, 1, 1, 3), (1, 1, 2), (1, 1, 3)})), 40, 6))
 @example((gap_constraints(), 300, 3))
+# states still die inside the reach levels, so a level read from the graph
+# before they stop dying would step to a dead state
+@example((gap_constraints(), 0, 6))
 @settings(max_examples=150)
 def test_tails_match_level_by_level_fold(case):
     constraints, depth, reach = case

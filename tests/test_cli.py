@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -12,9 +13,11 @@ from lagspec import cli
 from lagspec.bisequence import lambda_at
 from lagspec.certify import (
     Constraints,
+    NecessityReport,
     NotSeparatedError,
     Pattern,
     certify_forbidden,
+    gap_constraints,
     site_lambda_bounds,
 )
 from lagspec.cli import main
@@ -227,6 +230,27 @@ def test_necessity_node_budget_exit_2(capsys):
     assert code == 0 and run(capsys, *argv, "--max-nodes", nodes)[1] == plain
     code, _, err = run(capsys, *argv, "--max-nodes", "-1")
     assert code == 1 and "max_nodes" in err
+
+
+def test_necessity_counts_print_past_the_int_to_str_limit(capsys, monkeypatch):
+    # a holding sweep at window 20001 counts a 6,261-digit number of windows;
+    # this report of counts that long stands in for that sweep, which takes seconds
+    total, by_pattern = 3**13000 + 7, 3**12000 + 1
+    counts = [total, total - by_pattern, by_pattern]
+    report = NecessityReport(
+        Fraction(3691, 1000), gap_constraints(), 20001, 5, *counts, (), 511
+    )
+    monkeypatch.setattr(cli, "pattern_necessity", lambda *args, **kwargs: report)
+    argv = ["necessity", "--threshold", "3691/1000", "--window", "20001", "--depth", "5"]
+    code, text, err = run(capsys, *argv)
+    line = r"windows: (\d+)  below threshold: (\d+)  center-pattern: (\d+)  exceptions: 0\n"
+    assert (code, err) == (0, "")
+    assert list(map(_read_int, re.fullmatch(line, text).groups())) == counts
+    code, out, err = run(capsys, *argv, "--structured")
+    rec = json.loads(out, parse_int=str)  # JSON numbers, read back as digits
+    assert (code, err, rec["holds"], rec["nodes"]) == (0, "", True, "511")
+    keys = ("windows_total", "passed_by_bound", "passed_by_pattern")
+    assert [_read_int(rec[k]) for k in keys] == counts
 
 
 def test_audit(capsys):
