@@ -72,9 +72,6 @@ class BiSeq(_Record):
         """Index of the last core element."""
         return len(self.core) - 1 - self.origin
 
-    def __call__(self, i: int) -> int:
-        return self.at(i)
-
     def at(self, i: int) -> int:
         if self.start <= i <= self.end:
             return self.core[i - self.start]
@@ -204,11 +201,6 @@ def _exceeding(A: BiSeq) -> tuple[bool, bool]:
     edge = islice(chain(reversed(A.core), cycle(A.left_period[::-1])), n)
     sign, _ = _alternating(edge, islice(cycle(A.right_period[::-1]), n))
     return tuple(sign != 0 and (R % 2 == 1 or sign == (-1) ** (phase + 1)) for phase in (0, 1))
-
-
-def _may_exceed(A: BiSeq, phase: int) -> bool:
-    """Whether some lambda_i, i > end in one phase class, may exceed its limit."""
-    return _exceeding(A)[phase % 2]
 
 
 def _side_classes(A: BiSeq, radicands: dict | None = None) -> list[tuple[QuadSum, bool, int]]:

@@ -3,16 +3,19 @@
 Every forbidden-factor test runs on one factor automaton compiled from
 the constraints.  Bounds on the two-sided value at a site inside a
 pattern are computed from exact cylinder intervals over the admissible
-continuations to a fixed depth.  Each state's interval is read from two
-children only, the smallest live symbol's for the lower end and the
-largest one's for the upper end; levels are stepped one at a time until
-the set of live states repeats, and from there pointer doubling over
-those fixed choices reaches the depth in O(log depth) matrix products;
-the levels past the depth step on that fixed graph, rebuilt only while
-the live states still shrink.
+continuations to a fixed depth, at most _MAX_DEPTH.  Each state's
+interval is read from two children only, the smallest live symbol's for
+the lower end and the largest one's for the upper end; levels are
+stepped one at a time until the set of live states repeats, and from
+there pointer doubling over those fixed choices reaches the depth in
+O(log depth) matrix products; the levels past the depth step on that
+fixed graph, rebuilt only while the live states still shrink.
 Every interval is the image of a tail interval under a Moebius matrix,
-on unreduced integer (num, den) pairs.  The window sweep grows each
-window from the center outward and bounds both sides at every node; it
+on unreduced integer (num, den) pairs.  One kernel, _site, adds a site
+symbol to the images of its two tails, an end that stops exactly being
+the point _END; the site bounds, the one-sided bracket and the audit
+read it.  The window sweep grows each window from the center outward and
+bounds both sides at every node, within _MAX_NODES words by default; it
 counts a segment without enumeration once its bound is below the
 threshold, or once it carries the center pattern with its lower bound at
 or above it.  Everything is exact rational arithmetic, with Fractions
@@ -26,10 +29,10 @@ not, serves every later position with that window.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property, cmp_to_key
+from functools import cache, cached_property
 from itertools import chain, islice
 
-from .cfrac import FiniteCF, mobius, mobius_pairs
+from .cfrac import _END, _FREE, FiniteCF, mobius, mobius_pairs
 from .quadfield import QuadSum, _Record
 
 __all__ = [
@@ -53,13 +56,21 @@ __all__ = [
 
 CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
 _WINDOW = 2  # the audit's first window; it changes only speed, never a verdict
-_FREE = (1, 1, 1, 0)  # the free tail [1, inf] as (ln, ld, hn, hd), den 0 being inf
-_order = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])  # (num, den), den > 0
+_MAX_DEPTH = 10**5  # tail ends grow ~0.7 digits per level; 10**5 takes ~0.3 s, 10**6 ~25 s
+_MAX_NODES = 10**5  # the sweep's default budget: ~2 s and ~70 MB; the gap list needs 511
 
 
 def _sum(a: int, x, y) -> tuple[int, int]:
     """a + x + y for (num, den) pairs, as one unreduced pair."""
     return a * x[1] * y[1] + x[0] * y[1] + y[0] * x[1], x[1] * y[1]
+
+
+def _site(w, i: int, right, left) -> tuple[int, int, int, int]:
+    """The interval (ln, ld, hn, hd) of w[i] + [0; w[i+1], ..., t] + [0; w[i-1],
+    ..., w[0], u] for t in the tail interval right and u in left (_END: exact)."""
+    rt = mobius_pairs(mobius((0,) + w[i + 1 :]), right)
+    lt = mobius_pairs(mobius((0,) + w[:i][::-1]), left)
+    return _sum(w[i], rt[:2], lt[:2]) + _sum(w[i], rt[2:], lt[2:])
 
 
 class NotSeparatedError(Exception):
@@ -276,7 +287,11 @@ def _tails(constraints: Constraints, depth: int, reach: int = 0):
     and t free in [1, inf), or None when no such x's exist.  Level 0 is the
     free interval itself, so the leaf endpoints are exactly cylinder
     endpoints; the matrices have determinant -1 or 1, so each end stays in
-    lowest terms."""
+    lowest terms.  Raises ValueError on a depth below 0 or above _MAX_DEPTH."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the cap of {_MAX_DEPTH}")
     rev = _reversed(constraints)
     right = _tail_levels(constraints._table, depth, reach)
     return rev, right if rev is constraints else _tail_levels(rev._table, depth, reach), right
@@ -288,18 +303,14 @@ def site_lambda_bounds(
     """Certified bounds on the two-sided value at the pattern site over
     all bi-infinite admissible sequences containing the word there."""
     w = pattern.word
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    rev, left, right = _tails(constraints, depth)
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
-    rev, left, right = _tails(constraints, depth)
     right, left = right[0][constraints._walk(w)], left[0][rev._walk(reversed(w))]
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
-    rint = mobius_pairs(mobius((0,) + w[pattern.site + 1 :]), right)
-    lint = mobius_pairs(mobius((0,) + tuple(reversed(w[: pattern.site]))), left)
-    ends = (Fraction(*_sum(w[pattern.site], rint[i : i + 2], lint[i : i + 2])) for i in (0, 2))
-    return BoundCertificate(pattern, constraints, depth, *ends)
+    ln, ld, hn, hd = _site(w, pattern.site, right, left)
+    return BoundCertificate(pattern, constraints, depth, Fraction(ln, ld), Fraction(hn, hd))
 
 
 def certify_forbidden(
@@ -342,7 +353,7 @@ def pattern_necessity(
     constraints: Constraints,
     window_len: int = 15,
     depth: int = 25,
-    max_nodes: int | None = None,
+    max_nodes: int | None = _MAX_NODES,
 ) -> NecessityReport:
     """Sweep every admissible window of the given length.
 
@@ -355,19 +366,18 @@ def pattern_necessity(
     that carry the center pattern with a lower bound at least the
     threshold: their live windows (admissible tails on both sides) pass by
     pattern, their dead ones by bound.  The search visits at most
-    max_nodes words (None: no limit) and is inconclusive when it needs more.
+    max_nodes words (default _MAX_NODES, None: no limit) and is
+    inconclusive when it needs more; a depth above _MAX_DEPTH raises.
     """
     if window_len < 7:
         raise ValueError("window_len must be at least 7")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    center, n = window_len // 2, len(CENTER_PATTERN)
+    # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
+    rev, left, right = _tails(constraints, depth, center)
     if max_nodes is not None and max_nodes < 0:
         raise ValueError("max_nodes must be nonnegative")
     threshold = Fraction(threshold)
     tn, td = threshold.numerator, threshold.denominator
-    center, n = window_len // 2, len(CENTER_PATTERN)
-    # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
-    rev, left, right = _tails(constraints, depth, center)
     ftable, rtable = constraints._table, rev._table
     right_counts = _counts(ftable, right[0], window_len)
     left_counts = right_counts if rev is constraints else _counts(rtable, left[0], window_len)
@@ -442,17 +452,6 @@ def pattern_necessity(
     )
 
 
-def _sides(w: tuple[int, ...], n: int, k: int):
-    """The forward and backward intervals (ln, ld, hn, hd) of the one-sided
-    value at position n, the cylinders of [0; w[n:n+k]] and [0; w[n-2], ...,
-    w[n-1-k]], the backward one exact once it reaches w[0].  Dropping known
-    symbols only widens a cylinder, so w[n-1] plus these holds the exact
-    bracket, and is it once k >= max(n-1, len(w)-n)."""
-    fwd = mobius_pairs(mobius((0,) + w[n : n + k]), _FREE)
-    m = mobius((0,) + w[max(n - 1 - k, 0) : n - 1][::-1])
-    return fwd, mobius_pairs(m, _FREE) if k < n - 1 else (m[0], m[2]) * 2
-
-
 def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     """Exact bracket of the one-sided value at position n (1-based) of
     [0; b1, ..., bL, unknown...]: the backward word evaluates exactly, and
@@ -460,8 +459,8 @@ def one_sided_lambda_bracket(word, n: int) -> tuple[Fraction, Fraction]:
     w = tuple(word)
     if not 1 <= n <= len(w):
         raise ValueError("position outside the word")
-    fwd, back = _sides(w, n, len(w))
-    return tuple(Fraction(*_sum(w[n - 1], fwd[i : i + 2], back[i : i + 2])) for i in (0, 2))
+    ln, ld, hn, hd = _site(w, n - 1, _FREE, _END)
+    return Fraction(ln, ld), Fraction(hn, hd)
 
 
 class AuditReport(_Record):
@@ -495,8 +494,9 @@ def audit_not_attained(
     reference's periodic tail.  For the block word with m blocks that
     means guard >= 2m + 3 (19 covers the default 8 blocks).  A position
     is cleared once a rational lower bound of the reference exceeds its
-    bracket from k symbols on each side, k = 2, 4, 8, ...; the exact test
-    runs only when the window covers the word, so `flagged` is its own.
+    _site bracket from k symbols on each side, k = 2, 4, 8, ..., compared
+    by cross-multiplication; the exact test runs only when the window
+    covers the word, with the exact end _END, so `flagged` is its own.
     When the test at k reads its window w[n-1-k : n+k] whole (k < n-1 and
     n+k <= len), its outcome depends on that window alone and is kept for
     this call: a later position with the window clears without a bracket,
@@ -513,8 +513,13 @@ def audit_not_attained(
         )
     bracket = getattr(reference, "bracket", lambda _: (reference,))  # int, Fraction
     # at most the reference, 10**-2k close, and the bracket's upper end only
-    lower = cache(lambda k: _order(bracket(2 * k)[0].as_integer_ratio()))
-    upper = lambda n, k: _sum(w[n - 1], *(side[2:] for side in _sides(w, n, k)))
+    lower = cache(lambda k: bracket(2 * k)[0].as_integer_ratio())
+    # the site of w[n-1-k : n+k], the left tail free until it reaches w[0]; dropping
+    # known symbols only widens a cylinder, so this holds the exact bracket, and is
+    # it once k >= max(n-1, len(w)-n)
+    upper = lambda n, k: _site(
+        w[max(n - 1 - k, 0) : n + k], min(k, n - 1), _FREE, _FREE if k < n - 1 else _END
+    )[2:]
     size, flagged, clears = len(w), [], {}  # window -> whether the test that read it cleared
     # no word holds a 0, so a padded window is never stored; the one window
     # that reaches w[0] unpadded may find a clear, which its exact back side keeps
@@ -529,7 +534,8 @@ def audit_not_attained(
         while k < exact:
             cleared = clears.get(window)
             if cleared is None:
-                cleared = lower(k) > _order(upper(n, k))
+                (ln, ld), (hn, hd) = lower(k), upper(n, k)
+                cleared = ln * hd > hn * ld
                 if k < n - 1 and n + k <= size:  # the test read the window whole
                     clears[window] = cleared
             if cleared:

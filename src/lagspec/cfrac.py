@@ -4,11 +4,12 @@ Words are kept as combinatorial objects: [0;2,1] and [0;3] denote the
 same rational but stay distinct words, since trailing quotients matter
 for pattern analysis.  Every convergent recurrence runs through one 2x2
 matrix kernel, mobius, and every cylinder interval is the image of a tail
-interval under such a matrix: mobius_pairs on integer pairs, which
-mobius_image wraps in Fractions.  Evaluation is exact (Fraction or
-QuadExt), and period detection works on exact surd states.  One order
-kernel, _alternating, decides the alternating parity rule for continued
-fractions: cmp_prefix and every other comparison by first difference use it.
+interval under such a matrix, by mobius_pairs on integer pairs; cylinder
+is its Fraction face.  _FREE is the free tail [1, inf], and _END the point
+inf, an end that stops exactly.  Evaluation is exact (Fraction or QuadExt),
+and period detection works on exact surd states.  One order kernel,
+_alternating, decides the alternating parity rule for continued fractions:
+cmp_prefix and every other comparison by first difference use it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "eval_periodic",
     "expand",
     "mobius",
-    "mobius_image",
     "mobius_pairs",
 ]
 
@@ -138,26 +138,20 @@ def mobius(word, m=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
     return p1, p0, q1, q0
 
 
+_FREE = (1, 1, 1, 0)  # the free tail [1, inf] as (ln, ld, hn, hd), den 0 being inf
+_END = (1, 0, 1, 0)  # the point inf, an end that stops exactly: m maps it to (p1, q1) twice
+
+
 def mobius_pairs(m, tail) -> tuple[int, int, int, int]:
-    """mobius_image on integer pairs: the tail interval (ln/ld, hn/hd), hd 0
-    being +inf, goes to unreduced ends (ln, ld, hn, hd), lower end first,
-    with positive denominators for a nonempty word's m and a tail in
-    [1, inf].  A word's map rises when its length is even, det m > 0."""
+    """The image of the tail interval (ln/ld, hn/hd), hd 0 being +inf, under
+    x -> (p1*x + p0)/(q1*x + q0), as unreduced ends (ln, ld, hn, hd), lower
+    end first, with positive denominators for a nonempty word's m and a tail
+    in [1, inf]; the tail _END gives the word's last convergent twice.  A
+    word's map rises when its length is even, det m > 0."""
     p1, p0, q1, q0 = m
     ln, ld, hn, hd = tail
     lo, hi = (p1 * ln + p0 * ld, q1 * ln + q0 * ld), (p1 * hn + p0 * hd, q1 * hn + q0 * hd)
     return lo + hi if p1 * q0 > p0 * q1 else hi + lo
-
-
-def mobius_image(m, tail) -> tuple[Fraction, Fraction]:
-    """(min, max) of (p1*x + p0)/(q1*x + q0) over the closed tail interval
-    (lo, hi), hi None being +inf, the projective point 1/0.  Over the free
-    tail (1, None) these are the last convergent p1/q1 and the mediant
-    (p1 + p0)/(q1 + q0) of the matrix's word."""
-    lo, hi = tail
-    hi = (1, 0) if hi is None else hi.as_integer_ratio()
-    ln, ld, hn, hd = mobius_pairs(m, lo.as_integer_ratio() + hi)
-    return Fraction(ln, ld), Fraction(hn, hd)
 
 
 def convergents(w) -> list[tuple[int, int]]:
@@ -298,4 +292,5 @@ def cylinder(w) -> tuple[Fraction, Fraction]:
     word = _word_of(w)
     if len(word) < 2:
         raise ValueError("cylinder needs a word with nonempty tail")
-    return mobius_image(mobius(word), (1, None))
+    ln, ld, hn, hd = mobius_pairs(mobius(word), _FREE)
+    return Fraction(ln, ld), Fraction(hn, hd)

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .bisequence import lambda_at, limsup_lambda, sup_lambda
 from .cfrac import EPCF, PeriodNotFoundError, expand
 from .certify import (
+    _MAX_NODES,
     Constraints,
     NotSeparatedError,
     Pattern,
@@ -281,7 +282,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--depth", type=int, default=25)
     sp.add_argument("--alphabet-max", type=int, default=3)
     sp.add_argument("--forbid", help="override the default forbidden list")
-    sp.add_argument("--max-nodes", type=int, default=None, help="search budget (default: none)")
+    sp.add_argument(
+        "--max-nodes", type=int, default=_MAX_NODES, help="search budget (default: %(default)s)"
+    )
 
     sp = add("audit-alpha0", _cmd_audit_alpha0, help="non-attainability audit of the block word")
     sp.add_argument("--blocks", type=int, default=8)

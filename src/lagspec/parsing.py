@@ -87,10 +87,15 @@ class _Lexer:
             self.pos += 1
         return tok
 
+    def accept(self, kind: str) -> bool:
+        """Consume the next token if it is of this kind (never "END")."""
+        found = self.tokens[self.pos][0] == kind
+        self.pos += found
+        return found
+
     def expect(self, kind: str):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}", tok[2], tok[3], tok[1])
+        if self.peek()[0] != kind:
+            self.fail(f"expected {kind!r}")
         return self.next()
 
     def fail(self, message: str):
@@ -99,10 +104,7 @@ class _Lexer:
 
 
 def _parse_int(lex: _Lexer, allow_negative=True) -> int:
-    neg = False
-    if allow_negative and lex.peek()[0] == "-":
-        lex.next()
-        neg = True
+    neg = allow_negative and lex.accept("-")
     tok = lex.expect("NUM")
     if "." in tok[1]:
         raise ExprSyntaxError("expected an integer", tok[2], tok[3], tok[1])
@@ -111,12 +113,8 @@ def _parse_int(lex: _Lexer, allow_negative=True) -> int:
 
 def _parse_int_list(lex: _Lexer) -> list[int]:
     out = [_parse_int(lex, allow_negative=False)]
-    while lex.peek()[0] == ",":
-        save = lex.pos
+    while lex.peek()[0] == "," and lex.tokens[lex.pos + 1][0] == "NUM":  # else left to the caller
         lex.next()
-        if lex.peek()[0] != "NUM":
-            lex.pos = save
-            break
         out.append(_parse_int(lex, allow_negative=False))
     return out
 
@@ -131,8 +129,7 @@ def _parse_period(lex: _Lexer) -> tuple[int, ...]:
 def _parse_cf_body(lex: _Lexer) -> FiniteCF | EPCF:
     lex.expect("[")
     a0 = _parse_int(lex)
-    if lex.peek()[0] == "]":
-        lex.next()
+    if lex.accept("]"):
         return FiniteCF(a0, ())
     lex.expect(";")
     pre: list[int] = []
@@ -144,8 +141,7 @@ def _parse_cf_body(lex: _Lexer) -> FiniteCF | EPCF:
             break
         if tok[0] == "NUM":
             pre.append(_parse_int(lex, allow_negative=False))
-            if lex.peek()[0] == ",":
-                lex.next()
+            if lex.accept(","):
                 continue
             break
         lex.fail("expected a partial quotient or a period")
@@ -163,13 +159,11 @@ def _parse_biseq_body(lex: _Lexer) -> BiSeq:
     origin = None
     while True:
         core.append(_parse_int(lex, allow_negative=False))
-        if lex.peek()[0] == "*":
-            lex.next()
+        if lex.accept("*"):
             if origin is not None:
                 lex.fail("second origin marker")
             origin = len(core) - 1
-        if lex.peek()[0] == ",":
-            lex.next()
+        if lex.accept(","):
             continue
         break
     lex.expect("|")
@@ -181,17 +175,13 @@ def _parse_biseq_body(lex: _Lexer) -> BiSeq:
 
 
 def _parse_number(lex: _Lexer) -> Fraction:
-    neg = False
-    if lex.peek()[0] == "-":
-        lex.next()
-        neg = True
+    neg = lex.accept("-")
     tok = lex.expect("NUM")
     if "." in tok[1]:
         val = Fraction(tok[1])
     else:
         val = Fraction(int(tok[1]))
-        if lex.peek()[0] == "/":
-            lex.next()
+        if lex.accept("/"):
             den = _parse_int(lex, allow_negative=False)
             if den == 0:
                 lex.fail("zero denominator")
@@ -204,19 +194,23 @@ def _parse_term(lex: _Lexer) -> Term:
     if tok[0] == "[":
         return Term(Fraction(1), _parse_cf_body(lex))
     coef = _parse_number(lex)
-    if lex.peek()[0] == "*":
-        lex.next()
+    if lex.accept("*"):
         return Term(coef, _parse_cf_body(lex))
     return Term(coef, None)
 
 
-def parse_expression(text: str) -> SumExpr | BiSeqExpr:
+def _whole(text: str, body):
+    """body(lexer) over the whole text, refusing trailing input."""
     lex = _Lexer(text)
+    out = body(lex)
+    if lex.peek()[0] != "END":
+        lex.fail("trailing input")
+    return out
+
+
+def _parse_sum(lex: _Lexer) -> SumExpr | BiSeqExpr:
     if lex.peek()[0] == "<":
-        node = BiSeqExpr(_parse_biseq_body(lex))
-        if lex.peek()[0] != "END":
-            lex.fail("trailing input")
-        return node
+        return BiSeqExpr(_parse_biseq_body(lex))
     terms = [_parse_term(lex)]
     while lex.peek()[0] in ("+", "-"):
         op = lex.next()[0]
@@ -224,34 +218,24 @@ def parse_expression(text: str) -> SumExpr | BiSeqExpr:
         if op == "-":
             t = Term(-t.coef, t.cf)
         terms.append(t)
-    if lex.peek()[0] != "END":
-        lex.fail("trailing input")
     return SumExpr(tuple(terms))
 
 
+def parse_expression(text: str) -> SumExpr | BiSeqExpr:
+    return _whole(text, _parse_sum)
+
+
 def parse_cf(text: str) -> FiniteCF | EPCF:
-    lex = _Lexer(text)
-    cf = _parse_cf_body(lex)
-    if lex.peek()[0] != "END":
-        lex.fail("trailing input")
-    return cf
+    return _whole(text, _parse_cf_body)
 
 
 def parse_biseq(text: str) -> BiSeq:
-    lex = _Lexer(text)
-    seq = _parse_biseq_body(lex)
-    if lex.peek()[0] != "END":
-        lex.fail("trailing input")
-    return seq
+    return _whole(text, _parse_biseq_body)
 
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Comma-separated positive integers, e.g. "2,1,2,1,3"."""
-    lex = _Lexer(text)
-    vals = _parse_int_list(lex)
-    if lex.peek()[0] != "END":
-        lex.fail("trailing input")
-    return tuple(vals)
+    return _whole(text, lambda lex: tuple(_parse_int_list(lex)))
 
 
 def evaluate(expr: SumExpr | BiSeqExpr) -> QuadSum:

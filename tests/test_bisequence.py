@@ -9,7 +9,7 @@ from lagspec import bisequence, cfrac, quadfield
 from lagspec.bisequence import (
     BiSeq,
     SupCertificate,
-    _may_exceed,
+    _exceeding,
     _phase_limits,
     _rational_lower_bound,
     _side_classes,
@@ -195,7 +195,7 @@ def test_envelope_soundness_200_random():
 
 
 def test_may_exceed_matches_exact_values():
-    """Beyond the core, phase class by phase class: when _may_exceed holds some
+    """Beyond the core, phase class by phase class: when _exceeding holds some
     lambda_i lies above the phase limit; otherwise every one lies below it or
     every one equals it.  Four indices per class, both reading directions."""
     rng = random.Random(6716)
@@ -208,7 +208,7 @@ def test_may_exceed_matches_exact_values():
             R = len(seq.right_period)
             for phase, lim in enumerate(_phase_limits(seq.right_period, {})):
                 vals = [lambda_at(seq, seq.end + 1 + phase + k * R).value for k in range(4)]
-                if _may_exceed(seq, phase):
+                if _exceeding(seq)[phase % 2]:
                     assert any(v > lim for v in vals), (seq, phase)
                     outcomes.add("all above" if all(v > lim for v in vals) else "some above")
                 elif all(v < lim for v in vals):
@@ -363,7 +363,7 @@ def _reference_sup_lambda(A, max_window_periods=12):
     maximum re-taken over the whole span at each K, every envelope test an
     exact sum, and a margin computed for every class below the sup."""
     classes = [
-        (lim, _may_exceed(seq, phase), len(seq.right_period))
+        (lim, _exceeding(seq)[phase % 2], len(seq.right_period))
         for seq in (A, A.reversed())
         for phase, lim in enumerate(_ref_phase_limits(seq.right_period))
     ]

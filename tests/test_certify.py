@@ -492,6 +492,31 @@ def test_negative_depth_rejected():
         list(admissible_extensions((), Constraints(2), -1))
 
 
+def test_depth_above_the_cap_raises_before_any_level(monkeypatch):
+    cap = certify._MAX_DEPTH
+    assert cap == 10**5
+    site = lambda d: site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), d)
+    sweep = lambda d: pattern_necessity(Fraction(3691, 1000), gap_constraints(), 9, d)
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_tail_levels", lambda *args: pytest.fail("built a tail level"))
+        for call in (site, sweep):
+            for depth in (cap + 1, 10**7, 10**8):
+                with pytest.raises(ValueError, match=f"^depth {depth} exceeds the cap of {cap}$"):
+                    call(depth)
+    with deadline(10, "site bounds at the depth cap"):
+        cert = site(cap)  # the cap itself is accepted
+    assert cert.depth == cap and QuadSum(cert.lower) > LAM0
+
+
+def test_sweep_has_a_default_node_budget():
+    assert pattern_necessity.__defaults__[-1] == certify._MAX_NODES == 10**5
+    # the gap-list sweeps stay far below it; None still means no limit
+    threshold, gap = Fraction(3691, 1000), gap_constraints()
+    full = pattern_necessity(threshold, gap, 15, 25)
+    assert full.holds and full.nodes < 1000
+    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=None) == full
+
+
 def test_admissible_extensions_at_depth_1200():
     # the enumeration walks an explicit stack, so depth is not bounded by recursion
     assert list(admissible_extensions((), Constraints(1), 1200)) == [(1,) * 1200]
@@ -692,8 +717,8 @@ def test_audit_brackets_few_windows(monkeypatch, m, most):
     # each distinct window the test reads whole is bracketed once, failing
     # or not; a 33-symbol first window needed 502 and 1,121 brackets
     calls = []
-    sides = certify._sides
-    monkeypatch.setattr(certify, "_sides", lambda *args: calls.append(args[1:]) or sides(*args))
+    site = certify._site
+    monkeypatch.setattr(certify, "_site", lambda *args: calls.append(args[1:]) or site(*args))
     rep = audit_not_attained(alpha0_prefix(m), LAM0, 12, 2 * m + 3)
     assert rep.clean and len(calls) <= most
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import deadline
 from lagspec.cfrac import (
+    _END,
     EPCF,
     _alternating,
     _fixed_box,
@@ -22,7 +23,6 @@ from lagspec.cfrac import (
     eval_periodic,
     expand,
     mobius,
-    mobius_image,
     mobius_pairs,
 )
 from lagspec.quadfield import QuadExt, QuadSum
@@ -79,12 +79,17 @@ def _value_with_tail(word, t):
 def test_mobius_image_of_tail_interval(a0, tail, s, t):
     word = (a0,) + tuple(tail)
     lo, hi = min(s, t), max(s, t)
+
+    def image(end):  # the ends of mobius_pairs over [lo, end], as Fractions
+        ln, ld, hn, hd = mobius_pairs(mobius(word), lo.as_integer_ratio() + end)
+        return Fraction(ln, ld), Fraction(hn, hd)
+
     # x -> [word..., x] is monotone on [1, inf], so the endpoints span the image
     ends = sorted((_value_with_tail(word, lo), _value_with_tail(word, hi)))
-    assert mobius_image(mobius(word), (lo, hi)) == tuple(ends)
+    assert image(hi.as_integer_ratio()) == tuple(ends)
     # +inf as 1/0: the tail drops out and the word itself is the endpoint
     ends = sorted((_value_with_tail(word, lo), _value_with_tail(word[:-1], word[-1])))
-    assert mobius_image(mobius(word), (lo, None)) == tuple(ends)
+    assert image((1, 0)) == tuple(ends)
 
 
 @given(
@@ -101,11 +106,20 @@ def test_mobius_pairs_match_mobius_image(tail, lo, width):
     ln, ld, hn, hd = mobius_pairs(mobius(word), pairs)
     assert ld > 0 and hd > 0
     ends = Fraction(ln, ld), Fraction(hn, hd)
-    assert ends == mobius_image(mobius(word), (lo, hi))
     # the map rises for an even word length, so lo gives the lower end
     at_lo = _value_with_tail(word, lo)
     at_hi = _value_with_tail(word[:-1], word[-1]) if hi is None else _value_with_tail(word, hi)
     assert ends == ((at_lo, at_hi) if len(word) % 2 == 0 else (at_hi, at_lo))
+
+
+def test_exact_end_is_the_last_convergent():
+    # _END, the point inf, drops the tail: the word's own value at both ends
+    rng = random.Random(2201)
+    for _ in range(500):
+        word = (rng.randint(0, 5),) + tuple(rng.randint(1, 9) for _ in range(rng.randint(0, 12)))
+        p, _, q, _ = mobius(word)
+        assert mobius_pairs(mobius(word), _END) == (p, q, p, q)  # the last convergent twice
+        assert Fraction(p, q) == eval_finite(word) == _value_with_tail(word[:-1], word[-1])
 
 
 def test_eval_finite():

@@ -270,6 +270,41 @@ def test_negative_depth_and_guard_exit_1(capsys):
     assert code == 1 and "guard" in err
 
 
+@pytest.mark.parametrize(
+    "argv, depth",
+    [
+        (["certify-pattern", "3,1", "--threshold", "3", "--depth", "10000000"], 10**7),
+        (["necessity", "--threshold", "3691/1000", "--window", "9", "--depth", "100000000"], 10**8),
+        (["necessity", "--threshold", "3691/1000", "--window", "9", "--depth", "100001"], 100001),
+    ],
+)
+def test_depth_above_the_cap_exits_1(capsys, argv, depth):
+    with deadline(10, "a depth above the cap"):
+        code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: depth {depth} exceeds the cap of 100000\n"
+
+
+def test_depth_at_the_cap_is_accepted(capsys):
+    argv = ["certify-pattern", "3,1", "--threshold", LAM0_EXPR, "--depth", "100000", "--digits", "3"]
+    with deadline(20, "certify-pattern at the depth cap"):
+        code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("certified:")
+
+
+def test_necessity_default_node_budget_exit_2(capsys):
+    # without a budget this sweep ran past 20 s; the default cuts it at 10**5 words
+    argv = ["necessity", "--threshold", "4", "--window", "25", "--depth", "5", "--alphabet-max", "5"]
+    with deadline(30, "the default-budget sweep"):
+        code, out, err = run(capsys, *argv, "--structured")
+    rec = json.loads(out)
+    assert (code, err) == (2, "")
+    assert rec["status"] == "inconclusive" and rec["nodes"] == 100000 and rec["holds"] is False
+    with pytest.raises(SystemExit):
+        main(["necessity", "--help"])
+    assert "search budget (default: 100000)" in " ".join(capsys.readouterr().out.split())
+
+
 def test_depth_1200_runs_without_recursion(capsys):
     for argv in (
         ["certify-pattern", "3,1", "--threshold", LAM0_EXPR, "--depth", "1200"],

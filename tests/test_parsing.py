@@ -59,6 +59,22 @@ def test_parse_errors_carry_position():
         parse_expression("[0;1]extra")
 
 
+@pytest.mark.parametrize(
+    "parse, text, at",
+    [
+        (parse_expression, "1/2 + [0;1,2]\n  + 3 ]", ("]", 2, 7)),
+        (parse_expression, "<(1)|2*|(1)> + 1", ("+", 1, 14)),
+        (parse_cf, "[0;1,(2)]\n\n  7", ("7", 3, 3)),
+        (parse_biseq, "<(1) | 2* | (1)>\n>", (">", 2, 1)),
+        (parse_word, "1,2,\n3 4", ("4", 2, 3)),
+    ],
+)
+def test_trailing_input_is_refused_at_its_token(parse, text, at):
+    with pytest.raises(ExprSyntaxError, match="^trailing input at line") as err:
+        parse(text)
+    assert (err.value.token, err.value.line, err.value.col) == at
+
+
 @pytest.mark.parametrize("text, col", [("²", 1), ("[0;1,²]", 6), ("1²", 2)])
 def test_non_decimal_digit_is_a_positioned_syntax_error(capsys, text, col):
     # "²" is a Unicode digit that int() refuses
