@@ -380,7 +380,7 @@ def pattern_necessity(
     tn, td = threshold.numerator, threshold.denominator
     ftable, rtable = constraints._table, rev._table
     right_counts = _counts(ftable, right[0], window_len)
-    left_counts = right_counts if rev is constraints else _counts(rtable, left[0], window_len)
+    left_counts = right_counts if rev is constraints else _counts(rtable, left[0], center)
     h = max(map(len, constraints.forbidden), default=1) - 1  # the longest state's length
     # the window's positions from the center outward, right before left
     order = sorted(range(window_len), key=lambda p: (abs(p - center), p < center))

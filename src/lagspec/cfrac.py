@@ -16,9 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import inf, isqrt
+from math import inf
 
-from .quadfield import _SCALE, QuadExt, _Record, squarefree_decompose
+from .quadfield import _SCALE, QuadExt, _Record, _floor_root, squarefree_decompose
 
 __all__ = [
     "EPCF",
@@ -195,9 +195,9 @@ def _eval_mobius(m, M, radicands: dict) -> QuadExt:
 
 
 def _fixed_box(M) -> tuple[int, int, int, int]:
-    """Integer pairs (n/v, (n + 1)/v) around the fixed point above 1 of M, for mobius_pairs."""
+    """Integer pairs (n/v, (n + 1)/v) around the fixed point above 1 of M, by _floor_root."""
     u, disc, v = _fixed_point(M)
-    n = (u << _SCALE) + isqrt(disc << 2 * _SCALE)
+    n = (u << _SCALE) + _floor_root(1 << _SCALE, disc)
     return n, v << _SCALE, n + 1, v << _SCALE
 
 
@@ -210,10 +210,10 @@ def _mobius_box(m, box) -> tuple[int, int]:
 def expand(x, max_terms: int = 512):
     """Continued fraction of an exact value, with period detection.
 
-    Rational input yields its FiniteCF in canonical Euclid form; quadratic
-    irrationals yield the EPCF found by the first repeated surd state, so
-    eval_periodic(expand(x)) == x exactly.  Raises PeriodNotFoundError if
-    no state repeats within max_terms quotients, ValueError if max_terms < 1.
+    Rational input yields its FiniteCF in canonical Euclid form; quadratic irrationals yield
+    the EPCF of the first repeated surd state (P + sqrt(D))/Q, whose quotient is
+    (P + _floor_root(1, D) + (Q < 0)) // Q, so eval_periodic(expand(x)) == x exactly.  Raises
+    PeriodNotFoundError if no state repeats in max_terms quotients; ValueError if max_terms < 1.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be positive")
@@ -235,6 +235,7 @@ def expand(x, max_terms: int = 512):
         P, Q = -x.a, -x.c
     if (D - P * P) % Q:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    s = _floor_root(1, D)
     seen: dict[tuple[int, int], int] = {}
     quots = []
     for i in range(max_terms):
@@ -245,11 +246,7 @@ def expand(x, max_terms: int = 512):
                 return EPCF(quots[0], (), tuple(quots[1:]) + (quots[0],))
             return EPCF(quots[0], tuple(quots[1:k]), tuple(quots[k:]))
         seen[(P, Q)] = i
-        s = isqrt(D)
-        if Q > 0:
-            a = (P + s) // Q
-        else:
-            a = (-P - s - 1) // -Q
+        a = (P + s + (Q < 0)) // Q
         quots.append(a)
         P = a * Q - P
         Q = (D - P * P) // Q

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -197,7 +198,7 @@ def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
     report = audit_not_attained(prefix, gap_left_endpoint(), start=args.start, guard=guard)
     rec = {
         "blocks": args.blocks,
-        "word_length": len(prefix.word) - 1,
+        "word_length": len(prefix.tail),
         "start": report.start,
         "stop": report.stop,
         "guard": report.guard,
@@ -384,7 +385,11 @@ def main(argv=None) -> int:
     except (CliError, ValueError, MixedRadicandError, ZeroDivisionError, PeriodNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(_json(record) if args.structured else text)
+    try:
+        print(_json(record) if args.structured else text, flush=True)
+    except BrokenPipeError:  # a closed stdout: keep the exit flush quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import chain, cycle, islice
 
-from .bisequence import BiSeq, lambda_at, periodic_phase_limits
+from .bisequence import BiSeq, periodic_phase_limits
 from .cfrac import EPCF, FiniteCF, PrefixOrderUndecided, _alternating, cmp_prefix
 from .cfrac import eval_finite, eval_periodic
 from .quadfield import QuadExt, QuadSum, _Record
@@ -183,17 +183,15 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
     mu = limits[j0]
     j = j0 + 1  # 1-based site within the period
 
-    # both tails of the purely periodic word at j0
-    lv = lambda_at(BiSeq(P, P, 0, P), j0)
-    back_pre = lv.left_tail.preperiod  # c_{j-1}..c_1
+    back_pre = P[:j0][::-1]  # c_{j-1}..c_1, then the backward period P[::-1]
     # the finite side ends first, and a rational never equals the periodic tail
-    periodic_back = islice(cycle(lv.left_tail.period), len(R) + 1)
+    periodic_back = islice(cycle(P[::-1]), len(R) + 1)
     if _alternating((0,) + back_pre + R[::-1], chain((0,) + back_pre, periodic_back))[0] < 0:
         raise BadRError(
             "[0; c_{j-1},...,c_1, reversed(R)] must exceed the periodic tail"
         )
 
-    forward = eval_periodic(EPCF(P[j0], lv.right_tail.preperiod, lv.right_tail.period))
+    forward = eval_periodic(EPCF(P[j0], P[j0 + 1 :], P))
     ms = tuple(range(1, check_m + 1))
     lams = []
     for m in ms:

@@ -111,19 +111,19 @@ def _parse_int(lex: _Lexer, allow_negative=True) -> int:
     return -int(tok[1]) if neg else int(tok[1])
 
 
-def _parse_int_list(lex: _Lexer) -> list[int]:
+def _parse_int_list(lex: _Lexer) -> tuple[int, ...]:
     out = [_parse_int(lex, allow_negative=False)]
     while lex.peek()[0] == "," and lex.tokens[lex.pos + 1][0] == "NUM":  # else left to the caller
         lex.next()
         out.append(_parse_int(lex, allow_negative=False))
-    return out
+    return tuple(out)
 
 
 def _parse_period(lex: _Lexer) -> tuple[int, ...]:
     lex.expect("(")
     vals = _parse_int_list(lex)
     lex.expect(")")
-    return tuple(vals)
+    return vals
 
 
 def _parse_cf_body(lex: _Lexer) -> FiniteCF | EPCF:
@@ -132,23 +132,15 @@ def _parse_cf_body(lex: _Lexer) -> FiniteCF | EPCF:
     if lex.accept("]"):
         return FiniteCF(a0, ())
     lex.expect(";")
-    pre: list[int] = []
-    period: tuple[int, ...] | None = None
-    while True:
-        tok = lex.peek()
-        if tok[0] == "(":
-            period = _parse_period(lex)
-            break
-        if tok[0] == "NUM":
-            pre.append(_parse_int(lex, allow_negative=False))
-            if lex.accept(","):
-                continue
-            break
+    pre = _parse_int_list(lex) if lex.peek()[0] == "NUM" else ()
+    if pre and not lex.accept(","):
+        lex.expect("]")
+        return FiniteCF(a0, pre)
+    if lex.peek()[0] != "(":  # after ";" or a comma
         lex.fail("expected a partial quotient or a period")
+    period = _parse_period(lex)
     lex.expect("]")
-    if period is None:
-        return FiniteCF(a0, tuple(pre))
-    return EPCF(a0, tuple(pre), period)
+    return EPCF(a0, pre, period)
 
 
 def _parse_biseq_body(lex: _Lexer) -> BiSeq:
@@ -235,7 +227,7 @@ def parse_biseq(text: str) -> BiSeq:
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Comma-separated positive integers, e.g. "2,1,2,1,3"."""
-    return _whole(text, lambda lex: tuple(_parse_int_list(lex)))
+    return _whole(text, _parse_int_list)
 
 
 def evaluate(expr: SumExpr | BiSeqExpr) -> QuadSum:

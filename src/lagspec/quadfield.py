@@ -9,7 +9,7 @@ hashing and arithmetic treat them as one field (the square-class test).
 Sums of two values over different fields are handled by QuadSum.  Both
 types share one set of operators; one fold puts every QuadSum in canonical
 form.  A comparison, across fields or not, compares integer brackets of
-v * 2**64 (one isqrt per term, once per value) and folds the difference only when they
+v * 2**64 (one _floor_root per term, once per value) and folds the difference only when they
 overlap.  Every sign, order, floor and rounding query is decided exactly
 with integer arithmetic; nothing here touches floating point.
 """
@@ -139,13 +139,18 @@ def _common_d(d1: int, d2: int) -> tuple[int, int, int] | None:
     return (g, k1, k2) if k2 * k2 * g == d2 else None
 
 
+def _floor_root(b: int, d: int) -> int:
+    """The integer t with t <= b*sqrt(d) <= t + 1: the floor whenever b*sqrt(d) is irrational."""
+    s = isqrt(b * b * d)
+    return s if b > 0 else -s - 1
+
+
 def _box(terms) -> tuple[int, int]:
-    """Integers lo <= v * 2**_SCALE <= hi for the sum v of canonical terms."""
+    """Integers lo <= v * 2**_SCALE <= hi for the sum v of canonical terms, by _floor_root."""
     lo = hi = 0
-    for t in terms:  # r is the floor of |b|*sqrt(d) * 2**_SCALE
-        n, r = t.a << _SCALE, isqrt(t.b * t.b * t.d << 2 * _SCALE)
-        n, m = (n + r, n + r + 1) if t.b > 0 else (n - r - 1, n - r)
-        lo, hi = lo + n // t.c, hi - (-m // t.c)
+    for t in terms:
+        n = (t.a << _SCALE) + _floor_root(t.b << _SCALE, t.d)
+        lo, hi = lo + n // t.c, hi - (-(n + 1) // t.c)
     return lo, hi
 
 
@@ -387,16 +392,9 @@ class QuadExt(_Quad):
         return not (self.a == 0 and self.b == 0)
 
     def __floor__(self) -> int:
-        if self.b == 0:
-            return self.a // self.c
-        s = isqrt(self.b * self.b * self.d)
-        num = self.a + (s if self.b > 0 else -s - 1)
-        n = num // self.c
-        while self._cmp(n) < 0:
-            n -= 1
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        return n
+        """The lower end of bracket(0), floored: exact, as b*sqrt(d) is irrational if b != 0."""
+        ln, ld, _, _ = self._pairs(0)
+        return ln // ld
 
     floor = __floor__
 
@@ -405,8 +403,7 @@ class QuadExt(_Quad):
     def _pairs(self, k: int) -> tuple[int, int, int, int]:
         """bracket(k) as unreduced integer pairs (lo_num, lo_den, hi_num, hi_den)."""
         scale = 10**k
-        s = isqrt(self.b * self.b * self.d * scale * scale)
-        n, den = self.a * scale + (s if self.b > 0 else -s - 1), self.c * scale
+        n, den = self.a * scale + _floor_root(self.b * scale, self.d), self.c * scale
         return (n, den, n + 1, den) if self.b else (self.a, self.c, self.a, self.c)
 
     def __str__(self):

@@ -177,6 +177,15 @@ def test_expand_examples():
     assert eval_periodic(e) == eval_periodic(EPCF(3, (3, 3, 2, 1), (1, 2)))
 
 
+def test_expand_from_a_negative_denominator_state():
+    # b < 0 starts the surd state (P + sqrt(D))/Q at Q < 0
+    for x, cf in [
+        (QuadExt(0, -1, 1, 2), EPCF(-2, (1, 1), (2,))),  # -sqrt(2)
+        (QuadExt(1, -1, 3, 7), EPCF(-1, (2,), (4, 1, 1, 1))),  # (1 - sqrt(7))/3
+    ]:
+        assert expand(x) == cf and eval_periodic(cf) == x
+
+
 def test_expand_period_not_found():
     with pytest.raises(PeriodNotFoundError):
         expand(QuadExt(0, 1, 1, 1999), max_terms=3)

@@ -1,6 +1,8 @@
 import argparse
 import json
+import os
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -366,6 +368,37 @@ def test_precondition_error_exit_1(capsys):
     assert code == 1 and "error" in err
     code, _, err = run(capsys, "expand", "[0;(1,2)]+[0;(1,3)]")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ["certify-pattern", "1,3", "--forbid", "1,3", "--threshold", "3"],
+            "error: pattern word violates the constraints\n",
+        ),
+        (
+            ["necessity", "--threshold", "abc"],
+            "error: threshold must be rational: Invalid literal for Fraction: 'abc'\n",
+        ),
+        (["eval", "1/0"], "syntax error: zero denominator at line 1, column 4: ''\n"),
+        (["eval", "[0;1.5]"], "syntax error: expected an integer at line 1, column 4: '1.5'\n"),
+    ],
+)
+def test_refused_input_exits_1_with_its_message(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # 365 kB of output: the writer meets the closed pipe, in print or in its flush
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = [sys.executable, "-m", "lagspec.cli", "construct", "alpha0", "--blocks", "300"]
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10) == b"[0;2,1,1,2"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, b"")
 
 
 def test_bad_flag_exit_1(capsys):

@@ -75,6 +75,25 @@ def test_trailing_input_is_refused_at_its_token(parse, text, at):
     assert (err.value.token, err.value.line, err.value.col) == at
 
 
+# the preperiod's list reader leaves a comma that no number follows to the
+# cf grammar, which then wants a period
+@pytest.mark.parametrize(
+    "text, at",
+    [
+        ("[0;]", ("]", 1, 4)),
+        ("[0;1,]", ("]", 1, 6)),
+        ("[0;-1]", ("-", 1, 4)),
+        ("[0;1,-2]", ("-", 1, 6)),
+        ("  [0;\n 1,]", ("]", 2, 4)),
+    ],
+)
+@pytest.mark.parametrize("parse", [parse_cf, parse_expression])
+def test_missing_quotient_is_refused_at_its_token(parse, text, at):
+    with pytest.raises(ExprSyntaxError, match="^expected a partial quotient or a period at") as err:
+        parse(text)
+    assert (err.value.token, err.value.line, err.value.col) == at
+
+
 @pytest.mark.parametrize("text, col", [("²", 1), ("[0;1,²]", 6), ("1²", 2)])
 def test_non_decimal_digit_is_a_positioned_syntax_error(capsys, text, col):
     # "²" is a Unicode digit that int() refuses

@@ -12,6 +12,7 @@ from lagspec.quadfield import (
     QuadExt,
     QuadSum,
     _box,
+    _floor_root,
     _format_scaled,
     squarefree_decompose,
 )
@@ -123,6 +124,40 @@ def test_floor():
     assert x.floor() == 0
     assert QuadExt(-1, -1, 1, 2).floor() == -3  # -2.414...
     assert QuadExt.from_rational(Fraction(-7, 2)).floor() == -4
+
+
+def _cmp_root(n, b, d):
+    """Sign of n - b*sqrt(d), from integer squares alone."""
+    sn, sb = (n > 0) - (n < 0), (b > 0) - (b < 0)
+    if sn != sb:
+        return (sn > sb) - (sn < sb)
+    return sn * ((n * n > b * b * d) - (n * n < b * b * d))
+
+
+def test_floor_root_brackets_b_sqrt_d():
+    assert [_floor_root(b, d) for b, d in [(0, 5), (3, 4), (-3, 4), (-1, 2)]] == [-1, 6, -7, -2]
+    rng = random.Random(2301)
+    for _ in range(3000):
+        b = rng.choice([0, rng.randint(-50, 50), rng.randint(-(10**40), 10**40)])
+        r = rng.randint(1, 10**6)
+        d = rng.choice([r, r * r, rng.randint(1, 10**35)])
+        t = _floor_root(b, d)
+        assert _cmp_root(t, b, d) <= 0 <= _cmp_root(t + 1, b, d)
+        if b and isqrt(d) ** 2 != d:  # b*sqrt(d) irrational: t is its floor
+            assert _cmp_root(t, b, d) < 0 < _cmp_root(t + 1, b, d)
+
+
+def test_floor_of_random_values_with_negative_b():
+    # n <= x < n + 1 read through sign(), which rounds nothing
+    rng = random.Random(2302)
+    wide = 0
+    for _ in range(2000):
+        a, b = rng.randint(-(10**6), 10**6), rng.choice([-1, 1]) * rng.randint(1, 10**4)
+        x = QuadExt(a, b, rng.randint(2, 500), rng.choice([2, 3, 7, 15, P * Q]))
+        n = x.floor()
+        assert (x - n).sign() >= 0 and (x - (n + 1)).sign() < 0
+        wide += x.b < 0 and x.c > 1
+    assert wide > 500
 
 
 def test_approx():
@@ -445,3 +480,12 @@ def test_integer_pair_decimals_match_fraction_reference(v, digits):
     assert v.approx(digits) == _fraction_approx(v, digits)
     k = digits % 61
     assert v.bracket(k) == _fraction_bracket(v, k)
+
+
+def test_approx_widens_its_guard_until_the_rounding_is_decided():
+    # (1 - 10**20 + sqrt(10**40 + 1))/2 = 0.5 + 2.5e-21...: the brackets at 8 and
+    # 16 guard digits both hold 0.5, so the guard doubles twice
+    x = QuadExt(1 - 10**20, 1, 2, 10**40 + 1)
+    assert x.approx(0) == "1"
+    for k in range(26):
+        assert x.approx(k) == _fraction_approx(x, k)
