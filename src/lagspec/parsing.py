@@ -174,9 +174,10 @@ def _parse_number(lex: _Lexer) -> Fraction:
     else:
         val = Fraction(int(tok[1]))
         if lex.accept("/"):
+            tok = lex.peek()  # the denominator's token, where a zero is refused
             den = _parse_int(lex, allow_negative=False)
             if den == 0:
-                lex.fail("zero denominator")
+                raise ExprSyntaxError("zero denominator", tok[2], tok[3], tok[1])
             val = Fraction(val, den)
     return -val if neg else val
 

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -26,6 +27,7 @@ from lagspec.certify import (
     site_lambda_bounds,
     violates,
     _reversed,
+    _sides,
     _tails,
 )
 from lagspec.cfrac import EPCF, FiniteCF, cylinder, eval_finite, eval_periodic, mobius, mobius_pairs
@@ -721,6 +723,57 @@ def test_audit_brackets_few_windows(monkeypatch, m, most):
     monkeypatch.setattr(certify, "_site", lambda *args: calls.append(args[1:]) or site(*args))
     rep = audit_not_attained(alpha0_prefix(m), LAM0, 12, 2 * m + 3)
     assert rep.clean and len(calls) <= most
+
+
+@pytest.mark.parametrize("m, most", [(32, 3800), (100, 34000)])
+def test_audit_reads_each_symbol_once(monkeypatch, m, most):
+    # a doubled window continues its half window's matrices over the new
+    # symbols only; rebuilding every window from scratch passed 6,856 and
+    # 61,668 symbols to mobius
+    steps = []
+    count = lambda word, *rest: steps.append(len(word)) or mobius(word, *rest)
+    monkeypatch.setattr(certify, "mobius", count)
+    rep = audit_not_attained(alpha0_prefix(m), LAM0, 12, 2 * m + 3)
+    assert rep.clean and sum(steps) <= most
+
+
+def test_audit_side_matrices_equal_their_windows_from_scratch(monkeypatch):
+    # every bracket's side matrices, continued from a half window or built
+    # by _sides, are those of its window from scratch, integer for integer;
+    # the audit's upper(n, k, sides) is the caller of _site
+    rng = random.Random(24)
+    site, levels = certify._site, set()
+
+    def checked(c, sides, right, left):
+        f = sys._getframe(1).f_locals
+        n, k, w = f["n"], f["k"], f["w"]
+        whole = k < n - 1 and n + k <= len(w)
+        assert sides == _sides(w[max(n - 1 - k, 0) : n + k], min(k, n - 1))
+        levels.add((k, whole))
+        return site(c, sides, right, left)
+
+    monkeypatch.setattr(certify, "_site", checked)
+    for _ in range(40):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(20, 160)))
+        reference = _reference_bracket(w, rng.randint(1, len(w)))[1]
+        audit_not_attained(FiniteCF(0, w), reference, 1, 0)
+    assert {(2, True), (4, True), (8, True), (16, True), (32, False)} <= levels
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_audit_edge_positions_match_exact_brackets(monkeypatch, k):
+    # short words audited from every start with guard 0, so that windows
+    # read whole and windows cut by either end of the word interleave
+    monkeypatch.setattr(certify, "_WINDOW", k)
+    rng = random.Random(k)
+    for _ in range(12):
+        w = tuple(rng.randint(1, 3) for _ in range(rng.randint(5, 40)))
+        uppers = {n: _reference_bracket(w, n)[1] for n in range(1, len(w) + 1)}
+        for reference in (uppers[rng.randint(1, len(w))], Fraction(rng.randint(3400, 4200), 1000)):
+            for start in range(1, len(w) + 1):
+                rep = audit_not_attained(FiniteCF(0, w), reference, start, 0)
+                expected = tuple(n for n in range(start, len(w) + 1) if not reference > uppers[n])
+                assert rep.flagged == expected
 
 
 BLOCK_WORD_AUDITS = {  # blocks -> (stop, flagged) at guard 0

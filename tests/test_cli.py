@@ -381,8 +381,11 @@ def test_precondition_error_exit_1(capsys):
             ["necessity", "--threshold", "abc"],
             "error: threshold must be rational: Invalid literal for Fraction: 'abc'\n",
         ),
-        (["eval", "1/0"], "syntax error: zero denominator at line 1, column 4: ''\n"),
+        (["eval", "1/0"], "syntax error: zero denominator at line 1, column 3: '0'\n"),
         (["eval", "[0;1.5]"], "syntax error: expected an integer at line 1, column 4: '1.5'\n"),
+        (["eval", "1/0+1"], "syntax error: zero denominator at line 1, column 3: '0'\n"),
+        (["eval", "2*[0;1]+3/00"], "syntax error: zero denominator at line 1, column 11: '00'\n"),
+        (["eval", "1/0*[0;(1,2)]"], "syntax error: zero denominator at line 1, column 3: '0'\n"),
     ],
 )
 def test_refused_input_exits_1_with_its_message(capsys, argv, err):
