@@ -1,31 +1,33 @@
 """Machine-checkable certificates over words with forbidden factors.
 
-Every forbidden-factor test runs on one factor automaton compiled from
-the constraints.  Bounds on the two-sided value at a site inside a
-pattern are computed from exact cylinder intervals over the admissible
-continuations to a fixed depth, at most _MAX_DEPTH.  Each state's
-interval is read from two children only, the smallest live symbol's for
-the lower end and the largest one's for the upper end; levels are
-stepped one at a time until the set of live states repeats, and from
-there pointer doubling over those fixed choices reaches the depth in
-O(log depth) matrix products; the levels past the depth step on that
-fixed graph, rebuilt only while the live states still shrink.
-Every interval is the image of a tail interval under a Moebius matrix,
-on unreduced integer (num, den) pairs.  One kernel, _site, adds a site
-symbol to the images of its two tails, an end that stops exactly being
-the point _END; the site bounds, the one-sided bracket and the audit
-read it.  The window sweep grows each window from the center outward and
-bounds both sides at every node, within _MAX_NODES words by default; it
-counts a segment without enumeration once its bound is below the
-threshold, or once it carries the center pattern with its lower bound at
-or above it.  Everything is exact rational arithmetic, with Fractions
-only in reported bounds; deepening a search never loosens a bound.  The
-non-attainability audit clears each position of a known word from a
-doubling window around it, five symbols first and exact once past the
-word; each distinct window is bracketed once, and its outcome, clear or
-not, serves every later position with that window.  A doubled window
-continues its half window's side matrices, reading only the symbols it
-adds, and a position whose first window has cleared costs no Python step.
+Every forbidden-factor test runs on one factor automaton, compiled once
+per Constraints along suffix links into numbered states, so its table,
+tail levels and window counts are lists indexed by state.  Bounds on the
+two-sided value at a site inside a pattern are computed from exact
+cylinder intervals over the admissible continuations to a fixed depth,
+at most _MAX_DEPTH.  Each state's interval is read from two children
+only, the smallest live symbol's for the lower end and the largest one's
+for the upper end; levels are stepped one at a time until the set of
+live states repeats, and from there pointer doubling over those fixed
+choices reaches the depth in O(log depth) matrix products; the levels
+past the depth step on those choices, found again only while the live
+states still shrink.  Every interval is the image of a tail interval
+under a Moebius matrix, on unreduced integer (num, den) pairs.  One
+kernel, _site, adds a site symbol to the images of its two tails, an end
+that stops exactly being the point _END; the site bounds, the one-sided
+bracket and the audit read it.  The window sweep grows each window from
+the center outward and bounds both sides at every node, within
+_MAX_NODES words by default; it counts a segment without enumeration
+once its bound is below the threshold, or once it carries the center
+pattern with its lower bound at or above it.  Everything is exact
+rational arithmetic, with Fractions only in reported bounds; deepening a
+search never loosens a bound.  The non-attainability audit clears each
+position of a known word from a doubling window around it, five symbols
+first and exact once past the word; each distinct window is bracketed
+once, and its outcome, clear or not, serves every later position with
+that window.  A doubled window continues its half window's side
+matrices, reading only the symbols it adds, and a position whose first
+window has cleared costs no Python step.
 """
 
 from __future__ import annotations
@@ -115,38 +117,40 @@ class Constraints(_Record):
                     raise ValueError(f"forbidden pattern {f} leaves the alphabet")
 
     @cached_property
-    def _table(self) -> dict:
-        """Factor automaton.  The states are () and the proper prefixes of
-        the forbidden words; table[s][a-1] is the longest suffix of s+(a,)
-        that is a state, or None when some suffix of s+(a,) is forbidden.
-        The state of an admissible word, its longest suffix that is a
-        state, holds all of its past that a forbidden factor can reach."""
-        forbidden = self.forbidden
-        states = {f[:i] for f in forbidden for i in range(len(f))} | {()}
-
-        def step(t):
-            # suffixes shortest first, so the last state seen is the longest
-            for i in range(len(t), -1, -1):
-                u = t[i:]
-                if u in forbidden:
-                    return None
-                if u in states:
-                    state = u
-            return state
-
-        return {
-            s: tuple(step(s + (a,)) for a in range(1, self.alphabet_max + 1))
-            for s in states
-        }
+    def _table(self) -> list:
+        """Factor automaton on numbered states: () is 0, and the admissible
+        proper prefixes of the forbidden words follow by length, the compile
+        setting _words[s] to the word of s.  table[s][a-1] is the longest
+        suffix of s+(a,) that is a state, or None when some suffix of s+(a,)
+        is forbidden.  The state of an admissible word, its longest suffix
+        that is a state, holds all of its past that a forbidden factor can
+        reach.  As in Aho-Corasick, a row is its longest proper suffix
+        state's row, compiled before it, but where s+(a,) is forbidden or a state."""
+        forbidden, m = self.forbidden, self.alphabet_max
+        prefixes = {f[:i] for f in forbidden for i in range(1, len(f))}
+        states, table = [((), 0)], []  # (word, its longest proper suffix state)
+        for s, (word, link) in enumerate(states):  # grows as the states are found
+            row = []
+            for a, b in enumerate(table[link] if s else (0,) * m, 1):
+                t = word + (a,)
+                if b is None or t in forbidden:
+                    b = None
+                elif t in prefixes:  # a new state, whose suffix state is b
+                    states.append((t, b))
+                    b = len(states) - 1
+                row.append(b)
+            table.append(tuple(row))
+        vars(self)["_words"] = [word for word, _ in states]
+        return table
 
     def _walk(self, word):
-        """Automaton state after reading the word from (); None when the
-        word leaves the alphabet or hits a forbidden factor."""
-        state = ()
+        """Automaton state after reading the word from state 0; None when
+        the word leaves the alphabet or hits a forbidden factor."""
+        state, table, m = 0, self._table, self.alphabet_max
         for a in word:
-            if state is None or not 1 <= a <= self.alphabet_max:
+            if state is None or not 1 <= a <= m:
                 return None
-            state = self._table[state][a - 1]
+            state = table[state][a - 1]
         return state
 
 
@@ -211,22 +215,26 @@ def violates(word, constraints: Constraints) -> bool:
     return constraints._walk(word) is None
 
 
-def _counts(table, tail, n: int) -> list:
-    """counts[r][s], r = 0, ..., n: the admissible r-symbol words read from
-    automaton state s, and those among them whose last state t has an
-    admissible tail (tail[t] not None), as one pair."""
-    kids = [(s, [t for t in row if t is not None]) for s, row in table.items()]
-    out = [{s: (1, int(tail[s] is not None)) for s in table}]
-    for _ in range(n):
-        level, nxt = out[-1], {}
-        for s, ts in kids:
+def _counts(table, tail, n: int, keep: int) -> list:
+    """counts[r][s], r = 0, ..., keep, and level n last (n >= keep): the
+    admissible r-symbol words read from automaton state s, and those among
+    them whose last state t has an admissible tail (tail[t] not None), as
+    one pair.  The levels between keep and n are stepped past, not kept."""
+    kids = [[t for t in row if t is not None] for row in table]
+    level = [(1, int(t is not None)) for t in tail]
+    out = [level]
+    for r in range(n):
+        nxt = []
+        for ts in kids:
             words = live = 0
             for t in ts:
                 tw, tl = level[t]
                 words += tw
                 live += tl
-            nxt[s] = words, live
-        out.append(nxt)
+            nxt.append((words, live))
+        level = nxt
+        if r < keep or r == n - 1:
+            out.append(level)
     return out
 
 
@@ -239,58 +247,65 @@ def _mul(m, n):
 
 def _tail_levels(table, depth: int, reach: int) -> list:
     """The tail levels depth, ..., depth + reach over one automaton (see
-    _tails).  A level is kept as its ends: (s, 0) and (s, 2) map a live
-    state s to the (num, den) pairs of its interval's lower and upper end.
-    Every tail lies in [1, inf], so [a; x] lies in [a, a + 1]: the lower end
-    is a + 1/(upper end of the child after a), a the smallest symbol with a
-    live child, and the upper end is b + 1/(lower end of the child after b),
-    b the largest.  The live states shrink level by level until they
-    repeat, within len(table) levels; from there those extreme children are
-    fixed, so the ends form a functional graph whose edges are one-symbol
-    matrices, and pointer doubling pushes them the remaining levels in
-    O(log depth) matrix products per end.  Each reach level is one push
-    along the graph from before the doubling, rebuilt only while the live
-    states still shrink, as they may past a small depth."""
+    _tails), each a list indexed by state.  Every tail lies in [1, inf], so
+    [a; x] lies in [a, a + 1]: the lower end is a + 1/(upper end of the
+    child t after a), a the smallest symbol with a live child, and the upper
+    end is b + 1/(lower end of the child u after b), b the largest; a
+    state's (a, t, b, u) are its extreme children.  The live states shrink
+    level by level until they repeat, within len(table) levels; from there
+    the extreme children are fixed, so the ends form a functional graph on
+    nodes 2s (lower end of s) and 2s+1 (upper end) whose edges are
+    one-symbol matrices, and pointer doubling over the live nodes pushes
+    them the remaining levels in O(log depth) matrix products per end.
+    Each reach level is one step along the extreme children from before the
+    doubling, found again only while the live states still shrink, as they
+    may past a small depth."""
 
-    def edges(ends):
-        # each end of a state with a live child: (its symbol's matrix, the child end it reads)
-        g = {}
-        for s, row in table.items():
-            kids = [(a, t) for a, t in enumerate(row, 1) if (t, 0) in ends]
-            if kids:
-                (a, t), (b, u) = kids[0], kids[-1]
-                g[s, 0], g[s, 2] = ((a, 1, 1, 0), (t, 2)), ((b, 1, 1, 0), (u, 0))
-        return g
+    def extremes(level):  # each state's (a, t, b, u), None when it has no live child
+        kids = ([(a, t) for a, t in enumerate(row, 1) if t is not None and level[t]]
+                for row in table)
+        return [k[0] + k[-1] if k else None for k in kids]
 
-    def push(g, ends):
-        return {v: (p * x + q * y, r * x + s * y)
-                for v, ((p, q, r, s), w) in g.items() for x, y in (ends[w],)}
+    def step(ext, level):
+        out = []
+        for e in ext:
+            if e:
+                a, t, b, u = e
+                (_, _, hn, hd), (ln, ld, _, _) = level[t], level[u]
+                e = a * hn + hd, hn, b * ln + ld, ln
+            out.append(e)
+        return out
 
-    ends = {(s, e): _FREE[e : e + 2] for s in table for e in (0, 2)}  # level 0
-    g, n = edges(ends), 0
-    while n < depth and len(g) < len(ends):  # the live states still shrink
-        ends, n = push(g, ends), n + 1
-        g = edges(ends)
-    k, d = depth - n, g  # g is fixed from here on: apply it k times, by doubling d
-    while k:
+    level, n = [_FREE] * len(table), 0
+    ext = extremes(level)
+    while n < depth and ext.count(None) > level.count(None):  # the live states still shrink
+        level, n = step(ext, level), n + 1
+        ext = extremes(level)
+    # ext is fixed from here on: step along it depth - n times, by doubling on the nodes
+    nxt = [v for e in ext for v in ((2 * e[1] + 1, 2 * e[3]) if e else (0, 0))]
+    mat = [m for e in ext for m in (((e[0], 1, 1, 0), (e[2], 1, 1, 0)) if e else (None,) * 2)]
+    ends, k = [x for e in level for x in ((e[:2], e[2:]) if e else (None,) * 2)], depth - n
+    while k:  # a dead node's matrix and end stay None
         if k & 1:
-            ends = push(d, ends)
+            ends = [m and (m[0] * e[0] + m[1] * e[1], m[2] * e[0] + m[3] * e[1])
+                    for m, e in zip(mat, map(ends.__getitem__, nxt))]
         k >>= 1
         if k:
-            d = {v: (_mul(m, d[w][0]), d[w][1]) for v, (m, w) in d.items()}
-    out = []
-    for r in range(reach + 1):
-        if r:  # from the graph before the doubling, rebuilt only while the live states shrink
-            shrinks, ends = len(g) < len(ends), push(g, ends)
-            g = edges(ends) if shrinks else g
-        out.append({s: ends[s, 0] + ends[s, 2] if (s, 0) in ends else None for s in table})
+            mat = [m and _mul(m, mat[w]) for m, w in zip(mat, nxt)]
+            nxt = [nxt[w] for w in nxt]
+    level = [lo and lo + hi for lo, hi in zip(ends[::2], ends[1::2])]
+    out = [level]
+    for _ in range(reach):  # ext found again only while the live states shrink
+        fewer, level = ext.count(None) > level.count(None), step(ext, level)
+        ext = extremes(level) if fewer else ext
+        out.append(level)
     return out
 
 
 def _tails(constraints: Constraints, depth: int, reach: int = 0):
     """(rev, left, right): the reversed constraints and the lists of left
-    and right tail levels at depth, ..., depth + reach.  A tail
-    level maps state s to the closed interval (ln, ld, hn, hd), hd 0 being
+    and right tail levels at depth, ..., depth + reach.  A tail level
+    holds for each state s the closed interval (ln, ld, hn, hd), hd 0 being
     +inf, containing every [x1; ..., xn, t] with the x's admissible from s
     and t free in [1, inf), or None when no such x's exist.  Level 0 is the
     free interval itself, so the leaf endpoints are exactly cylinder
@@ -387,21 +402,21 @@ def pattern_necessity(
     threshold = Fraction(threshold)
     tn, td = threshold.numerator, threshold.denominator
     ftable, rtable = constraints._table, rev._table
-    right_counts = _counts(ftable, right[0], window_len)
-    left_counts = right_counts if rev is constraints else _counts(rtable, left[0], center)
+    right_counts = _counts(ftable, right[0], window_len, center)  # r <= center; [-1]: all
+    left_counts = right_counts if rev is constraints else _counts(rtable, left[0], center, center)
     h = max(map(len, constraints.forbidden), default=1) - 1  # the longest state's length
     # the window's positions from the center outward, right before left
     order = sorted(range(window_len), key=lambda p: (abs(p - center), p < center))
     by_bound = by_pattern = nodes = 0
     exceptions = []
     # a node: the segment, its length left of the center, its forward and reverse
-    # states (a step on one side keeps the other's once the segment has h symbols),
+    # state numbers (a step on one side keeps the other's once the segment has h symbols),
     # the matrices of [0; its left part read outward ...] and [0; its right part ...],
     # and their images of that side's tail level (None: no admissible tail), so a
     # step on one side reuses the other side's image
     image = lambda m, tail: tail and mobius_pairs(m, tail)
     m0 = mobius((0,))
-    stack = [((), 0, (), (), m0, m0, image(m0, left[center][()]), None)]  # rv: read from k = 1
+    stack = [((), 0, 0, 0, m0, m0, image(m0, left[center][0]), None)]  # rv: read from k = 1
     while stack and (max_nodes is None or nodes < max_nodes):
         nodes += 1
         seg, i, fs, rs, ml, mr, lv, rv = stack.pop()
@@ -451,7 +466,7 @@ def pattern_necessity(
         constraints=constraints,
         window_len=window_len,
         depth=depth,
-        windows_total=right_counts[window_len][()][0],
+        windows_total=right_counts[-1][0][0],
         passed_by_bound=by_bound,
         passed_by_pattern=by_pattern,
         exceptions=tuple(sorted(exceptions)),
@@ -506,13 +521,14 @@ def audit_not_attained(
     by cross-multiplication; the exact test runs only when the window
     covers the word, with the exact end _END, so `flagged` is its own.
     When the test at k reads its window w[n-1-k : n+k] whole (k < n-1 and
-    n+k <= len), its outcome and side matrices depend on that window alone
-    and are kept for this call: a later position with the window clears
-    without a bracket, or goes straight to 2k, where a window read whole
-    continues its half window's matrices over its 2k new symbols only (one
-    not read whole starts from _sides).  Positions whose first window has
-    cleared are filtered out at C level, so at 32 blocks the loop runs for
-    76 of 2,258 positions.
+    n+k <= len), its outcome depends on that window alone and is kept for
+    this call, with its side matrices if it failed: a later position with
+    the window clears without a bracket, or goes straight to 2k.  A window
+    whose left side is read whole (k < n-1) continues its half window's
+    matrices over its new symbols only, the right ones stopping at the
+    word's end; one cut by w[0] starts from _sides.  Positions whose first
+    window has cleared are filtered out at C level, so at 32 blocks the
+    loop runs for 76 of 2,258 positions.
     """
     w = alpha_prefix.tail
     stop = len(w) - guard
@@ -530,7 +546,8 @@ def audit_not_attained(
     # holds the exact bracket, and is it once k >= max(n-1, len(w)-n)
     upper = lambda n, k, sides: _site(w[n - 1], sides, _FREE, _FREE if k < n - 1 else _END)[2:]
     size, flagged = len(w), []
-    clears, cleared = {}, set()  # window read whole -> (it cleared, its sides); firsts cleared
+    # a window read whole -> (it cleared, its sides if it failed); the first windows cleared
+    clears, cleared = {}, set()
     # only windows read whole are stored, and no word holds a 0, so a padded window never
     # clears; the one that reaches w[0] unpadded may, which its exact back side keeps
     pad = (0,) * (_WINDOW + 1)
@@ -545,17 +562,15 @@ def audit_not_attained(
             if window in clears:
                 ok, sides = clears[window]
             else:
-                if window is None:
+                if sides is None or k >= n - 1:  # the first window, or one cut by w[0]
                     sides = _sides(w[max(n - 1 - k, 0) : n + k], min(k, n - 1))
-                elif sides is None:
-                    sides = _sides(window, k)
-                else:  # the half window's, read whole: mobius(u + v) == mobius(v, mobius(u))
-                    h, (mr, ml) = k // 2, sides
+                else:  # the half window's: mobius(u + v) == mobius(v, mobius(u)); the
+                    h, (mr, ml) = k // 2, sides  # right slice stops at the word's end
                     sides = mobius(w[n + h : n + k], mr), mobius(w[n - 1 - k : n - 1 - h][::-1], ml)
                 (ln, ld), (hn, hd) = lower(k), upper(n, k, sides)
                 ok = ln * hd > hn * ld
-                if window is not None:
-                    clears[window] = ok, sides
+                if window is not None:  # only a window that failed is ever continued
+                    clears[window] = ok, None if ok else sides
                     if ok and k == _WINDOW:
                         cleared.add(window)
             if ok:

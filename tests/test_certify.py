@@ -133,6 +133,42 @@ def test_automaton_matches_naive_scan(case):
     assert pattern_necessity(Fraction(37, 10), c, 7, 2).windows_total == total
 
 
+@st.composite
+def automaton_cases(draw):
+    """Alphabet 1..m (2 <= m <= 4) and up to 6 forbidden words of 1-4
+    symbols, drawn freely: a set may hold a word with another forbidden word
+    inside it, and is seldom closed under reversal."""
+    m = draw(st.integers(2, 4))
+    words = st.lists(st.integers(1, m), min_size=1, max_size=4).map(tuple)
+    return Constraints(m, draw(st.frozensets(words, max_size=6)))
+
+
+@given(automaton_cases())
+# (2,1) is a prefix of (2,1,2) with the forbidden (1,) inside it, so it is no state
+@example(Constraints(2, frozenset({(1,), (2, 1, 2)})))
+# (1,2) is forbidden and a prefix of (1,2,3); (2,3,1) reaches (1,) by its suffix link
+@example(Constraints(3, frozenset({(1, 2), (1, 2, 3), (2, 3, 1, 1), (3, 1, 3)})))
+@example(gap_constraints())
+@settings(max_examples=60, deadline=None)
+def test_compiled_automaton_matches_suffix_reference(c):
+    # every word of up to 6 symbols, and of up to 4 with symbols outside the alphabet
+    table = c._table  # the compile sets _words
+    m, forbidden, words = c.alphabet_max, c.forbidden, c._words
+    bad = lambda w: any(w[i:j] in forbidden for i in range(len(w)) for j in range(i + 1, len(w) + 1))
+    prefixes = {()} | {f[:i] for f in forbidden for i in range(len(f))}
+    assert words[0] == () and len(set(words)) == len(words) == len(table)
+    assert set(words) == {p for p in prefixes if not bad(p)}
+    assert [len(w) for w in words] == sorted(len(w) for w in words)  # numbered by length
+    number = {w: s for s, w in enumerate(words)}
+    tests = [w for n in range(7) for w in product(range(1, m + 1), repeat=n)]
+    tests += [w for n in range(1, 5) for w in product(range(m + 2), repeat=n) if {0, m + 1} & set(w)]
+    for w in tests:
+        if bad(w) or not all(1 <= a <= m for a in w):
+            assert c._walk(w) is None
+        else:  # the longest suffix that is a state
+            assert c._walk(w) == next(number[w[i:]] for i in range(len(w) + 1) if w[i:] in number)
+
+
 def _brute_bounds(pattern, constraints, depth):
     """Independent oracle: full enumeration of admissible one-sided
     extensions, folding cylinder endpoints of each leaf."""
@@ -355,6 +391,11 @@ def sweep_cases(draw):
 # because its left tail may not start with 3 (it would complete 3,3,2,1,1), which
 # the whole window's state tells and its left symbols' state does not
 @example((Fraction(309, 125), Constraints(3, frozenset({(3, 3, 2, 1, 1), (3, 3, 3)})), 7, 3))
+# only 2-symbol words forbidden: windows are counted from the center symbol on, so
+# the counts at center unknown symbols on the left and window - center - 1 on the
+# right are read, at windows of both parities
+@example((Fraction(3691, 1000), ONLY_13_31, 7, 3))
+@example((Fraction(3691, 1000), ONLY_13_31, 8, 3))
 @settings(max_examples=30, deadline=None)
 def test_necessity_counts_match_leaf_classification(case):
     threshold, constraints, window, depth = case
@@ -415,23 +456,35 @@ def test_deep_site_bounds_keep_one_level():
     assert _peak_kib(lambda: site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 1200)) < 256
 
 
+def test_counts_keep_only_the_levels_the_sweep_reads():
+    # the levels 0, ..., keep and the last one, stepped to without keeping the rest
+    table = gap_constraints()._table
+    tail = _tails(gap_constraints(), 5)[2][0]
+    full = certify._counts(table, tail, 25, 25)
+    assert len(full) == 26 and full[-1][0][0] == 104373561  # the w25 windows
+    assert certify._counts(table, tail, 25, 12) == full[:13] + full[-1:]
+    assert certify._counts(table, tail, 12, 12) == full[:13]
+
+
 def _reference_tail_levels(constraints, depth, reach):
     """The tail levels depth, ..., depth + reach, folded level by level: each
     state's interval is the hull of the images of all its live children."""
     value = lambda end: Fraction(*end) if end[1] else math.inf
-    table, level, out = constraints._table, {s: (1, 1, 1, 0) for s in constraints._table}, []
+    table = constraints._table
+    level, out = [(1, 1, 1, 0)] * len(table), []
     for n in range(depth + reach + 1):
         if n >= depth:
             out.append(level)
-        images = {
-            s: [mobius_pairs(mobius((a,)), level[t]) for a, t in enumerate(row, 1) if level.get(t)]
-            for s, row in table.items()
-        }
-        level = {
-            s: min((iv[:2] for iv in ivs), key=value) + max((iv[2:] for iv in ivs), key=value)
+        images = [
+            [mobius_pairs(mobius((a,)), level[t]) for a, t in enumerate(row, 1)
+             if t is not None and level[t]]
+            for row in table
+        ]
+        level = [
+            min((iv[:2] for iv in ivs), key=value) + max((iv[2:] for iv in ivs), key=value)
             if ivs else None
-            for s, ivs in images.items()
-        }
+            for ivs in images
+        ]
     return out
 
 
@@ -735,6 +788,34 @@ def test_audit_reads_each_symbol_once(monkeypatch, m, most):
     monkeypatch.setattr(certify, "mobius", count)
     rep = audit_not_attained(alpha0_prefix(m), LAM0, 12, 2 * m + 3)
     assert rep.clean and sum(steps) <= most
+
+
+@pytest.mark.parametrize("m, symbols", [(8, 386), (32, 3378)])
+def test_audit_continues_windows_cut_by_the_right_end(monkeypatch, m, symbols):
+    # a doubled window whose left side is read whole continues its half window's
+    # matrices where the word ends inside it too; building such a window from
+    # _sides passed 420 and 3,508 symbols to mobius
+    steps = []
+    count = lambda word, *rest: steps.append(len(word)) or mobius(word, *rest)
+    monkeypatch.setattr(certify, "mobius", count)
+    rep = audit_not_attained(alpha0_prefix(m), LAM0, 12, 2 * m + 3)
+    assert rep.clean and sum(steps) == symbols
+
+
+def test_audit_keeps_side_matrices_of_failed_windows_only(monkeypatch):
+    # only a window whose test failed is ever continued, so one that cleared
+    # is kept without its matrices
+    site, seen = certify._site, []
+
+    def spy(*args):
+        seen.append(sys._getframe(2).f_locals["clears"])  # upper's caller, the audit
+        return site(*args)
+
+    monkeypatch.setattr(certify, "_site", spy)
+    rep = audit_not_attained(alpha0_prefix(32), LAM0, 12, 67)
+    outcomes = seen[-1].values()
+    assert rep.clean and {ok for ok, _ in outcomes} == {False, True}
+    assert all((sides is None) == ok for ok, sides in outcomes)
 
 
 def test_audit_side_matrices_equal_their_windows_from_scratch(monkeypatch):
