@@ -10,7 +10,11 @@ all i is certified by finite inspection plus an exact envelope on the
 tails: far from the core every lambda_i is within 2**-(n-1) of one of
 finitely many phase limits, and ties against a limit are resolved by the
 parity rule at the first position where the sequence leaves the periodic
-pattern.
+pattern.  A phase limit is one surd, sqrt(disc)/p0 for the matrix
+(p1, p0, q1, q0) of a rotation of the period (Perron; Cusick & Flahive,
+The Markoff and Lagrange Spectra, 1989, ch. 1-2).  Each period's rotation
+matrices are built once per sup, each from the last in O(1) steps, for the
+limits and the sweep.
 """
 
 from __future__ import annotations
@@ -18,8 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count, cycle, islice
 
-from .cfrac import EPCF, _alternating, _eval_mobius, _fixed_box, _mobius_box, eval_periodic, mobius
-from .quadfield import _SCALE, QuadSum, _Record
+from .cfrac import EPCF, _alternating, _eval_mobius, _fixed_box, _mobius_box, _root, mobius
+from .cfrac import eval_periodic
+from .quadfield import _SCALE, _ZERO, QuadExt, QuadSum, _Record
 
 _MAX_OUTSIDE_CORE = 10**5  # lambda_at i places out: ~i tail terms, ~i/2 digits; 10**5 takes ~2 s
 
@@ -131,17 +136,33 @@ def _lead(a: int, m):
     return a * p1 + q1, a * p0 + q0, p1, p0
 
 
-def _phase_limits(period, radicands: dict) -> list[QuadSum]:
-    """At phase k both tails are periodic in rotation k + 1, the left one reversed (transposed)."""
-    rotations = (mobius(period[k:] + period[:k]) for k in range(1, len(period) + 1))
-    return [QuadSum(_eval_mobius((1, 0, 0, 1), (p1, q1, p0, q0), radicands),
-                    _eval_mobius((0, 1, 1, 0), (p1, p0, q1, q0), radicands))
-            for p1, p0, q1, q0 in rotations]
+def _rotations(P) -> list[tuple[int, int, int, int]]:
+    """The matrices mobius(P[k:] + P[:k]) of the word's rotations, k = 0..len(P) - 1, each
+    from the last in O(1) steps: moving the first symbol a to the back is X_a^-1 * M * X_a."""
+    M, out = mobius(P), []
+    for a in P:
+        out.append(M)
+        p1, p0, q1, q0 = M
+        r1 = p1 - a * q1
+        M = a * q1 + q0, q1, a * r1 + p0 - a * q0, r1
+    return out
+
+
+def _phase_limits(rotations, radicands: dict) -> list[QuadSum]:
+    """One limit per phase from a period's _rotations.  At phase k both tails are periodic in
+    rotation k + 1, M = (p1, p0, q1, q0): the right tail is 1/y at M's fixed point y, the left one
+    the fixed point y_T of M transposed (the reversed period), which by Galois is -1/y' for the
+    conjugate y'.  So the limit y_T + 1/y = sqrt(disc)/p0, over M's discriminant (_fixed_point)."""
+    limits = []
+    for p1, p0, q1, q0 in rotations[1:] + rotations[:1]:
+        s, d = _root((p1 - q0) ** 2 + 4 * q1 * p0, radicands)
+        limits.append(QuadSum._of(QuadExt._reduced(0, s, p0, d), _ZERO))
+    return limits
 
 
 def periodic_phase_limits(period: tuple[int, ...]) -> list[QuadSum]:
     """Two-sided values of the purely periodic word, one per phase, over one radicand."""
-    return _phase_limits(tuple(period), {})
+    return _phase_limits(_rotations(tuple(period)), {})
 
 
 def limsup_lambda(A: BiSeq) -> QuadSum:
@@ -203,23 +224,23 @@ def _exceeding(A: BiSeq) -> tuple[bool, bool]:
     return tuple(sign != 0 and (R % 2 == 1 or sign == (-1) ** (phase + 1)) for phase in (0, 1))
 
 
-def _side_classes(A: BiSeq, radicands: dict | None = None) -> list[tuple[QuadSum, bool, int]]:
-    """(phase limit, may exceed it, period length) for both directions."""
-    radicands = {} if radicands is None else radicands
+def _side_classes(A: BiSeq, rotations, radicands: dict) -> list[tuple[QuadSum, bool, int]]:
+    """(phase limit, may exceed it, period length) for both directions, from the _rotations
+    of the right period and of the reversed left period, the right periods of A and A.reversed()."""
     return [
-        (lim, may[phase % 2], len(seq.right_period))
-        for seq in (A, A.reversed())
+        (lim, may[phase % 2], len(rots))
+        for seq, rots in zip((A, A.reversed()), rotations)
         for may in (_exceeding(seq),)
-        for phase, lim in enumerate(_phase_limits(seq.right_period, radicands))
+        for phase, lim in enumerate(_phase_limits(rots, radicands))
     ]
 
 
-def _outward_tails(A: BiSeq):
+def _outward_tails(A: BiSeq, rotations):
     """(i, lead, period, lead, period) of the two tails of lambda_i as in lambda_at's
-    EPCFs, a period being (matrix, _fixed_box) of a rotation: the core, then one period
-    further out per side per step.  Each lead extends a frontier by one symbol."""
-    left, right = ([(M, _fixed_box(M)) for M in (mobius(P[k:] + P[:k]) for k in range(len(P)))]
-                   for P in (A.left_period[::-1], A.right_period))
+    EPCFs, a period being (matrix, _fixed_box) of a rotation, from the _rotations of the right
+    period and of the reversed left period: the core, then one period further out per side per
+    step.  Each lead extends a frontier by one symbol."""
+    right, left = ([(M, _fixed_box(M)) for M in rots] for rots in rotations)
     lw, rw = (1, 0, 0, 1), mobius(A.core)  # the words a_i..a_start and a_{i+1}..a_end
     frontier, start, end, L, R = rw, A.start, A.end, len(left), len(right)
     for i, a in enumerate(A.core, start):
@@ -241,23 +262,27 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
 
     Inspects the core widened by K copies of each period, K deepening up
     to max_window_periods, and certifies every uninspected index against
-    the phase limits of the purely periodic tails.  An outward matrix sweep
-    per side brackets lambda_i * 2**64 in O(1) steps per index; only indices
-    whose bracket reaches the highest lower end keep matrices and are
-    evaluated exactly, with one radicand per period.  Limits meet the sup
-    exactly only where brackets overlap; margins are computed only where
-    they can be the least.  A class whose limit is the sup is certified only
-    if none of its values can exceed the limit; if A is purely periodic the
-    limit is then attained inside the window.  Returns an inconclusive
-    certificate at the window cap; raises ValueError if the cap is below 1.
+    the phase limits of the purely periodic tails, each sqrt(disc)/p0 of a
+    rotation matrix that the sweep reads too: each period's rotations are
+    built once.  An outward matrix sweep per side brackets lambda_i * 2**64
+    in O(1) steps per index; only indices whose bracket reaches the highest
+    lower end keep matrices and are evaluated exactly, with one radicand per
+    period.  Limits meet the sup exactly only where brackets overlap;
+    margins are computed only where an integer test on their lower bracket
+    ends shows they can be the least.  A class whose limit is the sup is
+    certified only if none of its values can exceed the limit; if A is
+    purely periodic the limit is then attained inside the window.  Returns
+    an inconclusive certificate at the window cap; raises ValueError if the
+    cap is below 1.
     """
     if max_window_periods < 1:
         raise ValueError("max_window_periods must be positive")
-    radicands = {}
-    classes = [(lim, lim._scaled_box(), may, n) for lim, may, n in _side_classes(A, radicands)]
+    radicands, rotations = {}, [_rotations(P) for P in (A.right_period, A.left_period[::-1])]
+    classes = [(lim, lim._scaled_box(), may, n)
+               for lim, may, n in _side_classes(A, rotations, radicands)]
     max_lim = max(lim for lim, _, _, _ in classes)
     L, R, one = len(A.left_period), len(A.right_period), 1 << _SCALE
-    tails, near, values, top = _outward_tails(A), [], {}, -1  # every bracket end is >= 0
+    tails, near, values, top = _outward_tails(A, rotations), [], {}, -1  # every bracket end is >= 0
     for K in range(1, max_window_periods + 1):
         window = (A.start - K * L, A.end + K * R)
         for i, lm, (lM, lbox), rm, (rM, rbox) in islice(tails, L + R + (K == 1) * len(A.core)):
@@ -285,13 +310,16 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
                 break
             gaps.append((thi - llo, ((tlo - lhi) << n) - one, n, lim))  # lower end * (one << n)
         else:
-            # a margin is at least its gap - 10**-4 (_rational_lower_bound): a gap whose
-            # lower end is that far above the least margin so far cannot lower it
-            margins = []
+            # a margin is at least its gap - 10**-4 (_rational_lower_bound): a gap whose lower
+            # end low / unit is that far above the least margin so far cannot lower it
+            margin = None
             for _, low, n, lim in sorted(gaps, key=lambda g: g[0]):
-                if not margins or Fraction(low, one << n) - Fraction(1, 10**4) < min(margins):
-                    margins.append(_rational_lower_bound(target - lim - Fraction(1, 1 << n)))
-            margin = min(margins, default=Fraction(1))
+                unit = one << n
+                if not margin or ((low * 10**4 - unit) * margin.denominator
+                                  < margin.numerator * unit * 10**4):
+                    m = _rational_lower_bound(target - lim - Fraction(1, 1 << n))
+                    margin = min(m, margin or m)
+            margin = margin or Fraction(1)
             if best >= max_lim:
                 arg = tuple(i for i, v in values.items() if v == best)
                 return SupCertificate(best, True, arg, window, margin, "certified")

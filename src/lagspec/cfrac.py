@@ -181,14 +181,19 @@ def eval_periodic(cf: EPCF) -> QuadExt:
     return _eval_mobius(mobius((cf.a0,) + cf.preperiod), mobius(cf.period), {})
 
 
+def _root(disc: int, radicands: dict) -> tuple[int, int]:
+    """(s, d) with sqrt(disc) = s*sqrt(d), by squarefree_decompose memoised in radicands."""
+    if disc not in radicands:
+        radicands[disc] = squarefree_decompose(disc)
+    return radicands[disc]
+
+
 def _eval_mobius(m, M, radicands: dict) -> QuadExt:
     """The map m of a0 and the preperiod at the fixed point y = (u + s*sqrt(d)) / v of
     the period's M is (n1 + n2*sqrt(d)) / (m1 + m2*sqrt(d)), rationalised in one step;
     radicands memoises squarefree_decompose by disc, shared by a period's rotations."""
     u, disc, v = _fixed_point(M)
-    if disc not in radicands:
-        radicands[disc] = squarefree_decompose(disc)
-    s, d = radicands[disc]
+    s, d = _root(disc, radicands)
     p1, p0, q1, q0 = m
     n1, n2, m1, m2 = p1 * u + p0 * v, p1 * s, q1 * u + q0 * v, q1 * s
     return QuadExt._reduced(n1 * m1 - n2 * m2 * d, n2 * m1 - n1 * m2, m1 * m1 - m2 * m2 * d, d)

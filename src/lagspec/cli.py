@@ -42,6 +42,8 @@ from .parsing import (
 )
 from .quadfield import MixedRadicandError, QuadSum, _digits
 
+_SHOWN = 20  # exception lines a necessity report prints as text; --structured lists them all
+
 
 class CliError(Exception):
     pass
@@ -185,7 +187,9 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
     counts = report.windows_total, report.passed_by_bound, report.passed_by_pattern
     text = "windows: {}  below threshold: {}  center-pattern: {}".format(*map(_digits, counts))
     text += f"  exceptions: {len(report.exceptions)}"  # _digits: counts past the int-to-str limit
-    text += "".join(f"\n  exception: {','.join(map(str, w))}" for w in report.exceptions)
+    text += "".join(f"\n  exception: {','.join(map(str, w))}" for w in report.exceptions[:_SHOWN])
+    if len(report.exceptions) > _SHOWN:
+        text += f"\n  ... and {len(report.exceptions) - _SHOWN} more"
     if report.inconclusive:
         rec["status"] = "inconclusive"
         text += f"\ninconclusive: the counts are partial after {args.max_nodes} nodes"

@@ -191,6 +191,8 @@ class _Quad:
 
     def _cmp(self, other) -> int:
         """Exact sign of self - other, whatever fields the two lie in."""
+        if other is self:
+            return 0
         if isinstance(other, (int, Fraction)):
             other = QuadExt.from_rational(other)
         elif not isinstance(other, _Quad):

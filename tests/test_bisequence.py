@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lagspec import bisequence, cfrac, quadfield
 from lagspec.bisequence import (
@@ -12,6 +14,7 @@ from lagspec.bisequence import (
     _exceeding,
     _phase_limits,
     _rational_lower_bound,
+    _rotations,
     _side_classes,
     lambda_at,
     limsup_lambda,
@@ -206,7 +209,7 @@ def test_may_exceed_matches_exact_values():
         A = BiSeq(word(1, 3), core, rng.randrange(len(core)), word(1, 3))
         for seq in (A, A.reversed()):
             R = len(seq.right_period)
-            for phase, lim in enumerate(_phase_limits(seq.right_period, {})):
+            for phase, lim in enumerate(_phase_limits(_rotations(seq.right_period), {})):
                 vals = [lambda_at(seq, seq.end + 1 + phase + k * R).value for k in range(4)]
                 if _exceeding(seq)[phase % 2]:
                     assert any(v > lim for v in vals), (seq, phase)
@@ -266,6 +269,34 @@ def test_tails_and_phase_limits_match_reference_readers():
         for P in (A.left_period, A.core, A.right_period):
             got = [str(v) for v in periodic_phase_limits(P)]
             assert got == [str(v) for v in _ref_phase_limits(P)], P
+
+
+def _canonical_terms(v):
+    return [(t.a, t.b, t.c, t.d) for t in (v.x, v.y)]
+
+
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_phase_limits_closed_form_matches_reference(period):
+    # sqrt(disc)/p0 per rotation, against the two evaluated tails of the reference
+    P = tuple(period)
+    assert _rotations(P) == [mobius(_ref_rot(P, k)) for k in range(len(P))]
+    got = _phase_limits(_rotations(P), {})
+    assert list(map(_canonical_terms, got)) == list(map(_canonical_terms, _ref_phase_limits(P)))
+
+
+def test_rotations_take_linear_work(monkeypatch):
+    # one pass over each period, then O(1) steps per rotation, not len(P) words of len(P);
+    # a sup reads each period and the core once
+    symbols = []
+    real = bisequence.mobius
+    monkeypatch.setattr(bisequence, "mobius", lambda w, *m: symbols.extend(w) or real(w, *m))
+    P = tuple(random.Random(26).choices((1, 2, 3), k=400))
+    periodic_phase_limits(P)
+    assert len(symbols) == 400
+    symbols.clear()
+    sup_lambda(BiSeq(P[:7], P[7:30], 3, P))
+    assert len(symbols) == 7 + 23 + 400
 
 
 # Every SupCertificate field at windows 1, 2 and 12, for sequences drawn from
@@ -337,6 +368,15 @@ _PINNED_SUP = [
 ]
 
 
+def _side_rotations(A):
+    """The rotations sup_lambda passes on: the right period's, then the reversed left period's."""
+    return [_rotations(P) for P in (A.right_period, A.left_period[::-1])]
+
+
+def _classes(A):
+    return _side_classes(A, _side_rotations(A), {})
+
+
 def _purely_periodic(A):
     P = A.right_period
     return A.left_period == P and A.core == P * (len(A.core) // len(P))
@@ -352,7 +392,7 @@ def test_sup_certificates_pinned():
         if _purely_periodic(A):
             periodic += 1
             # no class can exceed its limit, so the sup is attained in the window
-            assert not any(may_exceed for _, may_exceed, _ in _side_classes(A)), text
+            assert not any(may_exceed for _, may_exceed, _ in _classes(A)), text
             assert c.attained
     assert periodic == 15
 
@@ -489,7 +529,7 @@ def test_sup_prunes_margins(monkeypatch):
     for A in _work_cases():
         cert = sup_lambda(A)
         if cert.status == "certified":
-            below += sum(lim < cert.sup for lim, _, _ in _side_classes(A))
+            below += sum(lim < cert.sup for lim, _, _ in _classes(A))
     assert 0 < len(calls) < below
 
 
@@ -502,7 +542,7 @@ def test_outward_sweep_matches_tail_words(monkeypatch, scale):
     for A in _work_cases()[:2] + [_random_biseq(rng) for _ in range(40)]:
         L, R = len(A.left_period), len(A.right_period)
         seen = []
-        sweep = islice(bisequence._outward_tails(A), len(A.core) + 12 * (L + R))
+        sweep = islice(bisequence._outward_tails(A, _side_rotations(A)), len(A.core) + 12 * (L + R))
         for i, lm, (lM, lbox), rm, (rM, rbox) in sweep:
             lt, rt = _ref_left_tail(A, i), _ref_right_tail(A, i)
             assert (lm, lM) == (mobius((lt.a0,) + lt.preperiod), mobius(lt.period)), (str(A), i)

@@ -218,6 +218,26 @@ def test_necessity_failing_threshold(capsys):
     assert "exception" in out
 
 
+@pytest.mark.parametrize(
+    "argv, total",
+    [
+        (["--threshold", "3.83", "--window", "7", "--depth", "10", "--forbid", ""], 440),
+        (["--threshold", "3.83", "--window", "7", "--depth", "5", "--forbid", "1,3;3,1"], 21),
+        (["--threshold", "3691/1000", "--window", "7", "--depth", "5"], 2),
+    ],
+)
+def test_necessity_text_lists_the_first_20_exceptions(capsys, argv, total):
+    # the text shows at most 20 exceptions and counts the rest; --structured lists every one
+    code, out, _ = run(capsys, "necessity", *argv, "--structured")
+    exceptions = json.loads(out)["exceptions"]
+    assert code == 2 and len(exceptions) == total
+    code, text, _ = run(capsys, "necessity", *argv)
+    first, *lines = text.splitlines()
+    assert code == 2 and first.endswith(f"  exceptions: {total}")
+    shown = [f"  exception: {','.join(map(str, w))}" for w in exceptions[:20]]
+    assert lines == shown + [f"  ... and {total - 20} more"] * (total > 20)
+
+
 def test_necessity_node_budget_exit_2(capsys):
     argv = ["necessity", "--threshold", "3691/1000", "--window", "31", "--max-nodes", "100"]
     code, out, _ = run(capsys, *argv)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lagspec import quadfield
 from lagspec.quadfield import (
     MixedRadicandError,
     QuadExt,
@@ -429,6 +430,26 @@ def test_filtered_order_on_ties_and_wide_coefficients():
                 assert hash(a) == hash(b)
     assert tie[0] == tie[1] and u == QuadExt(0, P, 1, Q)
     assert lo < big < hi and big < big + TINY[1] and big - TINY[0] < big
+
+
+def test_self_comparison_decides_without_the_fold(monkeypatch):
+    big = QuadExt(7**5200 + 1, -(7**5200), 3 * 11**4000, 5)
+    cases = [LAM0, QuadExt(0, 1, 1, P * P * Q), big, QuadSum(LAM0), QuadSum(QuadExt(3, 1, 2, 3)),
+             QuadSum(QuadExt.sqrt(2), QuadExt(1, 1, 1, 3)), QuadSum(big, QuadExt(0, -1, 7, Q))]
+    # the same values as other objects: compared through the fold, and hashed alike
+    twins = [QuadSum(*(QuadExt(t.a, t.b, t.c, t.d) for t in _lift(x).terms())) for x in cases]
+
+    def refused(parts):
+        raise AssertionError("a value compared with itself was folded")
+
+    monkeypatch.setattr(quadfield, "_fold", refused)
+    for x in cases:
+        assert x == x and x <= x and x >= x and not x < x and not x > x and not x != x
+        assert x._cmp(x) == 0
+    monkeypatch.undo()
+    for x, twin in zip(cases, twins):
+        assert x == twin and x <= twin and x >= twin and not x < twin
+        assert hash(x) == hash(twin) == hash(_lift(x))
 
 
 # Decimal rendering as it was before the integer-pair kernel: Fraction brackets
