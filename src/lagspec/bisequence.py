@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, count, cycle, islice
 
-from .cfrac import EPCF, _alternating, _eval_mobius, _fixed_box, _mobius_box, _root, mobius
-from .cfrac import eval_periodic
+from .cfrac import EPCF, _alternating, _eval_mobius, _fixed_box, _fixed_point, _mobius_box, _mul
+from .cfrac import _root, eval_periodic, mobius
 from .quadfield import _SCALE, _ZERO, QuadExt, QuadSum, _Record
 
 _MAX_OUTSIDE_CORE = 10**5  # lambda_at i places out: ~i tail terms, ~i/2 digits; 10**5 takes ~2 s
@@ -130,21 +130,13 @@ def lambda_at(A: BiSeq, i: int) -> LambdaValue:
     return LambdaValue(i, QuadSum(eval_periodic(lt), eval_periodic(rt)), lt, rt)
 
 
-def _lead(a: int, m):
-    """The matrix of (a,) + w from the matrix m of a word w; a = 0 reads [0; w...]."""
-    p1, p0, q1, q0 = m
-    return a * p1 + q1, a * p0 + q0, p1, p0
-
-
 def _rotations(P) -> list[tuple[int, int, int, int]]:
     """The matrices mobius(P[k:] + P[:k]) of the word's rotations, k = 0..len(P) - 1, each
     from the last in O(1) steps: moving the first symbol a to the back is X_a^-1 * M * X_a."""
     M, out = mobius(P), []
     for a in P:
         out.append(M)
-        p1, p0, q1, q0 = M
-        r1 = p1 - a * q1
-        M = a * q1 + q0, q1, a * r1 + p0 - a * q0, r1
+        M = _mul(_mul((0, 1, 1, -a), M), (a, 1, 1, 0))
     return out
 
 
@@ -154,9 +146,9 @@ def _phase_limits(rotations, radicands: dict) -> list[QuadSum]:
     the fixed point y_T of M transposed (the reversed period), which by Galois is -1/y' for the
     conjugate y'.  So the limit y_T + 1/y = sqrt(disc)/p0, over M's discriminant (_fixed_point)."""
     limits = []
-    for p1, p0, q1, q0 in rotations[1:] + rotations[:1]:
-        s, d = _root((p1 - q0) ** 2 + 4 * q1 * p0, radicands)
-        limits.append(QuadSum._of(QuadExt._reduced(0, s, p0, d), _ZERO))
+    for M in rotations[1:] + rotations[:1]:
+        s, d = _root(_fixed_point(M)[1], radicands)
+        limits.append(QuadSum._of(QuadExt._reduced(0, s, M[1], d), _ZERO))
     return limits
 
 
@@ -239,21 +231,20 @@ def _outward_tails(A: BiSeq, rotations):
     """(i, lead, period, lead, period) of the two tails of lambda_i as in lambda_at's
     EPCFs, a period being (matrix, _fixed_box) of a rotation, from the _rotations of the right
     period and of the reversed left period: the core, then one period further out per side per
-    step.  Each lead extends a frontier by one symbol."""
+    step.  Each lead is _mul(X_a, frontier), a frontier with one symbol more; X_0 reads [0; w]."""
     right, left = ([(M, _fixed_box(M)) for M in rots] for rots in rotations)
     lw, rw = (1, 0, 0, 1), mobius(A.core)  # the words a_i..a_start and a_{i+1}..a_end
     frontier, start, end, L, R = rw, A.start, A.end, len(left), len(right)
     for i, a in enumerate(A.core, start):
-        p1, p0, q1, q0 = rw
-        lw, rw = _lead(a, lw), (q1, q0, p1 - a * q1, p0 - a * q0)  # rw loses a_i: X_a^-1 * rw
-        yield i, lw, left[0], _lead(0, rw), right[0]
+        lw, rw = _mul((a, 1, 1, 0), lw), _mul((0, 1, 1, -a), rw)  # rw loses a_i
+        yield i, lw, left[0], _mul((0, 1, 1, 0), rw), right[0]
     for k in count():
         for i in range(start - k * L - 1, start - (k + 1) * L - 1, -1):
             a = A.left_period[(i - start) % L]
-            yield i, (a, 1, 1, 0), left[(start - i) % L], _lead(0, frontier), right[0]
-            frontier = _lead(a, frontier)
+            yield i, (a, 1, 1, 0), left[(start - i) % L], _mul((0, 1, 1, 0), frontier), right[0]
+            frontier = _mul((a, 1, 1, 0), frontier)
         for i in range(end + k * R + 1, end + (k + 1) * R + 1):
-            lw = _lead(A.right_period[(i - end - 1) % R], lw)
+            lw = _mul((A.right_period[(i - end - 1) % R], 1, 1, 0), lw)
             yield i, lw, left[0], (0, 1, 1, 0), right[(i - end) % R]
 
 

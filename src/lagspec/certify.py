@@ -1,33 +1,34 @@
 """Machine-checkable certificates over words with forbidden factors.
 
 Every forbidden-factor test runs on one factor automaton, compiled once
-per Constraints along suffix links into numbered states, so its table,
-tail levels and window counts are lists indexed by state.  Bounds on the
-two-sided value at a site inside a pattern are computed from exact
-cylinder intervals over the admissible continuations to a fixed depth,
-at most _MAX_DEPTH.  Each state's interval is read from two children
-only, the smallest live symbol's for the lower end and the largest one's
-for the upper end; levels are stepped one at a time until the set of
-live states repeats, and from there pointer doubling over those fixed
-choices reaches the depth in O(log depth) matrix products; the levels
-past the depth step on those choices, found again only while the live
-states still shrink.  Every interval is the image of a tail interval
-under a Moebius matrix, on unreduced integer (num, den) pairs.  One
-kernel, _site, adds a site symbol to the images of its two tails, an end
-that stops exactly being the point _END; the site bounds, the one-sided
-bracket and the audit read it.  The window sweep grows each window from
-the center outward and bounds both sides at every node, within
-_MAX_NODES words by default; it counts a segment without enumeration
-once its bound is below the threshold, or once it carries the center
-pattern with its lower bound at or above it.  Everything is exact
-rational arithmetic, with Fractions only in reported bounds; deepening a
-search never loosens a bound.  The non-attainability audit clears each
-position of a known word from a doubling window around it, five symbols
-first and exact once past the word; each distinct window is bracketed
-once, and its outcome, clear or not, serves every later position with
-that window.  A doubled window continues its half window's side
-matrices, reading only the symbols it adds, and a position whose first
-window has cleared costs no Python step.
+per Constraints (at most _MAX_ALPHABET symbols) along suffix links into
+numbered states, so its table, tail levels and window counts are lists
+indexed by state.  Bounds on the two-sided value at a site inside a
+pattern are computed from exact cylinder intervals over the admissible
+continuations to a fixed depth, at most _MAX_DEPTH.  Each state's
+interval is read from two children only, the smallest live symbol's for
+the lower end and the largest one's for the upper end; levels are
+stepped one at a time until the set of live states repeats, and from
+there pointer doubling over those fixed choices reaches the depth in
+O(log depth) matrix products (cfrac._mul); the levels past the depth
+step on those choices, found again only while the live states still
+shrink.  Every interval is the image of a tail interval under a Moebius
+matrix, on unreduced integer (num, den) pairs.  One kernel, _site, adds
+a site symbol to the images of its two tails, an end that stops exactly
+being the point _END; the site bounds, the one-sided bracket and the
+audit read it.  The window sweep grows each window, of at most
+_MAX_WINDOW symbols, from the center outward and bounds both sides at
+every node, within _MAX_NODES words by default; it counts a segment
+without enumeration once its bound is below the threshold, or once it
+carries the center pattern with its lower bound at or above it.
+Everything is exact rational arithmetic, with Fractions only in reported
+bounds; deepening a search never loosens a bound.  The non-attainability
+audit clears each position of a known word from a doubling window around
+it, five symbols first and exact once past the word; each distinct
+window is bracketed once, and its outcome, clear or not, serves every
+later position with that window.  A doubled window continues its half
+window's side matrices, reading only the symbols it adds, and a position
+whose first window has cleared costs no Python step.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from functools import cache, cached_property
 from itertools import chain, compress, islice
 from operator import not_
 
-from .cfrac import _END, _FREE, FiniteCF, mobius, mobius_pairs
+from .cfrac import _END, _FREE, FiniteCF, _mul, mobius, mobius_pairs
 from .quadfield import QuadSum, _Record
 
 __all__ = [
@@ -63,6 +64,8 @@ CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
 _WINDOW = 2  # the audit's first window; it changes only speed, never a verdict
 _MAX_DEPTH = 10**5  # tail ends grow ~0.7 digits per level; 10**5 takes ~0.3 s, 10**6 ~25 s
 _MAX_NODES = 10**5  # the sweep's default budget: ~2 s and ~70 MB; the gap list needs 511
+_MAX_ALPHABET = 10  # L's gaps lie below Freiman's 4.53 and Lambda_n >= a_{n+1}: 4 suffices
+_MAX_WINDOW = 20001  # the widest sweep with a measured cost: ~1.6 s and 249 MB at depth 5
 
 
 def _sum(a: int, x, y) -> tuple[int, int]:
@@ -115,17 +118,19 @@ class Constraints(_Record):
             for q in f:
                 if not 1 <= q <= self.alphabet_max:
                     raise ValueError(f"forbidden pattern {f} leaves the alphabet")
+        if self.alphabet_max > _MAX_ALPHABET:
+            raise ValueError(f"alphabet_max {self.alphabet_max} exceeds the cap of {_MAX_ALPHABET}")
 
     @cached_property
     def _table(self) -> list:
         """Factor automaton on numbered states: () is 0, and the admissible
-        proper prefixes of the forbidden words follow by length, the compile
-        setting _words[s] to the word of s.  table[s][a-1] is the longest
-        suffix of s+(a,) that is a state, or None when some suffix of s+(a,)
-        is forbidden.  The state of an admissible word, its longest suffix
-        that is a state, holds all of its past that a forbidden factor can
-        reach.  As in Aho-Corasick, a row is its longest proper suffix
-        state's row, compiled before it, but where s+(a,) is forbidden or a state."""
+        proper prefixes of the forbidden words follow by length.
+        table[s][a-1] is the longest suffix of s+(a,) that is a state, or
+        None when some suffix of s+(a,) is forbidden.  The state of an
+        admissible word, its longest suffix that is a state, holds all of its
+        past that a forbidden factor can reach.  As in Aho-Corasick, a row is
+        its longest proper suffix state's row, compiled before it, but where
+        s+(a,) is forbidden or a state."""
         forbidden, m = self.forbidden, self.alphabet_max
         prefixes = {f[:i] for f in forbidden for i in range(1, len(f))}
         states, table = [((), 0)], []  # (word, its longest proper suffix state)
@@ -140,7 +145,6 @@ class Constraints(_Record):
                     b = len(states) - 1
                 row.append(b)
             table.append(tuple(row))
-        vars(self)["_words"] = [word for word, _ in states]
         return table
 
     def _walk(self, word):
@@ -238,13 +242,6 @@ def _counts(table, tail, n: int, keep: int) -> list:
     return out
 
 
-def _mul(m, n):
-    """The 2x2 matrix product m n, both as (p1, p0, q1, q0)."""
-    p1, p0, q1, q0 = m
-    r1, r0, s1, s0 = n
-    return p1 * r1 + p0 * s1, p1 * r0 + p0 * s0, q1 * r1 + q0 * s1, q1 * r0 + q0 * s0
-
-
 def _tail_levels(table, depth: int, reach: int) -> list:
     """The tail levels depth, ..., depth + reach over one automaton (see
     _tails), each a list indexed by state.  Every tail lies in [1, inf], so
@@ -272,7 +269,7 @@ def _tail_levels(table, depth: int, reach: int) -> list:
             if e:
                 a, t, b, u = e
                 (_, _, hn, hd), (ln, ld, _, _) = level[t], level[u]
-                e = a * hn + hd, hn, b * ln + ld, ln
+                e = a * hn + hd, hn, b * ln + ld, ln  # X_a, X_b at the ends, as mobius_pairs
             out.append(e)
         return out
 
@@ -286,7 +283,7 @@ def _tail_levels(table, depth: int, reach: int) -> list:
     mat = [m for e in ext for m in (((e[0], 1, 1, 0), (e[2], 1, 1, 0)) if e else (None,) * 2)]
     ends, k = [x for e in level for x in ((e[:2], e[2:]) if e else (None,) * 2)], depth - n
     while k:  # a dead node's matrix and end stay None
-        if k & 1:
+        if k & 1:  # each node's matrix at its successor's end, as mobius_pairs
             ends = [m and (m[0] * e[0] + m[1] * e[1], m[2] * e[0] + m[3] * e[1])
                     for m, e in zip(mat, map(ends.__getitem__, nxt))]
         k >>= 1
@@ -302,6 +299,14 @@ def _tail_levels(table, depth: int, reach: int) -> list:
     return out
 
 
+def _check_depth(depth: int) -> None:
+    """Raises ValueError on a depth below 0 or above _MAX_DEPTH."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > _MAX_DEPTH:
+        raise ValueError(f"depth {depth} exceeds the cap of {_MAX_DEPTH}")
+
+
 def _tails(constraints: Constraints, depth: int, reach: int = 0):
     """(rev, left, right): the reversed constraints and the lists of left
     and right tail levels at depth, ..., depth + reach.  A tail level
@@ -310,11 +315,7 @@ def _tails(constraints: Constraints, depth: int, reach: int = 0):
     and t free in [1, inf), or None when no such x's exist.  Level 0 is the
     free interval itself, so the leaf endpoints are exactly cylinder
     endpoints; the matrices have determinant -1 or 1, so each end stays in
-    lowest terms.  Raises ValueError on a depth below 0 or above _MAX_DEPTH."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > _MAX_DEPTH:
-        raise ValueError(f"depth {depth} exceeds the cap of {_MAX_DEPTH}")
+    lowest terms.  Callers check the depth first, by _check_depth."""
     rev = _reversed(constraints)
     right = _tail_levels(constraints._table, depth, reach)
     return rev, right if rev is constraints else _tail_levels(rev._table, depth, reach), right
@@ -324,11 +325,13 @@ def site_lambda_bounds(
     pattern: Pattern, constraints: Constraints, depth: int
 ) -> BoundCertificate:
     """Certified bounds on the two-sided value at the pattern site over
-    all bi-infinite admissible sequences containing the word there."""
+    all bi-infinite admissible sequences containing the word there; the
+    depth and the word are checked before any tail level is built."""
     w = pattern.word
-    rev, left, right = _tails(constraints, depth)
+    _check_depth(depth)
     if violates(w, constraints):
         raise ValueError("pattern word violates the constraints")
+    rev, left, right = _tails(constraints, depth)
     right, left = right[0][constraints._walk(w)], left[0][rev._walk(reversed(w))]
     if right is None or left is None:
         raise ValueError("pattern admits no admissible completion")
@@ -390,15 +393,19 @@ def pattern_necessity(
     threshold: their live windows (admissible tails on both sides) pass by
     pattern, their dead ones by bound.  The search visits at most
     max_nodes words (default _MAX_NODES, None: no limit) and is
-    inconclusive when it needs more; a depth above _MAX_DEPTH raises.
+    inconclusive when it needs more; a depth above _MAX_DEPTH or a window
+    above _MAX_WINDOW raises before any tail level is built.
     """
     if window_len < 7:
         raise ValueError("window_len must be at least 7")
+    _check_depth(depth)
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError("max_nodes must be nonnegative")
+    if window_len > _MAX_WINDOW:
+        raise ValueError(f"window_len {window_len} exceeds the cap of {_MAX_WINDOW}")
     center, n = window_len // 2, len(CENTER_PATTERN)
     # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
     rev, left, right = _tails(constraints, depth, center)
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError("max_nodes must be nonnegative")
     threshold = Fraction(threshold)
     tn, td = threshold.numerator, threshold.denominator
     ftable, rtable = constraints._table, rev._table

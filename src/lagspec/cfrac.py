@@ -3,13 +3,14 @@
 Words are kept as combinatorial objects: [0;2,1] and [0;3] denote the
 same rational but stay distinct words, since trailing quotients matter
 for pattern analysis.  Every convergent recurrence runs through one 2x2
-matrix kernel, mobius, and every cylinder interval is the image of a tail
-interval under such a matrix, by mobius_pairs on integer pairs; cylinder
-is its Fraction face.  _FREE is the free tail [1, inf], and _END the point
-inf, an end that stops exactly.  Evaluation is exact (Fraction or QuadExt),
-and period detection works on exact surd states.  One order kernel,
-_alternating, decides the alternating parity rule for continued fractions:
-cmp_prefix and every other comparison by first difference use it.
+matrix kernel, mobius, with _mul the product of two such matrices, and
+every cylinder interval is the image of a tail interval under a matrix,
+by mobius_pairs on integer pairs; cylinder is its Fraction face.  _FREE
+is the free tail [1, inf], and _END the point inf, an end that stops
+exactly.  Evaluation is exact (Fraction or QuadExt), and period detection
+works on exact surd states.  One order kernel, _alternating, decides the
+alternating parity rule for continued fractions: cmp_prefix and every
+other comparison by first difference use it.
 """
 
 from __future__ import annotations
@@ -136,6 +137,15 @@ def mobius(word, m=(1, 0, 0, 1)) -> tuple[int, int, int, int]:
         p1, p0 = a * p1 + p0, p1
         q1, q0 = a * q1 + q0, q1
     return p1, p0, q1, q0
+
+
+def _mul(m, n) -> tuple[int, int, int, int]:
+    """The 2x2 matrix product m n, both as (p1, p0, q1, q0): mobius(u + v) ==
+    _mul(mobius(u), mobius(v)).  The symbol a is X_a = (a, 1, 1, 0), so _mul(X_a, m)
+    prepends a to m's word, and X_a^-1 = (0, 1, 1, -a) drops a again."""
+    p1, p0, q1, q0 = m
+    r1, r0, s1, s0 = n
+    return p1 * r1 + p0 * s1, p1 * r0 + p0 * s0, q1 * r1 + q0 * s1, q1 * r0 + q0 * s0
 
 
 _FREE = (1, 1, 1, 0)  # the free tail [1, inf] as (ln, ld, hn, hd), den 0 being inf

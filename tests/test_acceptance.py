@@ -6,8 +6,14 @@ decimal tolerance applies.  Criteria 3, 4 and 6 are truncated desk-scale
 verifications on finite words and are labeled as such in their reports.
 """
 
+import os
 import random
+import re
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 from lagspec.bisequence import periodic_phase_limits, sup_lambda
 from lagspec.cfrac import EPCF, cylinder, distance_bounds, eval_periodic, expand
@@ -275,3 +281,30 @@ def test_criterion_8_attainability_construction():
         "PASS criterion 8: [0;2,1,(2,2)] exceeds its periodic limit at the"
         f" checked sites for m = 1..5"
     )
+
+
+PIPELINE_REPORT = """\
+gap endpoint: (62976-1498*sqrt(3))/16357 ≈ 3.6914708
+[sup] certified: sup = 3.6914708, attained at [-1, 1] (T)
+[forbid] (3, 1) site 0: lower 3.822020 > endpoint (T)
+[forbid] (1, 3) site 1: lower 3.822020 > endpoint (T)
+[forbid] (3, 2, 2) site 0: lower 3.701421 > endpoint (T)
+[forbid] (2, 2, 3) site 2: lower 3.701421 > endpoint (T)
+[forbid] (3, 2, 3) site 0: lower 3.725049 > endpoint (T)
+[forbid] (1, 2, 3, 2, 1) site 2: lower 3.732051 > endpoint (T)
+[necessity] windows 77345, center-pattern 70, exceptions 0 (T)
+[audit] positions 12..{stop}: flagged [] (T)  [truncated verification on a finite prefix]
+ALL CERTIFIED
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, stop", [([], 181), (["--window", "15", "--depth", "200", "--blocks", "32"], 2269)]
+)
+def test_pipeline_report_is_pinned(argv, stop):
+    # scripts/certify_gap.py prints the same lines, every stage's time masked
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "certify_gap.py")
+    run = subprocess.run([sys.executable, script, *argv], capture_output=True, text=True, timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
+    report = re.sub(r"\(\d+\.\d\ds\)", "(T)", run.stdout)
+    assert report.splitlines() == PIPELINE_REPORT.format(stop=stop).splitlines()

@@ -152,8 +152,16 @@ def automaton_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_compiled_automaton_matches_suffix_reference(c):
     # every word of up to 6 symbols, and of up to 4 with symbols outside the alphabet
-    table = c._table  # the compile sets _words
-    m, forbidden, words = c.alphabet_max, c.forbidden, c._words
+    table, m, forbidden = c._table, c.alphabet_max, c.forbidden
+    # each state's word, the unique shortest word whose walk ends there (every other
+    # such word ends with it), by a breadth-first walk over the table
+    words, found = [()], {0}
+    for w in words:  # grows as the states are found
+        for a, t in enumerate(table[c._walk(w)], 1):
+            if t is not None and t not in found:
+                found.add(t)
+                words.append(w + (a,))
+    words = sorted(words, key=c._walk)
     bad = lambda w: any(w[i:j] in forbidden for i in range(len(w)) for j in range(i + 1, len(w) + 1))
     prefixes = {()} | {f[:i] for f in forbidden for i in range(len(f))}
     assert words[0] == () and len(set(words)) == len(words) == len(table)
@@ -561,6 +569,40 @@ def test_depth_above_the_cap_raises_before_any_level(monkeypatch):
     with deadline(10, "site bounds at the depth cap"):
         cert = site(cap)  # the cap itself is accepted
     assert cert.depth == cap and QuadSum(cert.lower) > LAM0
+
+
+def test_caps_on_the_alphabet_and_the_window():
+    assert (certify._MAX_ALPHABET, certify._MAX_WINDOW) == (10, 20001)
+    assert Constraints(10).alphabet_max == 10
+    for m in (11, 10**8):
+        with pytest.raises(ValueError, match=f"^alphabet_max {m} exceeds the cap of 10$"):
+            Constraints(m)
+    # the forbidden words are checked before the cap
+    with pytest.raises(ValueError, match=r"^forbidden pattern \(12,\) leaves the alphabet$"):
+        Constraints(11, {(12,)})
+
+
+def test_every_check_runs_before_any_tail_level(monkeypatch):
+    threshold, gap = Fraction(3691, 1000), gap_constraints()
+    site = lambda word, depth: site_lambda_bounds(Pattern(word, 0), Constraints(3, {(3, 1)}), depth)
+    sweep = lambda w, d, nodes=None: pattern_necessity(threshold, gap, w, d, max_nodes=nodes)
+    cases = [
+        (lambda: sweep(20002, 5), "^window_len 20002 exceeds the cap of 20001$"),
+        (lambda: sweep(20003, 5), "^window_len 20003 exceeds the cap of 20001$"),
+        (lambda: site((3, 1), 10**5), "^pattern word violates the constraints$"),
+        (lambda: sweep(20001, 5, -1), "^max_nodes must be nonnegative$"),
+        # several faults: the checks run in this order, the caps last
+        (lambda: site((3, 1), -1), "^depth must be nonnegative$"),
+        (lambda: site((3, 1), 10**5 + 1), "^depth 100001 exceeds the cap of 100000$"),
+        (lambda: sweep(5, 10**8, -1), "^window_len must be at least 7$"),
+        (lambda: sweep(20003, 10**8, -1), "^depth 100000000 exceeds the cap of 100000$"),
+        (lambda: sweep(20003, 5, -1), "^max_nodes must be nonnegative$"),
+    ]
+    with monkeypatch.context() as m:
+        m.setattr(certify, "_tail_levels", lambda *args: pytest.fail("built a tail level"))
+        for call, message in cases:
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 def test_sweep_has_a_default_node_budget():

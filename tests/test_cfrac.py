@@ -12,6 +12,7 @@ from lagspec.cfrac import (
     _alternating,
     _fixed_box,
     _mobius_box,
+    _mul,
     FiniteCF,
     PeriodNotFoundError,
     PrefixOrderUndecided,
@@ -60,6 +61,23 @@ def test_mobius_matrix(u, v):
     assert (p0, q0) == (convs[-2] if len(convs) > 1 else (1, 0))
     assert p1 * q0 - p0 * q1 == (-1) ** len(word)
     assert mobius(word) == mobius(v, mobius(u))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=1000), max_size=20),
+    st.lists(st.integers(min_value=0, max_value=1000), max_size=20),
+    st.integers(min_value=0, max_value=1000),
+)
+def test_mul_is_the_product_of_words(u, v, a):
+    # the algebra that bisequence's prepend, drop and rotation steps stand on
+    assert _mul(mobius(u), mobius(v)) == mobius(u + v)
+    x, x_inv, m = (a, 1, 1, 0), (0, 1, 1, -a), mobius(u)
+    assert x == mobius((a,)) and _mul(x, x_inv) == _mul(x_inv, x) == (1, 0, 0, 1)
+    assert _mul(x, m) == mobius([a] + u) and _mul(x_inv, mobius([a] + u)) == m
+    assert _mul(mobius(u + [a]), x_inv) == m
+    if u:  # moving the first symbol to the back conjugates by X_a
+        b = u[0]
+        assert _mul(_mul((0, 1, 1, -b), m), (b, 1, 1, 0)) == mobius(u[1:] + u[:1])
 
 
 def _value_with_tail(word, t):

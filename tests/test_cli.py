@@ -307,6 +307,24 @@ def test_depth_above_the_cap_exits_1(capsys, argv, depth):
     assert err == f"error: depth {depth} exceeds the cap of 100000\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("necessity --threshold 3691/1000 --window 20003", "window_len 20003 exceeds the cap of 20001"),
+        ("necessity --threshold 4 --window 7 --alphabet-max 11", "alphabet_max 11 exceeds the cap of 10"),
+        ("certify-pattern 1 --threshold 3 --alphabet-max 11", "alphabet_max 11 exceeds the cap of 10"),
+        ("certify-pattern 3,1 --forbid 3,1 --threshold 3 --depth 100000",
+         "pattern word violates the constraints"),
+        ("necessity --threshold 3691/1000 --window 20001 --depth 5 --max-nodes -1",
+         "max_nodes must be nonnegative"),
+    ],
+)
+def test_caps_and_checks_exit_1_before_any_work(capsys, argv, message):
+    with deadline(10, argv):
+        code, out, err = run(capsys, *argv.split())
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_depth_at_the_cap_is_accepted(capsys):
     argv = ["certify-pattern", "3,1", "--threshold", LAM0_EXPR, "--depth", "100000", "--digits", "3"]
     with deadline(20, "certify-pattern at the depth cap"):

@@ -94,6 +94,13 @@ def test_missing_quotient_is_refused_at_its_token(parse, text, at):
     assert (err.value.token, err.value.line, err.value.col) == at
 
 
+def test_finite_continued_fraction_inside_an_expression(capsys):
+    assert evaluate(parse_expression("[0;2,1]")) == Fraction(1, 3)
+    assert evaluate(parse_expression("2*[1;2,2]-1/5")) == Fraction(13, 5)
+    assert main(["eval", "[0;2,1]"]) == 0
+    assert capsys.readouterr() == ("1/3 ≈ 0.3333333\n", "")
+
+
 @pytest.mark.parametrize("text, col", [("²", 1), ("[0;1,²]", 6), ("1²", 2)])
 def test_non_decimal_digit_is_a_positioned_syntax_error(capsys, text, col):
     # "²" is a Unicode digit that int() refuses

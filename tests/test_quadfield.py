@@ -195,6 +195,29 @@ def test_str_forms():
     assert str(s) == "sqrt(2) - sqrt(3)"
 
 
+def test_operators_on_mixed_operands():
+    r2 = QuadExt.sqrt(2)
+    assert 1 / r2 == QuadExt(0, 1, 2, 2) and str(1 / r2) == "sqrt(2)/2"
+    assert QuadSum(r2, 2) == QuadSum(r2, QuadExt(2)) and str(QuadSum(r2, 2)) == "2+sqrt(2)"
+    assert not QuadSum(0) and QuadSum(1)
+    for x in (QuadExt(1), QuadSum(1)):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for pair in ((x, "x"), ("x", x)):
+                with pytest.raises(TypeError):
+                    op(*pair)
+        assert x != "x" and not x == "x"
+    with pytest.raises(TypeError, match="^cannot compare QuadExt with str$"):
+        QuadExt(1) < "x"
+    with pytest.raises(ValueError, match=r"^sqrt\(2\) is irrational$"):
+        r2.as_fraction()
+
+
+def test_negative_integers_past_10000_bits_print_whole():
+    # 3101 digits: past the 10,000 bits below which _digits calls str, so its
+    # negative branch splits the magnitude in halves
+    assert str(QuadExt(-(10**3100) - 7)) == "-1" + "0" * 3099 + "7"
+
+
 small_ints = st.integers(min_value=-40, max_value=40)
 pos_ints = st.integers(min_value=1, max_value=40)
 rads = st.sampled_from([2, 3, 5, 7, 13, 15, 21])

@@ -24,12 +24,15 @@ from lagspec.cfrac import EPCF, FiniteCF, distance_bounds
 from lagspec.constructions import (
     alpha0_prefix,
     attainable_from_periodic,
+    block_word,
     build_a0,
+    c_block,
+    dirichlet_repeat,
     gap_left_endpoint,
     surgery,
 )
 from lagspec.parsing import BiSeqExpr, SumExpr, parse_expression
-from lagspec.quadfield import _Record
+from lagspec.quadfield import QuadExt, _Record, squarefree_decompose
 
 
 def _samples():
@@ -112,6 +115,7 @@ def test_value_class_matches_frozen_dataclass(sample):
 def test_defaults_and_post_init_checks():
     assert FiniteCF(3) == FiniteCF(3, ()) and hash(FiniteCF(3)) == hash(FiniteCF(3, ()))
     assert FiniteCF(1, [2, 3]).tail == (2, 3) and repr(FiniteCF(1, [2])) == "FiniteCF(a0=1, tail=(2,))"
+    assert len(FiniteCF(0, (1, 2))) == 3
     assert Constraints(2) == Constraints(2, frozenset())
     assert BiSeq([2, 1], [1, 2], 0, [1]) == BiSeq((2, 1), (1, 2), 0, (1,))
     A = build_a0()
@@ -128,6 +132,31 @@ def test_defaults_and_post_init_checks():
             build()
     with pytest.raises(ValueError):
         BoundCertificate(Pattern((1,), 0), Constraints(1), 1, Fraction(2), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Constraints(3, {()}), "forbidden patterns must be nonempty"),
+        (lambda: Pattern((1, 2), 2), "site outside pattern word"),
+        (lambda: BiSeq((1,), (), 0, (1,)), "core must be nonempty"),
+        (lambda: distance_bounds(-1), "n must be nonnegative"),
+        (lambda: c_block(0), "block index must be positive"),
+        (lambda: alpha0_prefix(0), "need at least one block"),
+        (lambda: dirichlet_repeat((1, 2), -1), "n must be nonnegative"),
+        (lambda: surgery((1, 2, 1), 3, 1), "need 1 <= n1 < n2 <= len(word)"),
+        (lambda: attainable_from_periodic((), (1,), 1), "P must be nonempty"),
+        (lambda: block_word([(1,)], [0]), "repetition counts must be positive"),
+        (lambda: squarefree_decompose(0), "radicand must be positive"),
+        (lambda: QuadExt(1, 1, 1, 0), "radicand must be positive"),
+        (lambda: QuadExt(1, 0, 0), "zero denominator"),  # a ZeroDivisionError
+        (lambda: QuadExt(1).approx(10001), "digits out of range"),
+    ],
+)
+def test_input_checks_raise_their_messages(build, message):
+    with pytest.raises((ValueError, ZeroDivisionError)) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_cached_table_leaves_equality_and_hash_alone():
