@@ -7,18 +7,19 @@ Exit codes: 0 on success or a certified result, 2 when a certification
 is not separated or inconclusive (or an audit/sweep reports findings),
 1 on parse or precondition errors.
 
-Parsing: plain argv is read in one pass from the parser's own actions,
-other argv by argparse.  An expression that begins with "-" needs "--".
+Parsing: plain argv is read in one pass from the command table, other
+argv by an argparse parser built from the same table, only when needed.
+An expression that begins with "-" needs "--".
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 
 from .bisequence import lambda_at, limsup_lambda, sup_lambda
 from .cfrac import EPCF, PeriodNotFoundError, expand
@@ -49,11 +50,6 @@ class CliError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise CliError(message)
-
-
 def _value_report(v: QuadSum, digits: int, label: str = "value") -> tuple[int, dict, str]:
     """Exit code, record and text of one exact value."""
     decimal = v.approx(digits)
@@ -76,7 +72,7 @@ def _parse_forbidden(text: str | None) -> frozenset[tuple[int, ...]]:
 
 # Each handler returns (exit code, record, text); main prints one of the two.
 # Handlers call library functions through this module's globals, which
-# perfbench/tracing.py rebinds, so keep no table of function references.
+# perfbench/tracing.py rebinds, so keep no table of library functions.
 
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
@@ -239,130 +235,123 @@ def _cmd_construct(args) -> tuple[int, dict, str]:
     return 0, {"object": args.object, "value": text}, text
 
 
-def _build_parser() -> _Parser:
+_STRUCTURED = {"action": "store_true", "default": False, "help": "machine-readable output"}
+_DIGITS = {"type": int, "default": 7}
+
+# Per subcommand: its help, its handler, and each argument's name or option
+# string with its add_argument keywords, in --help order.  Only type,
+# default, required, choices, help and the store_true action occur, and no
+# default is a str (argparse would pass one through type).
+_COMMANDS = {
+    name: (text, fn, {"--structured": _STRUCTURED} | arguments)
+    for name, text, fn, arguments in (
+        ("eval", "evaluate an expression exactly", _cmd_eval, {"expr": {}, "--digits": _DIGITS}),
+        ("expand", "continued fraction expansion with period detection", _cmd_expand,
+         {"value": {}, "--max-terms": {"type": int, "default": 512}}),
+        ("lambda", "two-sided value of a sequence at an index", _cmd_lambda,
+         {"biseq": {}, "--index": {"type": int, "required": True}, "--digits": _DIGITS}),
+        ("sup", "certified sup of the two-sided values", _cmd_sup,
+         {"biseq": {}, "--max-window": {"type": int, "default": 12}, "--digits": _DIGITS}),
+        ("limsup", "exact limsup of the two-sided values", _cmd_limsup,
+         {"biseq": {}, "--digits": _DIGITS}),
+        ("certify-pattern", "forbidden-pattern certificate", _cmd_certify_pattern, {
+            "pattern": {"help": 'comma list, e.g. "3,1"'},
+            "--site": {"type": int, "default": 0},
+            "--threshold": {"required": True, "help": "expression, e.g. the gap endpoint"},
+            "--alphabet-max": {"type": int, "default": 3},
+            "--forbid": {"help": 'semicolon-separated patterns, e.g. "1,3;3,1"'},
+            "--depth": {"type": int, "default": 25},
+            "--digits": _DIGITS,
+        }),
+        ("necessity", "window sweep for the center-pattern claim", _cmd_necessity, {
+            "--threshold": {"required": True, "help": 'rational, e.g. "3691/1000"'},
+            "--window": {"type": int, "default": 15},
+            "--depth": {"type": int, "default": 25},
+            "--alphabet-max": {"type": int, "default": 3},
+            "--forbid": {"help": "override the default forbidden list"},
+            "--max-nodes": {
+                "type": int, "default": _MAX_NODES, "help": "search budget (default: %(default)s)"
+            },
+        }),
+        ("audit-alpha0", "non-attainability audit of the block word", _cmd_audit_alpha0, {
+            "--blocks": {"type": int, "default": 8},
+            "--start": {"type": int, "default": 12},
+            "--guard": {"type": int},
+        }),
+        ("surgery", "delete/duplicate a repeated segment", _cmd_surgery, {
+            "word": {"help": 'comma list, e.g. "2,1,2,1,3"'},
+            "--n1": {"type": int, "required": True},
+            "--n2": {"type": int, "required": True},
+        }),
+        ("construct", "print a reference object", _cmd_construct,
+         {"object": {"choices": ["a0", "alpha0"]}, "--blocks": {"type": int, "default": 8}}),
+    )
+}
+
+
+@cache
+def _parser():
+    """The argparse parser of _COMMANDS, for the argv that _parse_plain declines."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise CliError(message)
+
     # --help shows the docstring without its note on parsing
     p = _Parser(prog="lagspec", description=__doc__.partition("\nParsing:")[0])
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        sp = sub.add_parser(name, **kwargs)
+    for name, (text, fn, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=text)
         sp.set_defaults(fn=fn)
-        sp.add_argument("--structured", action="store_true", help="machine-readable output")
-        return sp
-
-    sp = add("eval", _cmd_eval, help="evaluate an expression exactly")
-    sp.add_argument("expr")
-    sp.add_argument("--digits", type=int, default=7)
-
-    sp = add("expand", _cmd_expand, help="continued fraction expansion with period detection")
-    sp.add_argument("value")
-    sp.add_argument("--max-terms", type=int, default=512)
-
-    sp = add("lambda", _cmd_lambda, help="two-sided value of a sequence at an index")
-    sp.add_argument("biseq")
-    sp.add_argument("--index", type=int, required=True)
-    sp.add_argument("--digits", type=int, default=7)
-
-    sp = add("sup", _cmd_sup, help="certified sup of the two-sided values")
-    sp.add_argument("biseq")
-    sp.add_argument("--max-window", type=int, default=12)
-    sp.add_argument("--digits", type=int, default=7)
-
-    sp = add("limsup", _cmd_limsup, help="exact limsup of the two-sided values")
-    sp.add_argument("biseq")
-    sp.add_argument("--digits", type=int, default=7)
-
-    sp = add("certify-pattern", _cmd_certify_pattern, help="forbidden-pattern certificate")
-    sp.add_argument("pattern", help='comma list, e.g. "3,1"')
-    sp.add_argument("--site", type=int, default=0)
-    sp.add_argument("--threshold", required=True, help="expression, e.g. the gap endpoint")
-    sp.add_argument("--alphabet-max", type=int, default=3)
-    sp.add_argument("--forbid", help='semicolon-separated patterns, e.g. "1,3;3,1"')
-    sp.add_argument("--depth", type=int, default=25)
-    sp.add_argument("--digits", type=int, default=7)
-
-    sp = add("necessity", _cmd_necessity, help="window sweep for the center-pattern claim")
-    sp.add_argument("--threshold", required=True, help='rational, e.g. "3691/1000"')
-    sp.add_argument("--window", type=int, default=15)
-    sp.add_argument("--depth", type=int, default=25)
-    sp.add_argument("--alphabet-max", type=int, default=3)
-    sp.add_argument("--forbid", help="override the default forbidden list")
-    sp.add_argument(
-        "--max-nodes", type=int, default=_MAX_NODES, help="search budget (default: %(default)s)"
-    )
-
-    sp = add("audit-alpha0", _cmd_audit_alpha0, help="non-attainability audit of the block word")
-    sp.add_argument("--blocks", type=int, default=8)
-    sp.add_argument("--start", type=int, default=12)
-    sp.add_argument("--guard", type=int, default=None)
-
-    sp = add("surgery", _cmd_surgery, help="delete/duplicate a repeated segment")
-    sp.add_argument("word", help='comma list, e.g. "2,1,2,1,3"')
-    sp.add_argument("--n1", type=int, required=True)
-    sp.add_argument("--n2", type=int, required=True)
-
-    sp = add("construct", _cmd_construct, help="print a reference object")
-    sp.add_argument("object", choices=["a0", "alpha0"])
-    sp.add_argument("--blocks", type=int, default=8)
-
+        for arg, keywords in arguments.items():
+            sp.add_argument(arg, **keywords)
     return p
 
 
-def _plain_table(parser) -> dict:
-    """Per subcommand of help, one-value store and store_true actions, none
-    with a str default: options by string and positionals by index, the
-    required dests, and the defaults with fn and command."""
-    (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    table = {}
-    for name, sp in sub.choices.items():
-        acts = [a for a in sp._actions if type(a) is not argparse._HelpAction]
-        if all(type(a) in (argparse._StoreAction, argparse._StoreTrueAction)
-               and a.nargs in (None, 0) and type(a.default) is not str for a in acts):
-            actions = {s: a for a in acts for s in a.option_strings}
-            actions.update(enumerate(a for a in acts if not a.option_strings))
-            defaults = {a.dest: a.default for a in acts} | sp._defaults | {sub.dest: name}
-            table[name] = actions, {a.dest for a in acts if a.required}, defaults  # positionals too
-    return table
-
-
-_PARSER = _build_parser()
-_PLAIN = _plain_table(_PARSER)
-
-
-def _parse_plain(argv) -> argparse.Namespace | None:
-    """_PARSER.parse_args(argv) for a plain argv: an exact subcommand, then
+def _parse_plain(argv) -> SimpleNamespace | None:
+    """_parser().parse_args(argv) for a plain argv: an exact subcommand, then
     positionals not starting with "-" and exact, unrepeated option strings,
     each value the next token (an ASCII negative integer too: argparse takes
     one as a value).  Otherwise, or if a type or choice fails, None."""
-    if not argv or argv[0] not in _PLAIN:
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    actions, required, defaults = _PLAIN[argv[0]]
-    given, tokens, n = {}, iter(argv[1:]), 0
+    _, fn, arguments = _COMMANDS[argv[0]]
+    positionals = (name for name in arguments if name[0] != "-")
+    given, tokens = {}, iter(argv[1:])
     for token in tokens:
         if token[:1] != "-":
-            action, n = actions.get(n), n + 1  # the next positional
-        elif (action := actions.get(token)) is not None and action.nargs is None:
+            name = next(positionals, None)
+        elif (name := token) in arguments and "action" not in arguments[name]:
             token = next(tokens, "-")  # a missing value reads as "-", which declines
             if token[:1] == "-" and not (token[1:].isascii() and token[1:].isdigit()):
                 return None
-        if action is None or action.dest in given:
+        keywords = arguments.get(name)
+        if keywords is None or name in given:
             return None
-        if action.nargs == 0:  # store_true
-            given[action.dest] = action.const
+        if "action" in keywords:  # store_true
+            given[name] = True
             continue
         try:
-            value = token if action.type is None else action.type(token)
+            value = keywords["type"](token) if "type" in keywords else token
         except (TypeError, ValueError):
             return None
-        if action.choices is not None and value not in action.choices:
+        if value not in keywords.get("choices", (value,)):
             return None
-        given[action.dest] = value
-    return argparse.Namespace(**(defaults | given)) if required <= given.keys() else None
+        given[name] = value
+    values = {"command": argv[0], "fn": fn}
+    for name, keywords in arguments.items():
+        if name not in given and (name[0] != "-" or keywords.get("required")):
+            return None  # a positional or a required option is missing
+        values[name.lstrip("-").replace("-", "_")] = given.get(name, keywords.get("default"))
+    return SimpleNamespace(**values)
 
 
 def _json(record) -> str:
     """The record as one line of JSON; integers past the interpreter's
     int-to-str limit print in full, still as JSON numbers."""
+    import json  # here, so that a text report never loads it
+
     try:
         return json.dumps(record)
     except ValueError:  # such an integer; mark each, then write it out
@@ -381,8 +370,11 @@ def _json(record) -> str:
 
 def main(argv=None) -> int:
     try:
-        args = _parse_plain(sys.argv[1:] if argv is None else argv) or _PARSER.parse_args(argv)
+        args = _parse_plain(sys.argv[1:] if argv is None else argv) or _parser().parse_args(argv)
         code, record, text = args.fn(args)
+    except MemoryError:  # inside every cap, a wide or deep sweep can still exhaust memory
+        print("error: out of memory", file=sys.stderr)
+        return 1
     except ExprSyntaxError as e:
         print(f"syntax error: {e}", file=sys.stderr)
         return 1

@@ -375,11 +375,56 @@ def test_construct(capsys):
 
 def test_parser_is_built_once(capsys, monkeypatch):
     def fail():
-        raise AssertionError("main rebuilt the parser")
+        raise AssertionError("main built the parser for a plain argv")
 
-    monkeypatch.setattr(cli, "_build_parser", fail)
+    monkeypatch.setattr(cli, "_parser", fail)
     code, out, _ = run(capsys, "construct", "a0")
     assert code == 0 and out.strip() == A0_TEXT
+    for argv, expected in README_STRUCTURED:
+        assert run(capsys, *argv, "--structured") == (0, expected + "\n", ""), argv
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.endswith("\n"), argv
+
+
+def test_fallback_builds_the_parser_at_most_once(capsys, monkeypatch):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    cli._parser.cache_clear()
+    for argv in (["ev", "1/3"], ["eval", "1/3", "--digits=3"], ["eval", "--", "-1/3"], ["eval"]):
+        run(capsys, *argv)
+    assert run(capsys, "eval", "1/3", "--dig", "3") == (0, "1/3 ≈ 0.333\n", "")
+    assert len(builds) == 1
+
+
+def test_out_of_memory_exits_1_with_a_named_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "pattern_necessity", exhausted)
+    assert run(capsys, "necessity", "--threshold", "3691/1000") == (
+        1, "", "error: out of memory\n"
+    )
+
+
+def test_out_of_memory_in_a_child_process_exits_1_without_a_traceback():
+    # the address-space limit applies to the child alone; the sweep's tail
+    # levels at this window and depth need more than it allows
+    resource = pytest.importorskip("resource")
+    limit = 512 * 2**20
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    argv = [sys.executable, "-m", "lagspec.cli", "necessity", "--threshold", "3691/1000",
+            "--window", "20001", "--depth", "100000"]
+    proc = subprocess.run(
+        argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory\n")
 
 
 def test_parser_reuse_leaks_no_state(capsys):
@@ -529,7 +574,7 @@ def test_expand_term_budget_below_1_exits_1(capsys):
 # The one-pass parse of plain argv (cli._parse_plain) against argparse.
 
 _SUBPARSERS = next(
-    a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
 ).choices
 # values that argparse reads in different ways: ints, ASCII and non-ASCII
 # negative numbers, option-like and empty tokens, choices and bad choices
@@ -585,7 +630,30 @@ def _argvs(draw):
 def test_plain_parse_declines_or_matches_argparse(argv):
     fast = cli._parse_plain(argv)
     if fast is not None:  # then argparse accepts argv too, with the same namespace
-        assert vars(fast) == vars(cli._PARSER.parse_args(argv))
+        assert vars(fast) == vars(cli._parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name", list(_SUBPARSERS))
+def test_plain_parse_takes_the_minimal_argv_of_every_subcommand(name):
+    # a subcommand the one pass dropped would fall back to argparse silently
+    argv = [name]
+    for action in _SUBPARSERS[name]._actions:
+        if not action.option_strings:
+            argv.append((action.choices or ["1"])[0])
+        elif action.required:
+            argv += [action.option_strings[0], "1"]
+    fast = cli._parse_plain(argv)
+    assert fast is not None, argv
+    assert vars(fast) == vars(cli._parser().parse_args(argv))
+
+
+def test_command_table_holds_only_what_the_one_pass_reads():
+    for name, (_, _, arguments) in cli._COMMANDS.items():
+        for arg, keywords in arguments.items():
+            assert keywords.keys() <= {"type", "default", "required", "choices", "help", "action"}
+            assert keywords.get("action", "store_true") == "store_true", (name, arg)
+            # argparse would pass a str default through type; the one pass does not
+            assert type(keywords.get("default")) is not str, (name, arg)
 
 
 @pytest.mark.parametrize("structured", [False, True])
@@ -595,7 +663,7 @@ def test_plain_parse_takes_the_readme_examples(structured):
         argv = argv + ["--structured"] * structured
         fast = cli._parse_plain(argv)
         assert fast is not None, argv
-        assert vars(fast) == vars(cli._PARSER.parse_args(argv))
+        assert vars(fast) == vars(cli._parser().parse_args(argv))
 
 
 # Invocations that only argparse parses: help, errors, abbreviations,
