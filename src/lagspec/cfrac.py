@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import inf
 
-from .quadfield import _SCALE, QuadExt, _Record, _floor_root, squarefree_decompose
+from .quadfield import _SCALE, QuadExt, _digits, _Record, _floor_root, squarefree_decompose
 
 __all__ = [
     "EPCF",
@@ -70,10 +70,10 @@ class FiniteCF(_Record):
     def __len__(self):
         return 1 + len(self.tail)
 
-    def __str__(self):
+    def __str__(self):  # _digits: quotients past the int-to-str limit
         if not self.tail:
-            return f"[{self.a0}]"
-        return f"[{self.a0};{','.join(map(str, self.tail))}]"
+            return f"[{_digits(self.a0)}]"
+        return f"[{_digits(self.a0)};{','.join(map(_digits, self.tail))}]"
 
 
 class EPCF(_Record):
@@ -100,11 +100,11 @@ class EPCF(_Record):
             return self.preperiod[i]
         return self.period[(i - len(self.preperiod)) % len(self.period)]
 
-    def __str__(self):
-        per = f"({','.join(map(str, self.period))})"
+    def __str__(self):  # _digits: quotients past the int-to-str limit
+        per = f"({','.join(map(_digits, self.period))})"
         if self.preperiod:
-            return f"[{self.a0};{','.join(map(str, self.preperiod))},{per}]"
-        return f"[{self.a0};{per}]"
+            return f"[{_digits(self.a0)};{','.join(map(_digits, self.preperiod))},{per}]"
+        return f"[{_digits(self.a0)};{per}]"
 
 
 class EpsDelta(_Record):

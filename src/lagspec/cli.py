@@ -41,9 +41,10 @@ from .parsing import (
     parse_expression,
     parse_word,
 )
-from .quadfield import MixedRadicandError, QuadSum, _digits
+from .quadfield import MixedRadicandError, QuadExt, QuadSum, _digits
 
 _SHOWN = 20  # exception lines a necessity report prints as text; --structured lists them all
+_MAX_EXPONENT = 4300  # of a threshold; Fraction("1e1000000000") alone runs past 30 s
 
 
 class CliError(Exception):
@@ -58,6 +59,11 @@ def _value_report(v: QuadSum, digits: int, label: str = "value") -> tuple[int, d
 
 
 def _parse_threshold(text: str) -> Fraction:
+    if m := re.fullmatch(r"\s*[-+]?[\d_]*\.?[\d_]*[eE]([-+]?)([\d_]+)\s*", text):
+        e = m[2].replace("_", "").lstrip("0")  # its length first: no int() of a long digit string
+        if len(e) > len(str(_MAX_EXPONENT)) or int(e or 0) > _MAX_EXPONENT:
+            e = ("-" if m[1] == "-" else "") + e
+            raise CliError(f"threshold exponent {e} exceeds the cap of {_MAX_EXPONENT}")
     try:
         return Fraction(text)
     except ValueError as e:
@@ -108,13 +114,13 @@ def _cmd_sup(args) -> tuple[int, dict, str]:
         "attained": cert.attained,
         "attaining_indices": list(cert.attaining_indices),
         "window": list(cert.window),
-        "margin": str(cert.margin),
+        "margin": str(QuadExt.from_rational(cert.margin)),  # past the int-to-str limit too
         "status": cert.status,
     }
     text = (
         f"sup = {cert.sup} ≈ {rec['decimal']}\n"
         f"attained: {cert.attained} at {rec['attaining_indices']}\n"
-        f"window: {rec['window']}  margin: {cert.margin}\n"
+        f"window: {rec['window']}  margin: {rec['margin']}\n"
         f"status: {cert.status}"
     )
     return (0 if cert.status == "certified" else 2), rec, text
@@ -170,7 +176,7 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
         max_nodes=args.max_nodes,
     )
     rec = {
-        "threshold": str(report.threshold),
+        "threshold": str(QuadExt.from_rational(report.threshold)),  # past the int-to-str limit too
         "window_len": report.window_len,
         "depth": report.depth,
         "windows_total": report.windows_total,

@@ -8,10 +8,12 @@ differ by a square factor, such as 10009 and 10007**2 * 10009; equality,
 hashing and arithmetic treat them as one field (the square-class test).
 Sums of two values over different fields are handled by QuadSum.  Both
 types share one set of operators; one fold puts every QuadSum in canonical
-form.  A comparison, across fields or not, compares integer brackets of
-v * 2**64 (one _floor_root per term, once per value) and folds the difference only when they
-overlap.  Every sign, order, floor and rounding query is decided exactly
-with integer arithmetic; nothing here touches floating point.
+form.  One rule decides every sign and order, across any number of fields:
+integer brackets of v * 2**64 (one _floor_root per term, once per value),
+then, where they overlap, the folded difference if it is rational, else
+decimal brackets of both sides, narrowed until they part.  Every sign, order,
+floor and rounding query is decided exactly with integer arithmetic; nothing
+here touches floating point.
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ _SCALE = 64  # comparisons first compare (cached) brackets of v * 2**_SCALE; it 
 
 class MixedRadicandError(ArithmeticError):
     """The result would need more distinct radicands than the type carries."""
-
-
-def _sign(n) -> int:
-    return (n > 0) - (n < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,32 +76,6 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
             d *= p
     r = isqrt(n)
     return (s * r, d) if r * r == n else (s, d * n)
-
-
-# ---------------------------------------------------------------------------
-# exact signs of radical combinations
-
-
-def _sign_lin(A: int, B: int, d: int) -> int:
-    """Sign of A + B*sqrt(d) for integers A, B and d >= 1."""
-    if d == 1:
-        return _sign(A + B)
-    if A == 0 or B == 0 or (A > 0) == (B > 0):
-        return _sign(A) or _sign(B)
-    return _sign(A * A - B * B * d) * _sign(A)
-
-
-def _sign_two(A: int, B: int, d1: int, C: int, d2: int) -> int:
-    """Sign of A + B*sqrt(d1) + C*sqrt(d2) for radicands d1, d2 >= 1.
-
-    Isolates one radical and squares once, reducing the query to a single
-    quadratic field; exact for every input.
-    """
-    sL, sR = _sign_lin(A, B, d1), _sign(C)
-    if sL * sR >= 0:  # one of them zero, or the two agree
-        return sL or sR
-    # opposite signs: compare |A + B*sqrt(d1)| with |C*sqrt(d2)|
-    return sL * _sign_lin(A * A + B * B * d1 - C * C * d2, 2 * A * B, d1)
 
 
 def _canonical(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
@@ -168,8 +140,8 @@ def _invariant(terms):
 
 class _Quad:
     """The operators QuadExt and QuadSum share, written once on top of each
-    type's +, unary - and terms().  Order and equality (_cmp) work across
-    fields: brackets first, then the sign of the folded difference."""
+    type's +, unary - and terms().  Order, equality and sign rest on one rule,
+    _cmp, which answers for values over any number of fields."""
 
     __slots__ = ("_scaled",)
 
@@ -190,7 +162,14 @@ class _Quad:
         return (-self) + other
 
     def _cmp(self, other) -> int:
-        """Exact sign of self - other, whatever fields the two lie in."""
+        """Exact sign of self - other, whatever fields the two lie in.
+
+        Disjoint cached brackets decide; else a rational folded difference
+        does.  Any other difference, over up to four fields, is irrational and
+        so not zero: square roots of distinct square classes are linearly
+        independent over Q (Besicovitch, 1940).  So decimal brackets of the
+        two sides, narrowing to their values, part at some k = 20, 40, 80, ...
+        """
         if other is self:
             return 0
         if isinstance(other, (int, Fraction)):
@@ -199,7 +178,29 @@ class _Quad:
             raise TypeError(f"cannot compare {type(self).__name__} with {type(other).__name__}")
         (lo, hi), (other_lo, other_hi) = self._scaled_box(), other._scaled_box()
         disjoint = (lo > other_hi) - (hi < other_lo)  # the sign, when the brackets are disjoint
-        return disjoint or QuadSum._of(*_fold(self.terms() + (-other).terms())).sign()
+        if disjoint:
+            return disjoint
+        try:
+            x, _ = _fold(self.terms() + (-other).terms())
+            if x.is_rational:  # then the whole difference is x
+                return (x.a > 0) - (x.a < 0)
+        except MixedRadicandError:  # three fields or more
+            pass
+        k = 10
+        while not disjoint:
+            k *= 2
+            ln, ld, hn, hd = self._pairs(k)
+            other_ln, other_ld, other_hn, other_hd = other._pairs(k)
+            disjoint = (ln * other_hd > other_hn * ld) - (hn * other_ld < other_ln * hd)
+        return disjoint
+
+    def sign(self) -> int:
+        """Exact sign: the cached bracket's when it excludes 0, else _cmp's."""
+        lo, hi = self._scaled_box()
+        return (lo > 0) - (hi < 0) or self._cmp(_ZERO)
+
+    def __bool__(self):
+        return self.sign() != 0
 
     def _scaled_box(self) -> tuple[int, int]:
         """_box(self.terms()), kept in a slot: each value is bracketed once."""
@@ -387,9 +388,6 @@ class QuadExt(_Quad):
 
     # -- predicates ---------------------------------------------------------
 
-    def sign(self) -> int:
-        return _sign_lin(self.a, self.b, self.d)
-
     def __bool__(self) -> bool:
         return not (self.a == 0 and self.b == 0)
 
@@ -512,15 +510,6 @@ class QuadSum(_Quad):
 
     def __neg__(self):
         return QuadSum._of(-self.x, -self.y)
-
-    # -- predicates ----------------------------------------------------------
-
-    def sign(self) -> int:
-        x, y = self.x, self.y
-        return _sign_two(x.a * y.c + y.a * x.c, x.b * y.c, x.d, y.b * x.c, y.d)
-
-    def __bool__(self):
-        return self.sign() != 0
 
     # -- decimal output --------------------------------------------------------
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import deadline
 from lagspec import cli
-from lagspec.bisequence import lambda_at
+from lagspec.bisequence import lambda_at, sup_lambda
 from lagspec.certify import (
     Constraints,
     NecessityReport,
@@ -202,6 +202,80 @@ def test_certify_pattern_past_the_int_to_str_limit(capsys, pattern, site, exit_c
     for key, bound in (("lower", cert.lower), ("upper", cert.upper)):
         num, den = rec[key].split("/")
         assert Fraction(_read_int(num), _read_int(den)) == bound
+
+
+BIG = "9" * 4300  # a quotient of 4300 digits: twice it is past the int-to-str limit
+
+
+def test_sup_margin_prints_past_the_int_to_str_limit(capsys):
+    argv = ["sup", f"<(1) | 2*,{BIG} | (1)>"]
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, *argv, "--structured")
+    rec = json.loads(out)
+    assert (code, err, rec["status"]) == (0, "", "certified")
+    num, den = rec["margin"].split("/")
+    margin = sup_lambda(parse_biseq(argv[1])).margin
+    assert Fraction(_read_int(num), _read_int(den)) == margin and len(num) > 4300
+    assert f"  margin: {rec['margin']}\nstatus: certified" in text
+
+
+@pytest.mark.parametrize(
+    "value, expansion",
+    [(f"2*[{BIG}]", f"[1{'9' * 4299}8]"), (f"1/2*[0;{BIG},(1)]", f"[0;1{'9' * 4300},(4)]")],
+    ids=["finite", "periodic"],
+)
+def test_expand_prints_quotients_past_the_int_to_str_limit(capsys, value, expansion):
+    code, text, err = run(capsys, "expand", value)
+    assert (code, text, err) == (0, expansion + "\n", "")
+    code, out, err = run(capsys, "expand", value, "--structured")
+    assert (code, err, json.loads(out, parse_int=str)["expansion"]) == (0, "", expansion)
+
+
+@pytest.mark.parametrize(
+    "threshold, printed, exit_code",
+    [("1e4300", "1" + "0" * 4300, 0), ("1e-4300", "1/1" + "0" * 4300, 2)],
+    ids=["1e4300", "1e-4300"],
+)
+def test_necessity_threshold_prints_past_the_int_to_str_limit(capsys, threshold, printed,
+                                                              exit_code):
+    argv = ["necessity", "--threshold", threshold, "--window", "7", "--depth", "1"]
+    code, text, err = run(capsys, *argv)
+    assert (code, err) == (exit_code, "") and text.startswith("windows: 243  ")
+    code, out, err = run(capsys, *argv, "--structured")
+    assert (code, err, json.loads(out)["threshold"]) == (exit_code, "", printed)
+
+
+@pytest.mark.parametrize(
+    "threshold, exponent",
+    [("1e4301", "4301"), ("1e-4301", "-4301"), ("2.5E+0_4301", "4301"),
+     ("1e10000000", "10000000"), ("1e1000000000", "1000000000"), ("1e" + "9" * 5000, "9" * 5000)],
+    ids=["1e4301", "1e-4301", "2.5E+0_4301", "1e10000000", "1e1000000000", "5000-digit exponent"],
+)
+def test_threshold_exponent_above_the_cap_exits_1_before_the_sweep(
+    capsys, monkeypatch, threshold, exponent
+):
+    def refused(*args, **kwargs):
+        raise AssertionError("a threshold above the exponent cap reached the sweep")
+
+    monkeypatch.setattr(cli, "pattern_necessity", refused)
+    with deadline(5, f"necessity --threshold {threshold[:20]}"):
+        code, out, err = run(capsys, "necessity", f"--threshold={threshold}", "--window", "7")
+    message = f"error: threshold exponent {exponent} exceeds the cap of 4300\n"
+    assert (code, out, err) == (1, "", message)
+
+
+@pytest.mark.parametrize("threshold", ["1e4300", "-1e-4300", "1E+4300", "3691e-3", "3691/1000"])
+def test_threshold_exponent_at_the_cap_reaches_the_sweep(capsys, monkeypatch, threshold):
+    seen = []
+
+    def sweep(threshold, *args, **kwargs):
+        seen.append(threshold)
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(cli, "pattern_necessity", sweep)
+    assert run(capsys, "necessity", f"--threshold={threshold}") == (1, "", "error: stopped\n")
+    assert seen == [Fraction(threshold)]
 
 
 def test_necessity(capsys):

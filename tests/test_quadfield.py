@@ -96,6 +96,9 @@ def test_sign_examples():
     assert (QuadSum(QuadExt.sqrt(3)) - QuadExt.sqrt(3)).sign() == 0
     assert (QuadSum(QuadExt(39, 4, 15, 21)) - LAM0).sign() == 1
     assert (QuadSum(QuadExt(33, -2, 7, 15)) - Fraction(3691, 1000)).sign() == -1
+    # differences far below the 2**-64 brackets
+    signs = PELL.sign(), (-PELL).sign(), QuadSum(PELL).sign(), (ROOTS_2_3 - CONVERGENT).sign()
+    assert signs == (1, -1, 1, -1) and PELL > 0 > -PELL and ROOTS_2_3 < CONVERGENT
 
 
 def test_sign_zero_on_constructed_cancellations():
@@ -401,18 +404,34 @@ def test_order_across_types_and_radicands(x, y):
 
 
 def _folded_sign(x, y) -> int:
-    """Sign of x - y from the exact fold alone: subtraction and sign()
-    compare nothing, so no bracket is involved."""
-    return (_lift(x) - y).sign()
+    """Sign of x - y by an oracle that shares no code with _cmp, sign or
+    _pairs: exact when the folded difference is rational, else the first of
+    its Fraction brackets at k = 30, 60, 120, ... that excludes 0."""
+    d = _lift(x) - y
+    if d.is_single and d.x.is_rational:
+        f = d.x.as_fraction()
+        return (f > 0) - (f < 0)
+    k = 30
+    while True:
+        lo, hi = _fraction_bracket(d, k)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        k *= 2
 
 
 TINY = (Fraction(1, 2**80), Fraction(1, 2**200))  # below the filter's 2**-64 brackets
+# irrational differences far below the brackets: (3 - 2*sqrt(2))**39, a Pell unit about
+# 1.4e-30 above 0, and sqrt(2) + sqrt(3) against a convergent 3.2e-22 above it
+PELL = QuadExt(359313438791966819268004696899, -254072969141257218722003304910, 1, 2)
+ROOTS_2_3 = QuadSum(QuadExt.sqrt(2), QuadExt.sqrt(3))
+CONVERGENT = Fraction(71873957185, 22844220553)
 
 
 @given(values(), values(), st.fractions(-50, 50, max_denominator=50))
 @settings(max_examples=200)
 def test_filtered_order_matches_the_fold(x, y, r):
     # ties from the other radicand, near-ties below the brackets, rationals on either side
+    r3 = QuadExt.sqrt(3)
     near = [_lift(x) + s * t for t in TINY for s in (1, -1)]
     for u in (x, _lift(x), _other_value(x)):
         for v in [y, r, x, _other_value(x), _lift(x) + r, *near]:
@@ -423,6 +442,35 @@ def test_filtered_order_matches_the_fold(x, y, r):
         assert [near[0] > u, near[1] < u, near[2] > u, near[3] < u] == [True] * 4
         lo, hi = _box(u.terms())  # the filter's bracket holds the value
         assert _folded_sign(u, Fraction(lo, 2**64)) >= 0 >= _folded_sign(u, Fraction(hi, 2**64))
+    q, c = QuadExt.from_rational(r), QuadExt.from_rational(CONVERGENT + r)
+    for v, w in [(PELL + r, q), (-PELL + r, q), (QuadSum(PELL + r, r3), r3 + r), (ROOTS_2_3 + r, c)]:
+        for a, b in ((v, w), (w, v), (_lift(v), w), (w, _lift(v))):
+            assert a._cmp(b) == _folded_sign(a, b) == (a - b).sign() != 0, (a, b)
+
+
+def test_order_across_three_and_four_fields():
+    # 7.6e-25 and 3.0e-23 apart: the 2**-64 brackets overlap, and the difference
+    # spans more fields than a QuadSum carries
+    r2, r3, r5, r7 = map(QuadExt.sqrt, (2, 3, 5, 7))
+    three = (ROOTS_2_3, QuadExt(0, 981614598306, 697639076515, 5))
+    four = (ROOTS_2_3, QuadSum(r5, r7 + Fraction(-204980461358, 118106583179)))
+    # each value as another object, built another way
+    twins = {ROOTS_2_3: QuadSum(r2 + 1, r3) - 1, three[1]: QuadSum(three[1]),
+             four[1]: four[1] + 1 - 1}
+    hashes = {v: hash(v) for v in twins}
+    for (x, y), order in ((three, 1), (four, -1)):
+        (xlo, xhi), (ylo, yhi) = _fraction_bracket(x, 60), _fraction_bracket(y, 60)
+        assert order == (1 if xlo > yhi else -1 if xhi < ylo else 0)
+        (bxlo, bxhi), (bylo, byhi) = _box(x.terms()), _box(y.terms())
+        assert bxlo <= byhi and bylo <= bxhi
+        with pytest.raises(MixedRadicandError):
+            x - y
+        for a, b, sign in ((x, y, order), (y, x, -order), (twins[x], twins[y], order)):
+            assert (a < b, a > b, a == b, a != b) == (sign < 0, sign > 0, False, True)
+            assert (a <= b, a >= b, a._cmp(b)) == (sign < 0, sign > 0, sign)
+    for v, twin in twins.items():
+        assert v == twin and hash(v) == hash(twin) == hashes[v]
+    assert len(set(twins) | set(twins.values())) == 3
 
 
 def test_filtered_order_on_ties_and_wide_coefficients():
