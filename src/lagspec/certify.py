@@ -379,7 +379,7 @@ def pattern_necessity(
     constraints: Constraints,
     window_len: int = 15,
     depth: int = 25,
-    max_nodes: int | None = _MAX_NODES,
+    max_nodes: int = _MAX_NODES,
 ) -> NecessityReport:
     """Sweep every admissible window of the given length.
 
@@ -392,7 +392,7 @@ def pattern_necessity(
     that carry the center pattern with a lower bound at least the
     threshold: their live windows (admissible tails on both sides) pass by
     pattern, their dead ones by bound.  The search visits at most
-    max_nodes words (default _MAX_NODES, None: no limit) and is
+    max_nodes words (default _MAX_NODES; None is refused) and is
     inconclusive when it needs more; a depth above _MAX_DEPTH or a window
     above _MAX_WINDOW raises before any tail level is built.
     """
@@ -403,6 +403,8 @@ def pattern_necessity(
         raise ValueError("max_nodes must be nonnegative")
     if window_len > _MAX_WINDOW:
         raise ValueError(f"window_len {window_len} exceeds the cap of {_MAX_WINDOW}")
+    if max_nodes is None:  # after the caps, so that every other check keeps its precedence
+        raise ValueError("max_nodes must be a number: every sweep has a budget")
     center, n = window_len // 2, len(CENTER_PATTERN)
     # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
     rev, left, right = _tails(constraints, depth, center)
@@ -424,7 +426,7 @@ def pattern_necessity(
     image = lambda m, tail: tail and mobius_pairs(m, tail)
     m0 = mobius((0,))
     stack = [((), 0, 0, 0, m0, m0, image(m0, left[center][0]), None)]  # rv: read from k = 1
-    while stack and (max_nodes is None or nodes < max_nodes):
+    while stack and nodes < max_nodes:
         nodes += 1
         seg, i, fs, rs, ml, mr, lv, rv = stack.pop()
         k = len(seg)

@@ -19,12 +19,14 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from time import time
 from types import SimpleNamespace
 
 from .bisequence import lambda_at, limsup_lambda, sup_lambda
 from .cfrac import EPCF, PeriodNotFoundError, expand
 from .certify import (
     _MAX_NODES,
+    GAP_CERTIFICATION_ORDER,
     Constraints,
     NotSeparatedError,
     Pattern,
@@ -35,6 +37,7 @@ from .certify import (
 )
 from .constructions import alpha0_prefix, build_a0, gap_left_endpoint, surgery
 from .parsing import (
+    _MAX_DIGITS,
     ExprSyntaxError,
     evaluate,
     parse_biseq,
@@ -64,10 +67,17 @@ def _parse_threshold(text: str) -> Fraction:
         if len(e) > len(str(_MAX_EXPONENT)) or int(e or 0) > _MAX_EXPONENT:
             e = ("-" if m[1] == "-" else "") + e
             raise CliError(f"threshold exponent {e} exceeds the cap of {_MAX_EXPONENT}")
+    if any(len(run) > _MAX_DIGITS for run in re.findall(r"\d+", text.replace("_", ""))):
+        raise CliError(f"threshold exceeds the cap of {_MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except ValueError as e:
         raise CliError(f"threshold must be rational: {e}")
+
+
+def _ratio(q: Fraction) -> str:
+    """q as "n/d", past the int-to-str limit too."""
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def _parse_forbidden(text: str | None) -> frozenset[tuple[int, ...]]:
@@ -146,8 +156,8 @@ def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
         "alphabet_max": cert.constraints.alphabet_max,
         "forbidden": [list(f) for f in sorted(cert.constraints.forbidden)],
         "depth": cert.depth,
-        "lower": f"{_digits(cert.lower.numerator)}/{_digits(cert.lower.denominator)}",
-        "upper": f"{_digits(cert.upper.numerator)}/{_digits(cert.upper.denominator)}",
+        "lower": _ratio(cert.lower),
+        "upper": _ratio(cert.upper),
         "lower_decimal": lower,
         "upper_decimal": upper,
         "kind": "site_lower_bound",
@@ -163,6 +173,20 @@ def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
     return (0 if certified else 2), rec, text
 
 
+def _necessity_record(report) -> dict:
+    return {
+        "threshold": str(QuadExt.from_rational(report.threshold)),  # past the int-to-str limit too
+        "window_len": report.window_len,
+        "depth": report.depth,
+        "windows_total": report.windows_total,
+        "passed_by_bound": report.passed_by_bound,
+        "passed_by_pattern": report.passed_by_pattern,
+        "exceptions": [list(w) for w in report.exceptions],
+        "nodes": report.nodes,
+        "holds": report.holds,
+    } | ({"status": "inconclusive"} if report.inconclusive else {})
+
+
 def _cmd_necessity(args) -> tuple[int, dict, str]:
     constraints = Constraints(
         args.alphabet_max,
@@ -175,17 +199,7 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
         depth=args.depth,
         max_nodes=args.max_nodes,
     )
-    rec = {
-        "threshold": str(QuadExt.from_rational(report.threshold)),  # past the int-to-str limit too
-        "window_len": report.window_len,
-        "depth": report.depth,
-        "windows_total": report.windows_total,
-        "passed_by_bound": report.passed_by_bound,
-        "passed_by_pattern": report.passed_by_pattern,
-        "exceptions": [list(w) for w in report.exceptions],
-        "nodes": report.nodes,
-        "holds": report.holds,
-    }
+    rec = _necessity_record(report)
     counts = report.windows_total, report.passed_by_bound, report.passed_by_pattern
     text = "windows: {}  below threshold: {}  center-pattern: {}".format(*map(_digits, counts))
     text += f"  exceptions: {len(report.exceptions)}"  # _digits: counts past the int-to-str limit
@@ -193,17 +207,13 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
     if len(report.exceptions) > _SHOWN:
         text += f"\n  ... and {len(report.exceptions) - _SHOWN} more"
     if report.inconclusive:
-        rec["status"] = "inconclusive"
         text += f"\ninconclusive: the counts are partial after {args.max_nodes} nodes"
     return (0 if report.holds else 2), rec, text
 
 
-def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
-    prefix = alpha0_prefix(args.blocks)
-    guard = args.guard if args.guard is not None else 2 * args.blocks + 3
-    report = audit_not_attained(prefix, gap_left_endpoint(), start=args.start, guard=guard)
-    rec = {
-        "blocks": args.blocks,
+def _audit_record(blocks: int, prefix, report) -> dict:
+    return {
+        "blocks": blocks,
         "word_length": len(prefix.tail),
         "start": report.start,
         "stop": report.stop,
@@ -212,12 +222,67 @@ def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
         "clean": report.clean,
         "note": "truncated verification on a finite prefix",
     }
+
+
+def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
+    prefix = alpha0_prefix(args.blocks)
+    guard = args.guard if args.guard is not None else 2 * args.blocks + 3
+    report = audit_not_attained(prefix, gap_left_endpoint(), start=args.start, guard=guard)
+    rec = _audit_record(args.blocks, prefix, report)
     text = (
         f"audited positions {report.start}..{report.stop} of the {args.blocks}-block word"
         f" (guard {report.guard}); flagged: {rec['flagged']}\n"
         f"{'clean' if report.clean else 'NOT clean'} - {rec['note']}"
     )
     return (0 if report.clean else 2), rec, text
+
+
+def _cmd_certify_gap(args) -> tuple[int, dict, str]:
+    """The sup certificate of the reference sequence, the six forbidden patterns in
+    cumulative order, the window sweep and the block-word audit; the text times each."""
+    prefix = alpha0_prefix(args.blocks)  # first: a bad --blocks runs no stage
+    lam0 = gap_left_endpoint()
+    lines = [f"gap endpoint: {lam0} ≈ {lam0.approx(7)}"]
+    t = time()
+    cert = sup_lambda(build_a0())
+    indices = list(cert.attaining_indices)
+    lines.append(f"[sup] {cert.status}: sup = {cert.sup.approx(7)}, attained at {indices}"
+                 f" ({time() - t:.2f}s)")
+    steps = []
+    for pattern, forbidden in GAP_CERTIFICATION_ORDER:
+        t, certified = time(), True
+        try:
+            c = certify_forbidden(pattern, lam0, Constraints(3, forbidden), args.depth)
+        except NotSeparatedError as e:
+            c, certified = e.certificate, False
+        lines.append(
+            f"[forbid] {pattern.word} site {pattern.site}: lower"
+            f" {QuadSum(c.lower).approx(6)} > endpoint ({time() - t:.2f}s)"
+            if certified else f"[forbid] {pattern.word}: NOT separated, bounds {c}"
+        )
+        steps.append({"pattern": list(pattern.word), "site": pattern.site,
+                      "lower": _ratio(c.lower), "certified": certified})
+    t = time()
+    rep = pattern_necessity(Fraction(3691, 1000), gap_constraints(), args.window, args.depth)
+    lines.append(f"[necessity] windows {_digits(rep.windows_total)}, center-pattern"
+                 f" {_digits(rep.passed_by_pattern)}, exceptions {len(rep.exceptions)}"
+                 f" ({time() - t:.2f}s)")
+    t = time()
+    audit = audit_not_attained(prefix, lam0, start=12, guard=2 * args.blocks + 3)
+    lines.append(f"[audit] positions {audit.start}..{audit.stop}: flagged {list(audit.flagged)}"
+                 f" ({time() - t:.2f}s)  [truncated verification on a finite prefix]")
+    ok = (cert.status == "certified" and cert.sup == lam0 and rep.holds and audit.clean
+          and all(step["certified"] for step in steps))
+    lines.append("ALL CERTIFIED" if ok else "CERTIFICATION FAILED")
+    rec = {
+        "window": args.window, "depth": args.depth, "blocks": args.blocks,
+        "sup": {"sup": str(cert.sup), "status": cert.status, "attaining_indices": indices},
+        "forbidden": steps,
+        "necessity": _necessity_record(rep),
+        "audit": _audit_record(args.blocks, prefix, audit),
+        "certified": ok,
+    }
+    return (0 if ok else 2), rec, "\n".join(lines)
 
 
 def _cmd_surgery(args) -> tuple[int, dict, str]:
@@ -283,6 +348,11 @@ _COMMANDS = {
             "--blocks": {"type": int, "default": 8},
             "--start": {"type": int, "default": 12},
             "--guard": {"type": int},
+        }),
+        ("certify-gap", "the full certification pipeline for the gap endpoint", _cmd_certify_gap, {
+            "--window": {"type": int, "default": 15},
+            "--depth": {"type": int, "default": 25},
+            "--blocks": {"type": int, "default": 8},
         }),
         ("surgery", "delete/duplicate a repeated segment", _cmd_surgery, {
             "word": {"help": 'comma list, e.g. "2,1,2,1,3"'},

@@ -58,6 +58,7 @@ class BiSeqExpr(_Record):
 # str.isspace, so "²", a digit that int() refuses, is any other character
 _TOKEN = re.compile(r"\d+(?:\.\d+)?|[\[\];,()<>|*+/-]|\n|[^\S\n]+|.", re.S)
 _PUNCT = frozenset("[];,()<>|*+-/")
+_MAX_DIGITS = 4300  # in one run of digits; fixed, whatever the interpreter's int-to-str limit
 
 
 class _Lexer:
@@ -70,6 +71,9 @@ class _Lexer:
             if tok in _PUNCT:
                 self.tokens.append((tok, tok, line, col))
             elif tok[0].isdecimal():
+                if len(tok) > _MAX_DIGITS and max(map(len, tok.split("."))) > _MAX_DIGITS:
+                    message = f"number exceeds the cap of {_MAX_DIGITS} digits"
+                    raise ExprSyntaxError(message, line, col, tok)
                 self.tokens.append(("NUM", tok, line, col))
             elif tok == "\n":
                 line, col = line + 1, 0

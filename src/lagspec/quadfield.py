@@ -521,7 +521,7 @@ class QuadSum(_Quad):
         if self.is_single:
             return str(self.x)
         y = self.y
-        if y.sign() < 0:
+        if y.floor() < 0:  # y is irrational, so its floor decides its sign
             return f"{self.x} - {-y}"
         return f"{self.x} + {y}"
 

@@ -591,6 +591,7 @@ def test_every_check_runs_before_any_tail_level(monkeypatch):
         (lambda: sweep(20003, 5), "^window_len 20003 exceeds the cap of 20001$"),
         (lambda: site((3, 1), 10**5), "^pattern word violates the constraints$"),
         (lambda: sweep(20001, 5, -1), "^max_nodes must be nonnegative$"),
+        (lambda: sweep(20001, 5), "^max_nodes must be a number: every sweep has a budget$"),
         # several faults: the checks run in this order, the caps last
         (lambda: site((3, 1), -1), "^depth must be nonnegative$"),
         (lambda: site((3, 1), 10**5 + 1), "^depth 100001 exceeds the cap of 100000$"),
@@ -607,11 +608,12 @@ def test_every_check_runs_before_any_tail_level(monkeypatch):
 
 def test_sweep_has_a_default_node_budget():
     assert pattern_necessity.__defaults__[-1] == certify._MAX_NODES == 10**5
-    # the gap-list sweeps stay far below it; None still means no limit
+    # the gap-list sweeps stay far below it; None, no limit, is refused
     threshold, gap = Fraction(3691, 1000), gap_constraints()
     full = pattern_necessity(threshold, gap, 15, 25)
     assert full.holds and full.nodes < 1000
-    assert pattern_necessity(threshold, gap, 15, 25, max_nodes=None) == full
+    with pytest.raises(ValueError, match="^max_nodes must be a number: every sweep has a budget$"):
+        pattern_necessity(threshold, gap, 15, 25, max_nodes=None)
 
 
 def test_admissible_extensions_at_depth_1200():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import deadline
+from test_acceptance import PIPELINE_REPORT
 from lagspec import cli
 from lagspec.bisequence import lambda_at, sup_lambda
 from lagspec.certify import (
@@ -23,6 +24,7 @@ from lagspec.certify import (
     site_lambda_bounds,
 )
 from lagspec.cli import main
+from lagspec.constructions import gap_left_endpoint
 from lagspec.parsing import parse_biseq
 
 LAM0_EXPR = "[3;3,3,2,1,(1,2)]+[0;2,1,(1,2)]"
@@ -276,6 +278,108 @@ def test_threshold_exponent_at_the_cap_reaches_the_sweep(capsys, monkeypatch, th
     monkeypatch.setattr(cli, "pattern_necessity", sweep)
     assert run(capsys, "necessity", f"--threshold={threshold}") == (1, "", "error: stopped\n")
     assert seen == [Fraction(threshold)]
+
+
+@pytest.mark.parametrize("form", ["{}", "0.{}", "1/{}"], ids=["integer", "decimal", "fraction"])
+def test_threshold_digits_above_the_cap_exit_1_before_the_sweep(capsys, monkeypatch, form):
+    seen = []
+
+    def sweep(threshold, *args, **kwargs):
+        seen.append(threshold)
+        raise ValueError("stopped")
+
+    monkeypatch.setattr(cli, "pattern_necessity", sweep)
+    at_cap, over = form.format("9" * 4300), form.format("9" * 4301)
+    assert run(capsys, "necessity", "--threshold", at_cap) == (1, "", "error: stopped\n")
+    assert seen == [Fraction(at_cap)]
+    message = "error: threshold exceeds the cap of 4300 digits\n"
+    assert run(capsys, "necessity", "--threshold", over) == (1, "", message)
+    assert len(seen) == 1
+
+
+# certify-gap: the pipeline scripts/certify_gap.py runs, pinned at --depth 1,
+# where three patterns are not separated (every stage's time masked)
+GAP_REPORT_AT_DEPTH_1 = """\
+gap endpoint: (62976-1498*sqrt(3))/16357 ≈ 3.6914708
+[sup] certified: sup = 3.6914708, attained at [-1, 1] (T)
+[forbid] (3, 1) site 0: lower 3.750000 > endpoint (T)
+[forbid] (1, 3) site 1: lower 3.750000 > endpoint (T)
+[forbid] (3, 2, 2): NOT separated, bounds BoundCertificate(pattern=Pattern(word=(3, 2, 2),\
+ site=0), constraints=Constraints(alphabet_max=3, forbidden=frozenset({(3, 1), (1, 3)})),\
+ depth=1, lower=Fraction(161, 44), upper=Fraction(55, 14))
+[forbid] (2, 2, 3): NOT separated, bounds BoundCertificate(pattern=Pattern(word=(2, 2, 3),\
+ site=2), constraints=Constraints(alphabet_max=3, forbidden=frozenset({(3, 1), (1, 3)})),\
+ depth=1, lower=Fraction(161, 44), upper=Fraction(55, 14))
+[forbid] (3, 2, 3): NOT separated, bounds BoundCertificate(pattern=Pattern(word=(3, 2, 3),\
+ site=0), constraints=Constraints(alphabet_max=3, forbidden=frozenset({(3, 1), (3, 2, 2),\
+ (1, 3), (2, 2, 3)})), depth=1, lower=Fraction(221, 60), upper=Fraction(63, 16))
+[forbid] (1, 2, 3, 2, 1) site 2: lower 3.727273 > endpoint (T)
+[necessity] windows 77345, center-pattern 70, exceptions 0 (T)
+[audit] positions 12..181: flagged [] (T)  [truncated verification on a finite prefix]
+CERTIFICATION FAILED
+"""
+
+
+def _masked(text):
+    return re.sub(r"\(\d+\.\d\ds\)", "(T)", text)
+
+
+@pytest.mark.parametrize(
+    "argv, stop", [([], 181), (["--window", "15", "--depth", "200", "--blocks", "32"], 2269)]
+)
+def test_certify_gap_prints_the_pipeline_report(capsys, argv, stop):
+    code, out, err = run(capsys, "certify-gap", *argv)
+    assert (code, err) == (0, "")
+    assert _masked(out) == PIPELINE_REPORT.format(stop=stop)
+
+
+def test_certify_gap_at_depth_1_is_not_certified(capsys):
+    code, out, err = run(capsys, "certify-gap", "--depth", "1")
+    assert (code, err, _masked(out)) == (2, "", GAP_REPORT_AT_DEPTH_1)
+    code, out, err = run(capsys, "certify-gap", "--depth", "1", "--structured")
+    rec = json.loads(out)
+    assert (code, err, rec["certified"]) == (2, "", False)
+    failed = [(s["pattern"], s["site"], s["lower"]) for s in rec["forbidden"] if not s["certified"]]
+    assert failed == [([3, 2, 2], 0, "161/44"), ([2, 2, 3], 2, "161/44"), ([3, 2, 3], 0, "221/60")]
+
+
+def test_certify_gap_structured_record(capsys):
+    code, out, err = run(capsys, "certify-gap", "--structured")
+    assert (code, err) == (0, "")
+    rec = json.loads(out)
+    assert (rec["window"], rec["depth"], rec["blocks"], rec["certified"]) == (15, 25, 8, True)
+    assert rec["sup"] == {
+        "sup": "(62976-1498*sqrt(3))/16357", "status": "certified", "attaining_indices": [-1, 1]
+    }
+    steps = [([3, 1], 0), ([1, 3], 1), ([3, 2, 2], 0), ([2, 2, 3], 2), ([3, 2, 3], 0),
+             ([1, 2, 3, 2, 1], 2)]
+    assert [(s["pattern"], s["site"]) for s in rec["forbidden"]] == steps
+    lam0 = gap_left_endpoint()
+    for step in rec["forbidden"]:  # the exact lower bound, as certify-pattern writes it
+        assert step["certified"] is True and Fraction(step["lower"]) > lam0
+    nec, audit = rec["necessity"], rec["audit"]
+    counts = nec["windows_total"], nec["passed_by_bound"], nec["passed_by_pattern"]
+    assert counts == (77345, 77275, 70) and nec["exceptions"] == [] and nec["holds"] is True
+    assert (audit["start"], audit["stop"], audit["guard"]) == (12, 181, 19)
+    assert audit["flagged"] == [] and audit["clean"] is True
+    # the record holds no times, so a second run prints it again
+    assert run(capsys, "certify-gap", "--structured") == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--blocks", "1001"], "1001 blocks exceed the cap of 1000"),
+        (["--window", "5"], "window_len must be at least 7"),
+        (["--depth", "-1"], "depth must be nonnegative"),
+        (["--depth", "100001"], "depth 100001 exceeds the cap of 100000"),
+    ],
+)
+def test_certify_gap_bad_argument_exits_1(capsys, monkeypatch, argv, message):
+    if argv[0] == "--blocks":  # the block word is built before any stage
+        monkeypatch.setattr(cli, "sup_lambda", lambda *args: pytest.fail("a stage ran"))
+    code, out, err = run(capsys, "certify-gap", *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_necessity(capsys):
@@ -615,6 +719,26 @@ README_STRUCTURED = [
         ["audit-alpha0", "--blocks", "8", "--start", "12"],
         '{"blocks": 8, "word_length": 200, "start": 12, "stop": 181, "guard": 19,'
         ' "flagged": [], "clean": true, "note": "truncated verification on a finite prefix"}',
+    ),
+    (
+        ["certify-gap"],
+        '{"window": 15, "depth": 25, "blocks": 8, "sup": {"sup": "(62976-1498*sqrt(3))/16357",'
+        ' "status": "certified", "attaining_indices": [-1, 1]}, "forbidden": [{"pattern": [3, 1],'
+        ' "site": 0, "lower": "303916765763978415/79517310487047844", "certified": true},'
+        ' {"pattern": [1, 3], "site": 1, "lower": "303916765763978415/79517310487047844",'
+        ' "certified": true}, {"pattern": [3, 2, 2], "site": 0,'
+        ' "lower": "514861095008350099054241/139098239551108371103964", "certified": true},'
+        ' {"pattern": [2, 2, 3], "site": 2,'
+        ' "lower": "514861095008350099054241/139098239551108371103964", "certified": true},'
+        ' {"pattern": [3, 2, 3], "site": 0,'
+        ' "lower": "703797570394758532592141/188936475386408433537900", "certified": true},'
+        ' {"pattern": [1, 2, 3, 2, 1], "site": 2, "lower": "299303201/80198051",'
+        ' "certified": true}], "necessity": {"threshold": "3691/1000", "window_len": 15,'
+        ' "depth": 25, "windows_total": 77345, "passed_by_bound": 77275, "passed_by_pattern": 70,'
+        ' "exceptions": [], "nodes": 125, "holds": true}, "audit": {"blocks": 8,'
+        ' "word_length": 200, "start": 12, "stop": 181, "guard": 19, "flagged": [],'
+        ' "clean": true, "note": "truncated verification on a finite prefix"},'
+        ' "certified": true}',
     ),
     (
         ["surgery", "2,1,2,1,3", "--n1", "1", "--n2", "3"],

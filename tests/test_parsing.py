@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,38 @@ def test_non_decimal_digit_is_a_positioned_syntax_error(capsys, text, col):
     assert err.value.line == 1 and err.value.col == col
     assert main(["eval", text]) == 1
     assert capsys.readouterr().err.startswith("syntax error")
+
+
+# a run of more than 4300 digits is refused at its token, whatever the
+# interpreter's own int-to-str limit
+CAPPED = "^number exceeds the cap of 4300 digits at line 1, column {}: "
+
+
+@pytest.mark.parametrize(
+    "form, col", [("{}", 1), ("0.{}", 1), ("{}.5", 1), ("1/{}", 3), ("2*[0;1,{}]", 8)],
+    ids=["integer", "decimal", "integer part", "fraction", "quotient"],
+)
+def test_number_literals_are_capped_at_4300_digits(capsys, form, col):
+    at_cap = form.format("9" * 4300)
+    value = evaluate(parse_expression(at_cap))
+    if "[" not in form:
+        assert value == Fraction(at_cap)
+    over = form.format("9" * 4301)
+    with pytest.raises(ExprSyntaxError, match=CAPPED.format(col)) as err:
+        parse_expression(over)
+    assert "9" * 4301 in err.value.token
+    assert main(["eval", over]) == 1
+    out, stderr = capsys.readouterr()
+    assert out == "" and stderr.count("\n") == 1
+    assert re.match("syntax error: " + CAPPED.format(col)[1:], stderr)
+
+
+def test_words_are_capped_at_4300_digits_a_symbol(capsys):
+    assert parse_word("2,1,2,1," + "9" * 4300)[-1] == int("9" * 4300)
+    with pytest.raises(ExprSyntaxError, match=CAPPED.format(9)):
+        parse_word("2,1,2,1," + "9" * 4301)
+    assert main(["surgery", "2,1,2,1," + "9" * 4301, "--n1", "1", "--n2", "3"]) == 1
+    assert re.match("syntax error: " + CAPPED.format(9)[1:], capsys.readouterr().err)
 
 
 def test_parse_biseq():

@@ -198,6 +198,19 @@ def test_str_forms():
     assert str(s) == "sqrt(2) - sqrt(3)"
 
 
+def test_two_field_str_reads_the_sign_of_its_second_term_from_its_floor():
+    # the second term is irrational, so its floor is negative exactly when it
+    # is; printing leaves it unbracketed (no cached 2**-64 box)
+    rng = random.Random(30)
+    for _ in range(500):
+        draw = lambda d: QuadExt(rng.randint(-60, 60), rng.choice((-1, 1)) * rng.randint(1, 60),
+                                 rng.randint(1, 12), d)
+        s = QuadSum(draw(2), draw(rng.choice((3, 5, 7))))
+        text = str(s)
+        assert getattr(s.y, "_scaled", None) is None
+        assert text == (f"{s.x} - {-s.y}" if s.y < 0 else f"{s.x} + {s.y}")
+
+
 def test_operators_on_mixed_operands():
     r2 = QuadExt.sqrt(2)
     assert 1 / r2 == QuadExt(0, 1, 2, 2) and str(1 / r2) == "sqrt(2)/2"
