@@ -374,6 +374,19 @@ class NecessityReport(_Record):
         return not self.exceptions and not self.inconclusive
 
 
+def _check_sweep(window_len: int, depth: int, max_nodes) -> None:
+    """Raises ValueError on pattern_necessity arguments it refuses, in its order."""
+    if window_len < 7:
+        raise ValueError("window_len must be at least 7")
+    _check_depth(depth)
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError("max_nodes must be nonnegative")
+    if window_len > _MAX_WINDOW:
+        raise ValueError(f"window_len {window_len} exceeds the cap of {_MAX_WINDOW}")
+    if max_nodes is None:  # after the caps, so that every other check keeps its precedence
+        raise ValueError("max_nodes must be a number: every sweep has a budget")
+
+
 def pattern_necessity(
     threshold,
     constraints: Constraints,
@@ -396,15 +409,7 @@ def pattern_necessity(
     inconclusive when it needs more; a depth above _MAX_DEPTH or a window
     above _MAX_WINDOW raises before any tail level is built.
     """
-    if window_len < 7:
-        raise ValueError("window_len must be at least 7")
-    _check_depth(depth)
-    if max_nodes is not None and max_nodes < 0:
-        raise ValueError("max_nodes must be nonnegative")
-    if window_len > _MAX_WINDOW:
-        raise ValueError(f"window_len {window_len} exceeds the cap of {_MAX_WINDOW}")
-    if max_nodes is None:  # after the caps, so that every other check keeps its precedence
-        raise ValueError("max_nodes must be a number: every sweep has a budget")
+    _check_sweep(window_len, depth, max_nodes)
     center, n = window_len // 2, len(CENTER_PATTERN)
     # left[r], right[r]: the tail levels at depth + r, r the symbols that side has to choose
     rev, left, right = _tails(constraints, depth, center)

@@ -9,7 +9,10 @@ is not separated or inconclusive (or an audit/sweep reports findings),
 
 Parsing: plain argv is read in one pass from the command table, other
 argv by an argparse parser built from the same table, only when needed.
-An expression that begins with "-" needs "--".
+An expression that begins with "-" needs "--".  The expression grammar
+(lagspec.parsing) loads only for the commands that read an expression or
+a word: eval, expand, lambda, sup, limsup, certify-pattern, surgery and
+necessity --forbid.
 """
 
 from __future__ import annotations
@@ -30,21 +33,15 @@ from .certify import (
     Constraints,
     NotSeparatedError,
     Pattern,
+    _check_depth,
+    _check_sweep,
     audit_not_attained,
     certify_forbidden,
     gap_constraints,
     pattern_necessity,
 )
 from .constructions import alpha0_prefix, build_a0, gap_left_endpoint, surgery
-from .parsing import (
-    _MAX_DIGITS,
-    ExprSyntaxError,
-    evaluate,
-    parse_biseq,
-    parse_expression,
-    parse_word,
-)
-from .quadfield import MixedRadicandError, QuadExt, QuadSum, _digits
+from .quadfield import _MAX_DIGITS, MixedRadicandError, QuadExt, QuadSum, _digits
 
 _SHOWN = 20  # exception lines a necessity report prints as text; --structured lists them all
 _MAX_EXPONENT = 4300  # of a threshold; Fraction("1e1000000000") alone runs past 30 s
@@ -86,9 +83,29 @@ def _parse_forbidden(text: str | None) -> frozenset[tuple[int, ...]]:
     return frozenset(parse_word(part) for part in text.split(";") if part.strip())
 
 
+_PARSING = ("evaluate", "parse_biseq", "parse_expression", "parse_word")
+
+
+def _first_use(name: str):
+    """A stand-in for lagspec.parsing's `name`: its first call imports the
+    module and binds all of _PARSING over the stand-ins, once per process."""
+
+    def load(*args):
+        from . import parsing
+
+        globals().update({n: getattr(parsing, n) for n in _PARSING})
+        return globals()[name](*args)
+
+    return load
+
+
+evaluate, parse_biseq, parse_expression, parse_word = map(_first_use, _PARSING)
+
+
 # Each handler returns (exit code, record, text); main prints one of the two.
 # Handlers call library functions through this module's globals, which
-# perfbench/tracing.py rebinds, so keep no table of library functions.
+# perfbench/tracing.py rebinds, so keep no table of library functions; the
+# parser's entry points are bound on first use, above.
 
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
@@ -240,7 +257,10 @@ def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
 def _cmd_certify_gap(args) -> tuple[int, dict, str]:
     """The sup certificate of the reference sequence, the six forbidden patterns in
     cumulative order, the window sweep and the block-word audit; the text times each."""
-    prefix = alpha0_prefix(args.blocks)  # first: a bad --blocks runs no stage
+    # the block word, then the forbid stages' and the sweep's checks: a bad argument runs no stage
+    prefix = alpha0_prefix(args.blocks)
+    _check_depth(args.depth)
+    _check_sweep(args.window, args.depth, _MAX_NODES)
     lam0 = gap_left_endpoint()
     lines = [f"gap endpoint: {lam0} ≈ {lam0.approx(7)}"]
     t = time()
@@ -451,11 +471,8 @@ def main(argv=None) -> int:
     except MemoryError:  # inside every cap, a wide or deep sweep can still exhaust memory
         print("error: out of memory", file=sys.stderr)
         return 1
-    except ExprSyntaxError as e:
-        print(f"syntax error: {e}", file=sys.stderr)
-        return 1
     except (CliError, ValueError, MixedRadicandError, ZeroDivisionError, PeriodNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"{getattr(e, 'label', 'error')}: {e}", file=sys.stderr)  # a syntax error's own label
         return 1
     try:
         print(_json(record) if args.structured else text, flush=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bisequence import BiSeq
 from .cfrac import EPCF, FiniteCF, eval_finite, eval_periodic
-from .quadfield import QuadExt, QuadSum, _Record
+from .quadfield import _MAX_DIGITS, QuadExt, QuadSum, _Record
 
 __all__ = [
     "BiSeqExpr",
@@ -31,6 +31,8 @@ __all__ = [
 
 
 class ExprSyntaxError(ValueError):
+    label = "syntax error"  # the CLI's prefix for the message; "error" for any other ValueError
+
     def __init__(self, message: str, line: int, col: int, token: str):
         self.line = line
         self.col = col
@@ -58,7 +60,6 @@ class BiSeqExpr(_Record):
 # str.isspace, so "²", a digit that int() refuses, is any other character
 _TOKEN = re.compile(r"\d+(?:\.\d+)?|[\[\];,()<>|*+/-]|\n|[^\S\n]+|.", re.S)
 _PUNCT = frozenset("[];,()<>|*+-/")
-_MAX_DIGITS = 4300  # in one run of digits; fixed, whatever the interpreter's int-to-str limit
 
 
 class _Lexer:

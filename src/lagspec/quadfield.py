@@ -19,6 +19,7 @@ here touches floating point.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 __all__ = [
@@ -44,8 +45,8 @@ def _sieve(bound):
     flags[0:2] = b"\x00\x00"
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
-            flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+            flags[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return list(compress(range(bound), flags))
 
 
 _SMALL_PRIMES = _sieve(10_000)
@@ -537,6 +538,9 @@ def _round_half_even(n: int, d: int) -> int:
     """n / d rounded to the nearest integer, ties to even, for d > 0."""
     q, r = divmod(n, d)
     return q + (2 * r > d or 2 * r == d and q % 2)
+
+
+_MAX_DIGITS = 4300  # in one run of an input's digits; fixed, whatever the int-to-str limit
 
 
 def _digits(n: int, width: int = 1) -> str:

@@ -259,6 +259,15 @@ def test_certify_not_separated():
     assert lambda_at(all2, 0).value < LAM0
 
 
+def test_threshold_equal_to_the_lower_bound_is_not_separated():
+    # separation is strict: at depth 1 the bounds of (3,1) are exactly [15/4, 24/5]
+    cert = site_lambda_bounds(Pattern((3, 1), 0), Constraints(3), 1)
+    assert (cert.lower, cert.upper) == (Fraction(15, 4), Fraction(24, 5))
+    with pytest.raises(NotSeparatedError) as err:
+        certify_forbidden(Pattern((3, 1), 0), Fraction(15, 4), Constraints(3), 1)
+    assert err.value.relation == "straddle"
+
+
 def test_bound_monotonicity_in_depth():
     for word, site in [((1, 3), 1), ((3, 1), 0), ((2, 2, 3), 2), ((3, 2, 2), 0), ((3, 2, 3), 0), ((1, 2, 3, 2, 1), 2)]:
         prev = None

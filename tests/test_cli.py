@@ -153,11 +153,13 @@ def test_certify_pattern_exit_codes(capsys):
 
 def test_certify_pattern_says_lie_below_when_both_bounds_are_under(capsys):
     cases = (
-        ("3,3,3", "1", LAM0_EXPR, "[3.5275252, 3.6127897] lie below (62976-1498*sqrt(3))/16357 ≈ 3.6914708"),
-        ("2,2", "0", "3", "[2.6220202, 3.2330303] straddle 3 ≈ 3.0000000"),
+        ("3,3,3", "1", LAM0_EXPR, "20", "[3.5275252, 3.6127897] lie below (62976-1498*sqrt(3))/16357 ≈ 3.6914708"),
+        ("2,2", "0", "3", "20", "[2.6220202, 3.2330303] straddle 3 ≈ 3.0000000"),
+        # a threshold equal to the lower bound is not separated: the bound must exceed it
+        ("3,1", "0", "15/4", "1", "[3.7500000, 4.8000000] straddle 15/4 ≈ 3.7500000"),
     )
-    for pattern, site, threshold, text in cases:
-        argv = ["certify-pattern", pattern, "--site", site, "--threshold", threshold, "--depth", "20"]
+    for pattern, site, threshold, depth, text in cases:
+        argv = ["certify-pattern", pattern, "--site", site, "--threshold", threshold, "--depth", depth]
         code, out, _ = run(capsys, *argv)
         assert (code, out) == (2, f"not separated: bounds {text}\n")
         code, out, _ = run(capsys, *argv, "--structured")
@@ -373,11 +375,13 @@ def test_certify_gap_structured_record(capsys):
         (["--window", "5"], "window_len must be at least 7"),
         (["--depth", "-1"], "depth must be nonnegative"),
         (["--depth", "100001"], "depth 100001 exceeds the cap of 100000"),
+        (["--window", "20003"], "window_len 20003 exceeds the cap of 20001"),
+        (["--depth", "-1", "--window", "5"], "depth must be nonnegative"),
     ],
 )
 def test_certify_gap_bad_argument_exits_1(capsys, monkeypatch, argv, message):
-    if argv[0] == "--blocks":  # the block word is built before any stage
-        monkeypatch.setattr(cli, "sup_lambda", lambda *args: pytest.fail("a stage ran"))
+    # every argument is checked before any stage: blocks, then depth, then window
+    monkeypatch.setattr(cli, "sup_lambda", lambda *args: pytest.fail("a stage ran"))
     code, out, err = run(capsys, "certify-gap", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
@@ -588,6 +592,33 @@ def test_out_of_memory_exits_1_with_a_named_error(capsys, monkeypatch):
     assert run(capsys, "necessity", "--threshold", "3691/1000") == (
         1, "", "error: out of memory\n"
     )
+
+
+def test_parser_loads_only_for_commands_that_read_an_expression():
+    # a fresh interpreter per run: each prints whether lagspec.parsing is loaded
+    # after the import, then each command's exit code and the same again
+    script = (
+        "import contextlib, io, sys\n"
+        "from lagspec import cli\n"
+        "print('lagspec.parsing' in sys.modules)\n"
+        "for argv in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv.split())\n"
+        "    print(code, 'lagspec.parsing' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+
+    def fresh(*commands):
+        proc = subprocess.run([sys.executable, "-c", script, *commands], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        return proc.stdout, proc.stderr
+
+    quiet = ("construct a0", "audit-alpha0 --blocks 2",
+             "necessity --threshold 3691/1000 --window 9 --depth 5")
+    assert fresh(*quiet, "eval 1/3") == ("False\n0 False\n0 False\n0 False\n0 True\n", "")
+    # the first parse raises: the syntax error keeps its prefix
+    error = "syntax error: zero denominator at line 1, column 3: '0'\n"
+    assert fresh("eval 1/0") == ("False\n1 True\n", error)
 
 
 def test_out_of_memory_in_a_child_process_exits_1_without_a_traceback():

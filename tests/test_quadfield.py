@@ -34,6 +34,11 @@ def test_squarefree_decompose():
     assert squarefree_decompose(P * Q) == (1, P * Q)
 
 
+def test_small_primes_match_trial_division():
+    primes = [n for n in range(2, 10_000) if all(n % p for p in range(2, isqrt(n) + 1))]
+    assert quadfield._SMALL_PRIMES == primes and len(primes) == 1229
+
+
 def test_square_class_without_factoring():
     # no factoring: the repeated large prime P stays inside the radicand
     assert squarefree_decompose(P * P * Q) == (1, P * P * Q)
