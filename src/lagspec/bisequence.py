@@ -278,7 +278,10 @@ def sup_lambda(A: BiSeq, max_window_periods: int = 12) -> SupCertificate:
         window = (A.start - K * L, A.end + K * R)
         for i, lm, (lM, lbox), rm, (rM, rbox) in islice(tails, L + R + (K == 1) * len(A.core)):
             (llo, lhi), (rlo, rhi) = _mobius_box(lm, lbox), _mobius_box(rm, rbox)
-            if lhi + rhi >= top:  # top only rises: an index dropped here cannot hold the sup
+            # top only rises, so an index dropped here cannot hold the sup; `>` would do as well:
+            # _fixed_box holds an irrational periodic tail strictly, as does its image under a
+            # det +-1 matrix, so lhi + rhi == top means lambda_i < lambda_j, j the index of top
+            if lhi + rhi >= top:
                 near.append((i, llo + rlo, lhi + rhi, (lm, lM), (rm, rM)))
                 top = max(top, llo + rlo)
         near = sorted(t for t in near if t[2] >= top)  # every index of the sup is here

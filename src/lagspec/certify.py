@@ -20,7 +20,7 @@ audit read it.  The window sweep grows each window, of at most
 _MAX_WINDOW symbols, from the center outward and bounds both sides at
 every node, within _MAX_NODES words by default; it counts a segment
 without enumeration once its bound is below the threshold, or once it
-carries the center pattern with its lower bound at or above it.
+carries the center pattern, a0's core, with its lower bound at or above it.
 Everything is exact rational arithmetic, with Fractions only in reported
 bounds; deepening a search never loosens a bound.  The non-attainability
 audit clears each position of a known word from a doubling window around
@@ -39,6 +39,7 @@ from itertools import chain, compress, islice
 from operator import not_
 
 from .cfrac import _END, _FREE, FiniteCF, _mul, mobius, mobius_pairs
+from .constructions import build_a0
 from .quadfield import QuadSum, _Record
 
 __all__ = [
@@ -60,7 +61,7 @@ __all__ = [
     "violates",
 ]
 
-CENTER_PATTERN: tuple[int, ...] = (1, 2, 3, 3, 3, 2, 1)
+CENTER_PATTERN: tuple[int, ...] = build_a0().core
 _WINDOW = 2  # the audit's first window; it changes only speed, never a verdict
 _MAX_DEPTH = 10**5  # tail ends grow ~0.7 digits per level; 10**5 takes ~0.3 s, 10**6 ~25 s
 _MAX_NODES = 10**5  # the sweep's default budget: ~2 s and ~70 MB; the gap list needs 511

@@ -78,41 +78,26 @@ def _ratio(q: Fraction) -> str:
 
 
 def _parse_forbidden(text: str | None) -> frozenset[tuple[int, ...]]:
+    from .parsing import parse_word
     if not text:
         return frozenset()
     return frozenset(parse_word(part) for part in text.split(";") if part.strip())
 
 
-_PARSING = ("evaluate", "parse_biseq", "parse_expression", "parse_word")
-
-
-def _first_use(name: str):
-    """A stand-in for lagspec.parsing's `name`: its first call imports the
-    module and binds all of _PARSING over the stand-ins, once per process."""
-
-    def load(*args):
-        from . import parsing
-
-        globals().update({n: getattr(parsing, n) for n in _PARSING})
-        return globals()[name](*args)
-
-    return load
-
-
-evaluate, parse_biseq, parse_expression, parse_word = map(_first_use, _PARSING)
-
-
 # Each handler returns (exit code, record, text); main prints one of the two.
 # Handlers call library functions through this module's globals, which
 # perfbench/tracing.py rebinds, so keep no table of library functions; the
-# parser's entry points are bound on first use, above.
+# handlers that read an expression or a word import the parser's entry
+# points where they call them, so that no other command loads it.
 
 
 def _cmd_eval(args) -> tuple[int, dict, str]:
+    from .parsing import evaluate, parse_expression
     return _value_report(evaluate(parse_expression(args.expr)), args.digits)
 
 
 def _cmd_expand(args) -> tuple[int, dict, str]:
+    from .parsing import evaluate, parse_expression
     v = evaluate(parse_expression(args.value))
     try:
         q = v.to_quadext()
@@ -127,6 +112,7 @@ def _cmd_expand(args) -> tuple[int, dict, str]:
 
 
 def _cmd_lambda(args) -> tuple[int, dict, str]:
+    from .parsing import parse_biseq
     lv = lambda_at(parse_biseq(args.biseq), args.index)
     code, rec, text = _value_report(lv.value, args.digits)
     tails = {"left_tail": str(lv.left_tail), "right_tail": str(lv.right_tail)}
@@ -134,6 +120,7 @@ def _cmd_lambda(args) -> tuple[int, dict, str]:
 
 
 def _cmd_sup(args) -> tuple[int, dict, str]:
+    from .parsing import parse_biseq
     cert = sup_lambda(parse_biseq(args.biseq), max_window_periods=args.max_window)
     rec = {
         "sup": str(cert.sup),
@@ -154,10 +141,12 @@ def _cmd_sup(args) -> tuple[int, dict, str]:
 
 
 def _cmd_limsup(args) -> tuple[int, dict, str]:
+    from .parsing import parse_biseq
     return _value_report(limsup_lambda(parse_biseq(args.biseq)), args.digits, label="limsup")
 
 
 def _cmd_certify_pattern(args) -> tuple[int, dict, str]:
+    from .parsing import evaluate, parse_expression, parse_word
     pattern = Pattern(parse_word(args.pattern), args.site)
     threshold = evaluate(parse_expression(args.threshold))
     constraints = Constraints(args.alphabet_max, _parse_forbidden(args.forbid))
@@ -228,8 +217,13 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
     return (0 if report.holds else 2), rec, text
 
 
-def _audit_record(blocks: int, prefix, report) -> dict:
-    return {
+def _audit(blocks: int, prefix, start: int | None = None, guard: int | None = None):
+    """The block word's audit against the gap endpoint, and its record: by default from 12,
+    the second block's first position, to the last block's centre, 2 * blocks + 3 from the end."""
+    start = 12 if start is None else start
+    guard = 2 * blocks + 3 if guard is None else guard
+    report = audit_not_attained(prefix, gap_left_endpoint(), start=start, guard=guard)
+    return report, {
         "blocks": blocks,
         "word_length": len(prefix.tail),
         "start": report.start,
@@ -242,10 +236,7 @@ def _audit_record(blocks: int, prefix, report) -> dict:
 
 
 def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
-    prefix = alpha0_prefix(args.blocks)
-    guard = args.guard if args.guard is not None else 2 * args.blocks + 3
-    report = audit_not_attained(prefix, gap_left_endpoint(), start=args.start, guard=guard)
-    rec = _audit_record(args.blocks, prefix, report)
+    report, rec = _audit(args.blocks, alpha0_prefix(args.blocks), args.start, args.guard)
     text = (
         f"audited positions {report.start}..{report.stop} of the {args.blocks}-block word"
         f" (guard {report.guard}); flagged: {rec['flagged']}\n"
@@ -261,7 +252,7 @@ def _cmd_certify_gap(args) -> tuple[int, dict, str]:
     prefix = alpha0_prefix(args.blocks)
     _check_depth(args.depth)
     _check_sweep(args.window, args.depth, _MAX_NODES)
-    lam0 = gap_left_endpoint()
+    lam0, gap = gap_left_endpoint(), gap_constraints()
     lines = [f"gap endpoint: {lam0} ≈ {lam0.approx(7)}"]
     t = time()
     cert = sup_lambda(build_a0())
@@ -270,9 +261,9 @@ def _cmd_certify_gap(args) -> tuple[int, dict, str]:
                  f" ({time() - t:.2f}s)")
     steps = []
     for pattern, forbidden in GAP_CERTIFICATION_ORDER:
-        t, certified = time(), True
+        t, certified, constraints = time(), True, Constraints(gap.alphabet_max, forbidden)
         try:
-            c = certify_forbidden(pattern, lam0, Constraints(3, forbidden), args.depth)
+            c = certify_forbidden(pattern, lam0, constraints, args.depth)
         except NotSeparatedError as e:
             c, certified = e.certificate, False
         lines.append(
@@ -283,12 +274,12 @@ def _cmd_certify_gap(args) -> tuple[int, dict, str]:
         steps.append({"pattern": list(pattern.word), "site": pattern.site,
                       "lower": _ratio(c.lower), "certified": certified})
     t = time()
-    rep = pattern_necessity(Fraction(3691, 1000), gap_constraints(), args.window, args.depth)
+    rep = pattern_necessity(Fraction(3691, 1000), gap, args.window, args.depth)
     lines.append(f"[necessity] windows {_digits(rep.windows_total)}, center-pattern"
                  f" {_digits(rep.passed_by_pattern)}, exceptions {len(rep.exceptions)}"
                  f" ({time() - t:.2f}s)")
     t = time()
-    audit = audit_not_attained(prefix, lam0, start=12, guard=2 * args.blocks + 3)
+    audit, audit_rec = _audit(args.blocks, prefix)
     lines.append(f"[audit] positions {audit.start}..{audit.stop}: flagged {list(audit.flagged)}"
                  f" ({time() - t:.2f}s)  [truncated verification on a finite prefix]")
     ok = (cert.status == "certified" and cert.sup == lam0 and rep.holds and audit.clean
@@ -299,13 +290,14 @@ def _cmd_certify_gap(args) -> tuple[int, dict, str]:
         "sup": {"sup": str(cert.sup), "status": cert.status, "attaining_indices": indices},
         "forbidden": steps,
         "necessity": _necessity_record(rep),
-        "audit": _audit_record(args.blocks, prefix, audit),
+        "audit": audit_rec,
         "certified": ok,
     }
     return (0 if ok else 2), rec, "\n".join(lines)
 
 
 def _cmd_surgery(args) -> tuple[int, dict, str]:
+    from .parsing import parse_word
     result = surgery(parse_word(args.word), args.n1, args.n2)
     rec = {
         "c1": list(result.c1),
@@ -328,6 +320,7 @@ def _cmd_construct(args) -> tuple[int, dict, str]:
 
 _STRUCTURED = {"action": "store_true", "default": False, "help": "machine-readable output"}
 _DIGITS = {"type": int, "default": 7}
+_ALPHABET_MAX = {"type": int, "default": gap_constraints().alphabet_max}
 
 # Per subcommand: its help, its handler, and each argument's name or option
 # string with its add_argument keywords, in --help order.  Only type,
@@ -349,7 +342,7 @@ _COMMANDS = {
             "pattern": {"help": 'comma list, e.g. "3,1"'},
             "--site": {"type": int, "default": 0},
             "--threshold": {"required": True, "help": "expression, e.g. the gap endpoint"},
-            "--alphabet-max": {"type": int, "default": 3},
+            "--alphabet-max": _ALPHABET_MAX,
             "--forbid": {"help": 'semicolon-separated patterns, e.g. "1,3;3,1"'},
             "--depth": {"type": int, "default": 25},
             "--digits": _DIGITS,
@@ -358,7 +351,7 @@ _COMMANDS = {
             "--threshold": {"required": True, "help": 'rational, e.g. "3691/1000"'},
             "--window": {"type": int, "default": 15},
             "--depth": {"type": int, "default": 25},
-            "--alphabet-max": {"type": int, "default": 3},
+            "--alphabet-max": _ALPHABET_MAX,
             "--forbid": {"help": "override the default forbidden list"},
             "--max-nodes": {
                 "type": int, "default": _MAX_NODES, "help": "search budget (default: %(default)s)"
@@ -366,7 +359,7 @@ _COMMANDS = {
         }),
         ("audit-alpha0", "non-attainability audit of the block word", _cmd_audit_alpha0, {
             "--blocks": {"type": int, "default": 8},
-            "--start": {"type": int, "default": 12},
+            "--start": {"type": int},
             "--guard": {"type": int},
         }),
         ("certify-gap", "the full certification pipeline for the gap endpoint", _cmd_certify_gap, {

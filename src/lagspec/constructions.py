@@ -1,17 +1,19 @@
 """Explicit sequences and word transformations used by the spectrum analysis.
 
-Includes the reference two-sided sequence whose sup realizes the gap
+Includes the reference two-sided sequence a0 whose sup realizes the gap
 endpoint, the block word whose one-sided values approach it from below,
 repetition search, block surgery (delete or duplicate a repeated segment
 to enlarge the value), and builders for eventually periodic numbers with
-certified attainability excursions.
+certified attainability excursions.  _A0 is the one literal of the paper's
+instance: the gap endpoint, the blocks and certify.CENTER_PATTERN read it.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, cycle, islice
 
-from .bisequence import BiSeq, periodic_phase_limits
+from .bisequence import BiSeq, lambda_at, periodic_phase_limits
 from .cfrac import EPCF, FiniteCF, PrefixOrderUndecided, _alternating, cmp_prefix
 from .cfrac import eval_finite, eval_periodic
 from .quadfield import QuadExt, QuadSum, _Record
@@ -48,24 +50,25 @@ class BadRError(ValueError):
     """The supplied prefix word fails the strict reversed-tail inequality."""
 
 
+_A0 = BiSeq((2, 1), (1, 2, 3, 3, 3, 2, 1), 3, (1, 2))
+
+
 def build_a0() -> BiSeq:
     """The reference sequence <(2,1) | 1,2,3,3*,3,2,1 | (1,2)>."""
-    return BiSeq((2, 1), (1, 2, 3, 3, 3, 2, 1), 3, (1, 2))
+    return _A0
 
 
+@cache
 def gap_left_endpoint() -> QuadSum:
-    """[3;3,3,2,1,(1,2)] + [0;2,1,(1,2)] = (62976 - 1498*sqrt(3))/16357."""
-    return QuadSum(
-        eval_periodic(EPCF(3, (3, 3, 2, 1), (1, 2))),
-        eval_periodic(EPCF(0, (2, 1), (1, 2))),
-    )
+    """lambda_1 of a0, at its outer 3: (62976 - 1498*sqrt(3))/16357."""
+    return lambda_at(_A0, 1).value
 
 
 def c_block(n: int) -> tuple[int, ...]:
-    """Block ((2,1) n times, 1,2,3,3,3,2,1, (1,2) n times); length 4n + 7."""
+    """a0's left period n times, its core and its right period n times; length 4n + 7."""
     if n < 1:
         raise ValueError("block index must be positive")
-    return (2, 1) * n + (1, 2, 3, 3, 3, 2, 1) + (1, 2) * n
+    return _A0.left_period * n + _A0.core + _A0.right_period * n
 
 
 def alpha0_prefix(m: int) -> FiniteCF:
@@ -79,13 +82,12 @@ def alpha0_prefix(m: int) -> FiniteCF:
 
 
 def alpha0_core_indices(m: int) -> list[tuple[int, int, int]]:
-    """1-based positions of the three core 3s of each block, first m blocks."""
-    out = []
-    pos = 1
+    """1-based positions of the core 3s, a0's origin and its neighbours, in the first m blocks."""
+    a, out, pos = _A0, [], 0  # pos: the symbols before the block
     for n in range(1, m + 1):
-        first = pos + 2 * n + 2
-        out.append((first, first + 1, first + 2))
-        pos += 4 * n + 7
+        at = pos + len(a.left_period) * n + a.origin + 1  # the block's origin, 1-based
+        out.append((at - 1, at, at + 1))
+        pos += (len(a.left_period) + len(a.right_period)) * n + len(a.core)
     return out
 
 

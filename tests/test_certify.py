@@ -359,6 +359,18 @@ def test_necessity_sweep_holds():
         assert (report.windows_total, report.passed_by_bound, report.passed_by_pattern) == counts
 
 
+def test_necessity_pattern_test_is_exact_at_the_threshold():
+    # 10639/2889 solves tn * ld * rld - num * td = 1 for the exact lower sum num / (ld * rld)
+    # of the segment 1,1,2,3,3,3,2,1 with the center on its index 3, which carries the center
+    # pattern: its lower bound lies just below the threshold, so the sweep grows it.  A pattern
+    # test loosened by one unit (>= tn * ld * rld - ld) counts it whole, in 100 nodes, and
+    # leaves every count as it is, so only the nodes tell
+    report = pattern_necessity(Fraction(10639, 2889), gap_constraints(), 9, 1)
+    counts = report.windows_total, report.passed_by_bound, report.passed_by_pattern
+    assert (counts, len(report.exceptions), report.holds) == ((1025, 1009, 4), 12, False)
+    assert report.nodes == 102
+
+
 def _leaf_classification(threshold, constraints, window_len, depth):
     """Reference for the sweep: every window from admissible_extensions,
     classified on its own.  It passes by bound when its certified upper

@@ -4,9 +4,9 @@ import pytest
 
 import lagspec.constructions as constructions
 from conftest import deadline
-from lagspec.bisequence import lambda_at, periodic_phase_limits
+from lagspec.bisequence import lambda_at, periodic_phase_limits, sup_lambda
 from lagspec.cfrac import EPCF, FiniteCF, distance_bounds, eval_periodic
-from lagspec.certify import one_sided_lambda_bracket
+from lagspec.certify import CENTER_PATTERN, one_sided_lambda_bracket
 from lagspec.constructions import (
     BadRError,
     NoRepeatError,
@@ -25,19 +25,28 @@ from lagspec.quadfield import QuadExt, QuadSum
 
 
 def test_reference_sequence():
+    # a0 is the one literal of the gap instance: the endpoint and the center
+    # pattern are read off it, once per process
     A = build_a0()
+    assert str(A) == "<(2,1) | 1,2,3,3*,3,2,1 | (1,2)>" and build_a0() is A
     assert (A.at(0), A.at(1), A.at(2)) == (3, 3, 2)
     assert A.at(-5) == 2
     lam0 = gap_left_endpoint()
-    assert lambda_at(A, 1).value == lam0 == lambda_at(A, -1).value
+    assert lam0 == QuadExt(62976, -1498, 16357, 3) and str(lam0) == "(62976-1498*sqrt(3))/16357"
+    assert lambda_at(A, 1).value == lam0 == lambda_at(A, -1).value == sup_lambda(A).sup
+    assert gap_left_endpoint() is lam0
+    assert CENTER_PATTERN == A.core == (1, 2, 3, 3, 3, 2, 1)
 
 
 def test_c_block_shape():
     assert c_block(1) == (2, 1, 1, 2, 3, 3, 3, 2, 1, 1, 2)
+    A = build_a0()
     for n in range(1, 51):
         w = c_block(n)
         assert len(w) == 4 * n + 7
         assert w == tuple(reversed(w))
+        if n <= 5:  # a0 read from n left periods before its core to n right periods after it
+            assert w == tuple(map(A.at, range(A.start - 2 * n, A.end + 2 * n + 1)))
 
 
 def test_alpha0_prefix():
