@@ -389,13 +389,9 @@ def _check_sweep(window_len: int, depth: int, max_nodes) -> None:
 
 
 def pattern_necessity(
-    threshold,
-    constraints: Constraints,
-    window_len: int = 15,
-    depth: int = 25,
-    max_nodes: int = _MAX_NODES,
+    threshold, constraints: Constraints, window_len: int, depth: int, max_nodes: int = _MAX_NODES
 ) -> NecessityReport:
-    """Sweep every admissible window of the given length.
+    """Sweep every admissible window of length window_len, its tails bounded at depth.
 
     Unknown context beyond the window is bounded by worst-case admissible
     tails, so a window passes case (a) only if its center value is below
@@ -521,7 +517,7 @@ class AuditReport(_Record):
 
 
 def audit_not_attained(
-    alpha_prefix: FiniteCF, reference: QuadSum, start: int, guard: int = 19
+    alpha_prefix: FiniteCF, reference: QuadSum, start: int, guard: int
 ) -> AuditReport:
     """Check reference > lambda_n exactly for n in [start, len - guard].
 
@@ -530,7 +526,7 @@ def audit_not_attained(
     reference; a site whose value approaches the reference needs the
     known word to reach one symbol past the point where it leaves the
     reference's periodic tail.  For the block word with m blocks that
-    means guard >= 2m + 3 (19 covers the default 8 blocks).  A position
+    means guard >= 2m + 3; the guard is the caller's to give.  A position
     is cleared once a rational lower bound of the reference exceeds its
     _site bracket from k symbols on each side, k = 2, 4, 8, ..., compared
     by cross-multiplication; the exact test runs only when the window

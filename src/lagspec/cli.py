@@ -40,7 +40,8 @@ from .certify import (
     gap_constraints,
     pattern_necessity,
 )
-from .constructions import alpha0_prefix, build_a0, gap_left_endpoint, surgery
+from .constructions import (alpha0_core_indices, alpha0_prefix, build_a0, c_block,
+                            gap_left_endpoint, surgery)
 from .quadfield import _MAX_DIGITS, MixedRadicandError, QuadExt, QuadSum, _digits
 
 _SHOWN = 20  # exception lines a necessity report prints as text; --structured lists them all
@@ -217,11 +218,11 @@ def _cmd_necessity(args) -> tuple[int, dict, str]:
     return (0 if report.holds else 2), rec, text
 
 
-def _audit(blocks: int, prefix, start: int | None = None, guard: int | None = None):
-    """The block word's audit against the gap endpoint, and its record: by default from 12,
-    the second block's first position, to the last block's centre, 2 * blocks + 3 from the end."""
-    start = 12 if start is None else start
-    guard = 2 * blocks + 3 if guard is None else guard
+def _audit(blocks: int, prefix):
+    """The block word's audit against the gap endpoint, and its record: from the second
+    block's first position to the last block's centre."""
+    stop = alpha0_core_indices(blocks)[-1][1]
+    start, guard = len(c_block(1)) + 1, len(prefix.tail) - stop
     report = audit_not_attained(prefix, gap_left_endpoint(), start=start, guard=guard)
     return report, {
         "blocks": blocks,
@@ -236,7 +237,7 @@ def _audit(blocks: int, prefix, start: int | None = None, guard: int | None = No
 
 
 def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
-    report, rec = _audit(args.blocks, alpha0_prefix(args.blocks), args.start, args.guard)
+    report, rec = _audit(args.blocks, alpha0_prefix(args.blocks))
     text = (
         f"audited positions {report.start}..{report.stop} of the {args.blocks}-block word"
         f" (guard {report.guard}); flagged: {rec['flagged']}\n"
@@ -248,10 +249,14 @@ def _cmd_audit_alpha0(args) -> tuple[int, dict, str]:
 def _cmd_certify_gap(args) -> tuple[int, dict, str]:
     """The sup certificate of the reference sequence, the six forbidden patterns in
     cumulative order, the window sweep and the block-word audit; the text times each."""
-    # the block word, then the forbid stages' and the sweep's checks: a bad argument runs no stage
+    # the block word, the forbid stages' and the sweep's checks, then the audit, whose range
+    # may be empty: a bad argument runs no other stage
     prefix = alpha0_prefix(args.blocks)
     _check_depth(args.depth)
     _check_sweep(args.window, args.depth, _MAX_NODES)
+    t = time()
+    audit, audit_rec = _audit(args.blocks, prefix)
+    audit_s = time() - t
     lam0, gap = gap_left_endpoint(), gap_constraints()
     lines = [f"gap endpoint: {lam0} ≈ {lam0.approx(7)}"]
     t = time()
@@ -278,10 +283,8 @@ def _cmd_certify_gap(args) -> tuple[int, dict, str]:
     lines.append(f"[necessity] windows {_digits(rep.windows_total)}, center-pattern"
                  f" {_digits(rep.passed_by_pattern)}, exceptions {len(rep.exceptions)}"
                  f" ({time() - t:.2f}s)")
-    t = time()
-    audit, audit_rec = _audit(args.blocks, prefix)
     lines.append(f"[audit] positions {audit.start}..{audit.stop}: flagged {list(audit.flagged)}"
-                 f" ({time() - t:.2f}s)  [truncated verification on a finite prefix]")
+                 f" ({audit_s:.2f}s)  [truncated verification on a finite prefix]")
     ok = (cert.status == "certified" and cert.sup == lam0 and rep.holds and audit.clean
           and all(step["certified"] for step in steps))
     lines.append("ALL CERTIFIED" if ok else "CERTIFICATION FAILED")
@@ -357,11 +360,8 @@ _COMMANDS = {
                 "type": int, "default": _MAX_NODES, "help": "search budget (default: %(default)s)"
             },
         }),
-        ("audit-alpha0", "non-attainability audit of the block word", _cmd_audit_alpha0, {
-            "--blocks": {"type": int, "default": 8},
-            "--start": {"type": int},
-            "--guard": {"type": int},
-        }),
+        ("audit-alpha0", "non-attainability audit of the block word", _cmd_audit_alpha0,
+         {"--blocks": {"type": int, "default": 8}}),
         ("certify-gap", "the full certification pipeline for the gap endpoint", _cmd_certify_gap, {
             "--window": {"type": int, "default": 15},
             "--depth": {"type": int, "default": 25},

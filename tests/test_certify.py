@@ -643,13 +643,13 @@ def test_admissible_extensions_at_depth_1200():
 
 
 def test_audit_reference_word():
-    rep = audit_not_attained(alpha0_prefix(8), LAM0, start=12)
+    rep = audit_not_attained(alpha0_prefix(8), LAM0, start=12, guard=19)
     assert rep.clean
     assert rep.stop == len(alpha0_prefix(8).tail) - 19
 
 
 def test_audit_low_word():
-    rep = audit_not_attained(FiniteCF(0, (1, 2) * 40), LAM0, start=3)
+    rep = audit_not_attained(FiniteCF(0, (1, 2) * 40), LAM0, start=3, guard=19)
     assert rep.clean
 
 
@@ -664,7 +664,7 @@ def _reference_bracket(w, n):
 
 def test_audit_flags_adversarial_word():
     word = (2, 1) * 5 + (3, 1) + (1, 3) * 10 + (1, 2) * 10
-    rep = audit_not_attained(FiniteCF(0, word), LAM0, start=1)
+    rep = audit_not_attained(FiniteCF(0, word), LAM0, start=1, guard=19)
     assert not rep.clean
     assert 11 in rep.flagged  # the 3 of the planted (3,1)
     expected = [
@@ -675,10 +675,13 @@ def test_audit_flags_adversarial_word():
 
 def test_audit_prefix_too_short():
     with pytest.raises(PrefixTooShortError):
-        audit_not_attained(FiniteCF(0, (1, 2) * 5), LAM0, start=1)
+        audit_not_attained(FiniteCF(0, (1, 2) * 5), LAM0, start=1, guard=19)
     # a negative guard would audit positions past the end of the word
     with pytest.raises(PrefixTooShortError, match="guard"):
         audit_not_attained(FiniteCF(0, (1, 2) * 20), LAM0, start=1, guard=-5)
+    # the guard depends on the word's layout, so it has no default
+    with pytest.raises(TypeError, match="guard"):
+        audit_not_attained(FiniteCF(0, (1, 2) * 20), LAM0, start=1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=30))

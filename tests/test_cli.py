@@ -377,13 +377,25 @@ def test_certify_gap_structured_record(capsys):
         (["--depth", "100001"], "depth 100001 exceeds the cap of 100000"),
         (["--window", "20003"], "window_len 20003 exceeds the cap of 20001"),
         (["--depth", "-1", "--window", "5"], "depth must be nonnegative"),
+        (["--blocks", "1", "--window", "5"], "window_len must be at least 7"),
     ],
 )
 def test_certify_gap_bad_argument_exits_1(capsys, monkeypatch, argv, message):
-    # every argument is checked before any stage: blocks, then depth, then window
+    # every argument is checked before any stage: blocks, then depth, then window,
+    # then the block word's audit range
     monkeypatch.setattr(cli, "sup_lambda", lambda *args: pytest.fail("a stage ran"))
     code, out, err = run(capsys, "certify-gap", *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("structured", [[], ["--structured"]])
+def test_certify_gap_empty_audit_range_exits_1_before_any_stage(capsys, monkeypatch, structured):
+    # one block ends before the second block's first position: the audit range is empty
+    for name in ("sup_lambda", "certify_forbidden", "pattern_necessity"):
+        monkeypatch.setattr(cli, name, lambda *args, **kwargs: pytest.fail("a stage ran"))
+    code, out, err = run(capsys, "certify-gap", "--blocks", "1", *structured)
+    message = "error: audit range [12, 6] is empty for a word of length 11\n"
+    assert (code, out, err) == (1, "", message)
 
 
 def test_necessity(capsys):
@@ -458,9 +470,17 @@ def test_necessity_counts_print_past_the_int_to_str_limit(capsys, monkeypatch):
 
 
 def test_audit(capsys):
-    code, out, _ = run(capsys, "audit-alpha0", "--blocks", "4", "--start", "12")
+    code, out, _ = run(capsys, "audit-alpha0", "--blocks", "4")
     assert code == 0
     assert "clean" in out
+
+
+@pytest.mark.parametrize("argv", [["--blocks", "8", "--start", "12"], ["--guard", "5"]])
+def test_audit_range_is_not_an_option(capsys, argv):
+    # the range is read off the block word: from the second block to the last block's centre
+    code, out, err = run(capsys, "audit-alpha0", *argv)
+    unrecognized = " ".join(argv[-2:])
+    assert (code, out, err) == (1, "", f"error: unrecognized arguments: {unrecognized}\n")
 
 
 def test_negative_depth_and_guard_exit_1(capsys):
@@ -470,8 +490,6 @@ def test_negative_depth_and_guard_exit_1(capsys):
     ):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("error:") and "depth" in err
-    code, _, err = run(capsys, "audit-alpha0", "--guard", "-5")
-    assert code == 1 and "guard" in err
 
 
 @pytest.mark.parametrize(
@@ -747,7 +765,7 @@ README_STRUCTURED = [
         ' "holds": true}',
     ),
     (
-        ["audit-alpha0", "--blocks", "8", "--start", "12"],
+        ["audit-alpha0", "--blocks", "8"],
         '{"blocks": 8, "word_length": 200, "start": 12, "stop": 181, "guard": 19,'
         ' "flagged": [], "clean": true, "note": "truncated verification on a finite prefix"}',
     ),

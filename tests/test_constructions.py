@@ -47,6 +47,11 @@ def test_c_block_shape():
         assert w == tuple(reversed(w))
         if n <= 5:  # a0 read from n left periods before its core to n right periods after it
             assert w == tuple(map(A.at, range(A.start - 2 * n, A.end + 2 * n + 1)))
+    # the block-word audit's range, read off the layout: from the second block's first
+    # position, 12, to the last block's centre, 2m + 3 symbols before the end of 2m^2 + 9m
+    assert len(c_block(1)) + 1 == 12
+    for m in range(1, 1001):
+        assert 2 * m * m + 9 * m - alpha0_core_indices(m)[-1][1] == 2 * m + 3, m
 
 
 def test_alpha0_prefix():

@@ -50,7 +50,7 @@ def _samples():
         pattern,
         site_lambda_bounds(pattern, Constraints(3), 4),
         pattern_necessity(Fraction(3691, 1000), cons, 9, 5),
-        audit_not_attained(alpha0_prefix(2), gap_left_endpoint(), start=3),
+        audit_not_attained(alpha0_prefix(2), gap_left_endpoint(), start=3, guard=19),
         surgery((2, 1, 2, 1, 3), 1, 3),
         attainable_from_periodic((2, 2), (2, 1), check_m=2)[1],
         expr,
