@@ -5,7 +5,8 @@ parenthesized period at the end, ``[a0;a1,...,ak,(p1,...,pm)]``.
 Two-sided sequences are ``<(l1,...) | c1,...,ck*,...,cm | (r1,...)>``
 with exactly one starred core element marking position 0.  Expressions
 are sums of continued fractions with optional rational coefficients,
-for example ``3+2*[0;3,2,1,(1,2)]``.  Whitespace is ignored everywhere.
+for example ``3+2*[0;3,2,1,(1,2)]``.  Whitespace may stand between
+tokens, but not inside one: ``1 2`` and ``1 .5`` are refused.
 """
 
 from __future__ import annotations
@@ -57,8 +58,9 @@ class BiSeqExpr(_Record):
 
 # one token per match: a number, a punctuation mark, a newline, a run of other
 # whitespace or any other character; \d and \s match exactly str.isdecimal and
-# str.isspace, so "²", a digit that int() refuses, is any other character
-_TOKEN = re.compile(r"\d+(?:\.\d+)?|[\[\];,()<>|*+/-]|\n|[^\S\n]+|.", re.S)
+# str.isspace, so "²", a digit that int() refuses, is any other character.
+# re compiles it on first use, as the one-pass reader never lexes a well-formed text
+_TOKEN = r"\d+(?:\.\d+)?|[\[\];,()<>|*+/-]|\n|[^\S\n]+|."
 _PUNCT = frozenset("[];,()<>|*+-/")
 
 
@@ -68,7 +70,7 @@ class _Lexer:
         self.pos = 0
         self.tokens: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
-        for tok in _TOKEN.findall(text):
+        for tok in re.findall(_TOKEN, text, re.S):
             if tok in _PUNCT:
                 self.tokens.append((tok, tok, line, col))
             elif tok[0].isdecimal():
@@ -156,18 +158,18 @@ def _parse_biseq_body(lex: _Lexer) -> BiSeq:
     origin = None
     while True:
         core.append(_parse_int(lex, allow_negative=False))
+        if origin is not None and lex.peek()[0] == "*":
+            lex.fail("second origin marker")
         if lex.accept("*"):
-            if origin is not None:
-                lex.fail("second origin marker")
             origin = len(core) - 1
         if lex.accept(","):
             continue
         break
-    lex.expect("|")
+    bar = lex.expect("|")
     right = _parse_period(lex)
     lex.expect(">")
-    if origin is None:
-        lex.fail("core must carry exactly one origin marker")
+    if origin is None:  # refused at the bar that closes the core
+        raise ExprSyntaxError("core must carry exactly one origin marker", bar[2], bar[3], bar[1])
     return BiSeq(left, tuple(core), origin, right)
 
 
@@ -219,8 +221,58 @@ def _parse_sum(lex: _Lexer) -> SumExpr | BiSeqExpr:
     return SumExpr(tuple(terms))
 
 
+# The one-pass reader of a well-formed text, without its whitespace unless
+# that splits a number (\s and \d are the lexer's).  _BISEQ matches a sequence,
+# its core cut at the origin marker; _TERM a term of a sum and the operator
+# after it: n[.f | /d][*cf] or cf, with cf [a0], [a0;q,...,q] or [a0;q,...,(p,...)].
+_SPLIT = r"[\d.]\s+[\d.]"
+_BISEQ = r"<\(([\d,]+)\)\|([\d,]*\d)\*((?:,\d+)*)\|\(([\d,]+)\)>"
+_TERM = (
+    r"(?:(-?\d+)(?:(\.\d+)|/(\d+))?)?(\*)?"
+    r"(?:\[(-?\d+)(?:;([\d,]*)(?:(?<=[;,])\(([\d,]+)\))?)?\])?([+-]|\Z)"
+)
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(map(int, text.split(",")))  # int("") refuses an empty item
+
+
+def _read(text: str) -> SumExpr | BiSeq | None:
+    """The sum or sequence of a well-formed text, or None for the token parser."""
+    squeezed = "".join(text.split())
+    if len(text) > _MAX_DIGITS or squeezed != text and re.search(_SPLIT, text):
+        return None
+    try:
+        if squeezed[:1] != "<":
+            return _read_sum(squeezed)
+        m = re.fullmatch(_BISEQ, squeezed)
+        return m and BiSeq(_ints(m[1]), _ints(m[2] + m[3]), m[2].count(","), _ints(m[4]))
+    except (ValueError, ZeroDivisionError):  # an empty item, a zero quotient or denominator
+        return None
+
+
+def _read_sum(text: str) -> SumExpr | None:
+    terms, pos, op, match = [], 0, "+", re.compile(_TERM).match
+    while op and (m := match(text, pos)):
+        num, dec, den, star, a0, pre, period, op_after = m.groups()
+        if not (num or a0) or bool(star) != bool(num and a0):
+            return None  # an empty term, or a star not between a number and a cf
+        cf = a0 and (
+            FiniteCF(int(a0), _ints(pre) if pre is not None else ())
+            if period is None
+            else EPCF(int(a0), _ints(pre[:-1]) if pre else (), _ints(period))  # pre is "q,...,"
+        )
+        coef = Fraction(num + dec) if dec else Fraction(int(num or 1), int(den or 1))
+        terms.append(Term(-coef if op == "-" else coef, cf))
+        pos, op = m.end(), op_after
+    return None if op else SumExpr(tuple(terms))
+
+
 def parse_expression(text: str) -> SumExpr | BiSeqExpr:
-    return _whole(text, _parse_sum)
+    out = _read(text)
+    if out is None:
+        return _whole(text, _parse_sum)
+    return BiSeqExpr(out) if isinstance(out, BiSeq) else out
 
 
 def parse_cf(text: str) -> FiniteCF | EPCF:
@@ -228,7 +280,8 @@ def parse_cf(text: str) -> FiniteCF | EPCF:
 
 
 def parse_biseq(text: str) -> BiSeq:
-    return _whole(text, _parse_biseq_body)
+    out = _read(text)
+    return out if isinstance(out, BiSeq) else _whole(text, _parse_biseq_body)
 
 
 def parse_word(text: str) -> tuple[int, ...]:

@@ -696,6 +696,15 @@ def test_precondition_error_exit_1(capsys):
         (["eval", "1/0+1"], "syntax error: zero denominator at line 1, column 3: '0'\n"),
         (["eval", "2*[0;1]+3/00"], "syntax error: zero denominator at line 1, column 11: '00'\n"),
         (["eval", "1/0*[0;(1,2)]"], "syntax error: zero denominator at line 1, column 3: '0'\n"),
+        # the second marker itself, and the bar that closes a core without one
+        (
+            ["lambda", "<(2,1) | 1,2,3*,3*,3 | (1,2)>", "--index", "0"],
+            "syntax error: second origin marker at line 1, column 18: '*'\n",
+        ),
+        (
+            ["eval", "<(1)|1|(1)>+1"],
+            "syntax error: core must carry exactly one origin marker at line 1, column 7: '|'\n",
+        ),
     ],
 )
 def test_refused_input_exits_1_with_its_message(capsys, argv, err):

@@ -1,8 +1,9 @@
 import re
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagspec.bisequence import BiSeq
@@ -19,6 +20,10 @@ from lagspec.parsing import (
     parse_expression,
     parse_word,
     _Lexer,
+    _parse_biseq_body,
+    _parse_sum,
+    _read,
+    _whole,
 )
 from lagspec.quadfield import QuadExt
 
@@ -95,6 +100,22 @@ def test_missing_quotient_is_refused_at_its_token(parse, text, at):
     assert (err.value.token, err.value.line, err.value.col) == at
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, at",
+    [
+        (parse_expression, "1 2", "trailing input", ("2", 1, 3)),
+        (parse_expression, "1 .5", "unexpected character", (".", 1, 3)),
+        (parse_expression, "1. 5", "unexpected character", (".", 1, 2)),
+        (parse_expression, "[0;1 2]", "expected ']'", ("2", 1, 6)),
+        (parse_biseq, "<(1) | 1 2* | (1)>", "expected '|'", ("2", 1, 10)),
+    ],
+)
+def test_whitespace_does_not_split_a_number(parse, text, message, at):
+    with pytest.raises(ExprSyntaxError, match=f"^{re.escape(message)} at line") as err:
+        parse(text)
+    assert (err.value.token, err.value.line, err.value.col) == at
+
+
 def test_finite_continued_fraction_inside_an_expression(capsys):
     assert evaluate(parse_expression("[0;2,1]")) == Fraction(1, 3)
     assert evaluate(parse_expression("2*[1;2,2]-1/5")) == Fraction(13, 5)
@@ -135,6 +156,28 @@ def test_number_literals_are_capped_at_4300_digits(capsys, form, col):
     out, stderr = capsys.readouterr()
     assert out == "" and stderr.count("\n") == 1
     assert re.match("syntax error: " + CAPPED.format(col)[1:], stderr)
+
+
+@pytest.mark.parametrize(
+    "parse, text, col",
+    [
+        (parse_expression, "2*[0;1,{}]", 8),
+        (parse_expression, "<(1) | 1,{}* | (1)>", 10),
+        (parse_biseq, "<(1) | 1,{}* | (1)>", 10),
+    ],
+)
+def test_the_cap_holds_without_the_interpreters_own_limit(parse, text, col):
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("no int-to-str limit to lift before Python 3.11")
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        assert parse(text.format("9" * 4300))
+        with pytest.raises(ExprSyntaxError, match=CAPPED.format(col)):
+            parse(text.format("9" * 4301))
+    finally:
+        set_limit(limit)
 
 
 def test_words_are_capped_at_4300_digits_a_symbol(capsys):
@@ -269,3 +312,100 @@ def test_lexer_matches_the_character_scanner(text):
     except ExprSyntaxError as e:
         got = e.line, e.col, e.token
     assert got == _reference_tokens(text)
+
+
+# The one-pass reader against the token parser, on literals drawn from the
+# grammar with whitespace between tokens and digits of three scripts, and on
+# the same literals with one character inserted, deleted or replaced.
+SCRIPTS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "०१२३४५६७८९")
+numerals = st.builds(
+    lambda n, digits: str(n).translate(str.maketrans(SCRIPTS[0], digits)),
+    st.integers(0, 30),
+    st.sampled_from(SCRIPTS),
+)
+gaps = st.text(st.sampled_from(" \t\n\u00a0"), max_size=2)
+
+
+def _numeral_list(draw):
+    """One to four numerals between commas, and now and then none, which the grammar refuses."""
+    n = draw(st.sampled_from([1, 1, 2, 3, 4, 0]))
+    return [t for k in range(n) for t in ([","] * bool(k) + [draw(numerals)])]
+
+
+@st.composite
+def cf_tokens(draw):
+    out = ["[", *["-"] * draw(st.booleans()), draw(numerals)]
+    form = draw(st.sampled_from(["a0", "finite", "periodic"]))
+    if form == "finite":
+        out += [";", *_numeral_list(draw)]
+    elif form == "periodic":
+        pre = _numeral_list(draw) + [","] if draw(st.booleans()) else []
+        out += [";", *pre, "(", *_numeral_list(draw), ")"]
+    return out + ["]"]
+
+
+@st.composite
+def sum_tokens(draw):
+    out = []
+    for k in range(draw(st.integers(1, 3))):
+        if k:
+            out.append(draw(st.sampled_from("+-")))
+        form = draw(st.sampled_from(["number", "cf", "product"]))
+        if form != "cf":
+            out += ["-"] * draw(st.booleans()) + [draw(numerals)]
+            shape = draw(st.sampled_from(["integer", "decimal", "fraction"]))
+            if shape == "decimal":
+                out[-1] += "." + draw(numerals)
+            elif shape == "fraction":
+                out += ["/", draw(numerals)]
+        if form == "product":
+            out.append("*")
+        if form != "number":
+            out += draw(cf_tokens())
+    return out
+
+
+@st.composite
+def biseq_tokens(draw):
+    core = [draw(numerals) for _ in range(draw(st.integers(1, 4)))]
+    # one origin marker, and now and then none or a second one
+    n_marks = draw(st.sampled_from([1, 1, 1, 0, 2]))
+    marks = {draw(st.integers(0, len(core) - 1)) for _ in range(n_marks)}
+    cells = [t for k, n in enumerate(core) for t in [","] * bool(k) + [n] + ["*"] * (k in marks)]
+    left, right = _numeral_list(draw), _numeral_list(draw)
+    return ["<", "(", *left, ")", "|", *cells, "|", "(", *right, ")", ">"]
+
+
+@st.composite
+def mutated(draw, tokens):
+    text = draw(gaps) + "".join(tok + draw(gaps) for tok in draw(tokens))
+    i = draw(st.integers(0, len(text)))
+    char = draw(st.sampled_from("0٣.[];,()<>|*+-/ \n\u00a0²x"))
+    how = draw(st.sampled_from(["keep", "insert", "delete", "replace"]))
+    if how == "keep":
+        return text
+    return text[:i] + ("" if how == "delete" else char) + text[i + (how != "insert") :]
+
+
+def _outcome(parse, text):
+    """parse(text), or the type, arguments and position of the ValueError it raises."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), e.args, vars(e)
+
+
+@given(st.one_of(mutated(sum_tokens()), mutated(biseq_tokens())))
+@example("[0;]")
+@example("-3/2*[-1;(2)]")
+@example("<(2,1) | 1,2,3*,3*,3 | (1,2)>")
+@example("<(1)|1|(1)>+1")
+@settings(max_examples=1000)
+def test_one_pass_reader_agrees_with_the_token_parser(text):
+    expected = _outcome(lambda t: _whole(t, _parse_sum), text)
+    expected_seq = _outcome(lambda t: _whole(t, _parse_biseq_body), text)
+    # the reader reads exactly the texts the token parser reads, to equal values,
+    # and every refusal is the token parser's, with its line, column and token
+    assert (_read(text) is None) == isinstance(expected, tuple)
+    assert _outcome(parse_expression, text) == expected
+    assert _outcome(parse_biseq, text) == expected_seq
