@@ -54,9 +54,9 @@ class CliError(Exception):
 
 def _value_report(v: QuadSum, digits: int, label: str = "value") -> tuple[int, dict, str]:
     """Exit code, record and text of one exact value."""
-    decimal = v.approx(digits)
+    value, decimal = str(v), v.approx(digits)
     terms = [{"a": t.a, "b": t.b, "c": t.c, "d": t.d} for t in v.terms()]
-    return 0, {label: str(v), "terms": terms, "decimal": decimal}, f"{v} ≈ {decimal}"
+    return 0, {label: value, "terms": terms, "decimal": decimal}, f"{value} ≈ {decimal}"
 
 
 def _parse_threshold(text: str) -> Fraction:
@@ -133,7 +133,7 @@ def _cmd_sup(args) -> tuple[int, dict, str]:
         "status": cert.status,
     }
     text = (
-        f"sup = {cert.sup} ≈ {rec['decimal']}\n"
+        f"sup = {rec['sup']} ≈ {rec['decimal']}\n"
         f"attained: {cert.attained} at {rec['attaining_indices']}\n"
         f"window: {rec['window']}  margin: {rec['margin']}\n"
         f"status: {cert.status}"

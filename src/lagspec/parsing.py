@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bisequence import BiSeq
 from .cfrac import EPCF, FiniteCF, eval_finite, eval_periodic
-from .quadfield import _MAX_DIGITS, QuadExt, QuadSum, _Record
+from .quadfield import _MAX_DIGITS, _ZERO, QuadExt, QuadSum, _fold, _Record
 
 __all__ = [
     "BiSeqExpr",
@@ -290,18 +290,19 @@ def parse_word(text: str) -> tuple[int, ...]:
 
 
 def evaluate(expr: SumExpr | BiSeqExpr) -> QuadSum:
-    """Exact value of a sum expression (two distinct radicands at most)."""
+    """Exact value of a sum expression (two distinct radicands at most).  The terms
+    are added left to right, one _fold each, as QuadSum's + adds them: the printed
+    split follows their order, and a partial sum over three fields is refused."""
     if isinstance(expr, BiSeqExpr):
         raise ValueError("a sequence literal has no numeric value")
-    total = QuadSum(QuadExt(0))
+    x = y = _ZERO
     for t in expr.terms:
-        if t.cf is None:
-            total = total + t.coef
+        n, m, cf = t.coef.numerator, t.coef.denominator, t.cf
+        if isinstance(cf, EPCF):
+            v = eval_periodic(cf)
+            v = QuadExt._reduced(v.a * n, v.b * n, v.c * m, v.d)  # v * coef, as QuadExt * forms it
         else:
-            val = (
-                eval_periodic(t.cf)
-                if isinstance(t.cf, EPCF)
-                else QuadExt.from_rational(eval_finite(t.cf))
-            )
-            total = total + val * QuadExt.from_rational(t.coef)
-    return total
+            f = 1 if cf is None else eval_finite(cf)
+            v = QuadExt._reduced(f.numerator * n, 0, f.denominator * m, 1)
+        x, y = _fold((x, y, v) if y else (x, v))
+    return QuadSum._of(x, y)

@@ -308,3 +308,39 @@ def test_pipeline_report_is_pinned(argv, stop):
     assert (run.returncode, run.stderr) == (0, "")
     report = re.sub(r"\(\d+\.\d\ds\)", "(T)", run.stdout)
     assert report.splitlines() == PIPELINE_REPORT.format(stop=stop).splitlines()
+
+
+CONSTANTS_TABLE = """\
+gap endpoint                            [3;3,3,2,1,(1,2)]+[0;2,1,(1,2)]
+                                        = (62976-1498*sqrt(3))/16357 ≈ 3.6914708
+center value of the reference sequence  3+2*[0;3,2,1,(1,2)]
+                                        = (246+sqrt(3))/69 ≈ 3.5903196
+max off-center envelope                 2+2*[0;(1,3)]
+                                        = -1+sqrt(21) ≈ 3.5825757
+(3,1) site limit                        [3;1,(1,3)]+[0;(3,1)]
+                                        = (39+4*sqrt(21))/15 ≈ 3.8220202
+(3,2,2) site limit                      [3;2,2,(3,2)]+[0;(3,2)]
+                                        = (39+10*sqrt(15))/21 ≈ 3.7014206
+(1,2,3,2,1) site limit                  [3;2,1,(2,1)]+[0;(2,1)]
+                                        = 2+sqrt(3) ≈ 3.7320508
+small-quotient ceiling                  2+2*[0;(1,2)]
+                                        = 2*sqrt(3) ≈ 3.4641016
+three-3s ceiling                        3+2*[0;3,(3,2)]
+                                        = (33-2*sqrt(15))/7 ≈ 3.6077190
+3,3 with 2,1 ceiling                    [3;3,2,1,(2,1)]+[0;2,1,(1,2)]
+                                        = (44-2*sqrt(3))/11 ≈ 3.6850817
+four-3s ceiling                         [3;3,3,3,3,2,1,(1,2)]+[0;2,1,(1,2)]
+                                        = (681609-16103*sqrt(3))/177122 ≈ 3.6907769
+ray threshold                           4+[0;3,2,1,1,(3,1,3,1,2,1)]+[0;4,3,2,2,(3,1,3,1,2,1)]
+                                        = (2221564096+283748*sqrt(462))/491993569 ≈ 4.5278296
+"""
+
+
+def test_constants_table_is_pinned():
+    # every row goes through parse_expression and evaluate; the output is pinned byte for byte
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "reproduce_constants.py")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    run = subprocess.run([sys.executable, script], capture_output=True, env=env, timeout=60)
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == CONSTANTS_TABLE.encode()
+    assert len(CONSTANTS_TABLE.splitlines()) == 22

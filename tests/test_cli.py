@@ -137,6 +137,27 @@ def test_limsup(capsys):
     assert out.strip() == "2*sqrt(3) ≈ 3.464102"
 
 
+@pytest.mark.parametrize(
+    "argv, key, prefix",
+    [
+        (["eval", LAM0_EXPR], "value", ""),
+        (["eval", "[0;(2)]-[0;(1)]"], "value", ""),  # two fields, printed with " - "
+        (["eval", "0-7/3"], "value", ""),
+        (["lambda", A0_TEXT, "--index", "1"], "value", ""),
+        (["limsup", A0_TEXT], "limsup", ""),
+        (["sup", A0_TEXT], "sup", "sup = "),
+        (["sup", A0_TEXT, "--max-window", "1"], "sup", "sup = "),  # inconclusive, exit 2
+    ],
+)
+def test_text_and_record_carry_the_same_value(capsys, argv, key, prefix):
+    # each value is rendered once, for the record and the text alike
+    code, out, _ = run(capsys, *argv, "--structured")
+    rec = json.loads(out)
+    text_code, text, _ = run(capsys, *argv)
+    assert text_code == code
+    assert text.splitlines()[0] == f"{prefix}{rec[key]} ≈ {rec['decimal']}"
+
+
 def test_certify_pattern_exit_codes(capsys):
     code, out, _ = run(
         capsys,

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagspec.bisequence import BiSeq
-from lagspec.cfrac import EPCF, FiniteCF
+from lagspec.cfrac import EPCF, FiniteCF, eval_finite, eval_periodic
 from lagspec.cli import main
 from lagspec.parsing import (
     BiSeqExpr,
@@ -25,7 +25,7 @@ from lagspec.parsing import (
     _read,
     _whole,
 )
-from lagspec.quadfield import QuadExt
+from lagspec.quadfield import MixedRadicandError, QuadExt, QuadSum
 
 
 def test_parse_cf_examples():
@@ -275,6 +275,78 @@ def test_biseq_expression():
     assert isinstance(e, BiSeqExpr)
     with pytest.raises(ValueError):
         evaluate(e)
+
+
+def _operator_sum(expr: SumExpr) -> QuadSum:
+    """The value of a sum built through the operators: each term's value times its
+    coefficient, added onto QuadSum(0) one term at a time."""
+    total = QuadSum(QuadExt(0))
+    for t in expr.terms:
+        if t.cf is None:
+            total = total + t.coef
+        elif isinstance(t.cf, EPCF):
+            total = total + eval_periodic(t.cf) * QuadExt.from_rational(t.coef)
+        else:
+            total = total + QuadExt.from_rational(eval_finite(t.cf)) * QuadExt.from_rational(t.coef)
+    return total
+
+
+def _value_outcome(value_of, expr):
+    """str, terms, decimal and repr of value_of(expr), or the type and message of its error."""
+    try:
+        v = value_of(expr)
+    except MixedRadicandError as e:
+        return type(e), e.args
+    return str(v), [(t.a, t.b, t.c, t.d) for t in v.terms()], v.approx(7), repr(v)
+
+
+# periods over the fields of sqrt(5), sqrt(2), sqrt(3) and sqrt(13), two each, so that
+# terms of one field meet in a sum and a sum of three fields is common
+shared_fields = st.builds(
+    EPCF,
+    st.integers(min_value=-2, max_value=3),
+    st.lists(st.integers(1, 3), max_size=2).map(tuple),
+    st.sampled_from([(1,), (1, 1), (2,), (2, 2), (1, 2), (2, 1), (3,), (3, 3)]),
+)
+fold_terms = st.one_of(
+    st.builds(Term, st.fractions(-3, 3, max_denominator=6), st.none()),
+    st.builds(
+        Term,
+        st.fractions(-3, 3, max_denominator=6),  # 0 included
+        st.one_of(shared_fields, shared_fields, cf_literals),
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("[1;(1)]+2+[0;(2)]", "-1+sqrt(2) + (5+sqrt(5))/2"),
+        ("[0;(3)]+1/2+[0;(2)]+1/3", "(-2+3*sqrt(2))/3 + (-2+sqrt(13))/2"),
+        ("0*[0;(2)]+[0;(3)]", "(-3+sqrt(13))/2"),
+        # the printed split of a sum follows the order of its terms
+        ("[2;(1)]+[0;(2)]", "-1+sqrt(2) + (3+sqrt(5))/2"),
+        ("[0;(2)]+2+[0;(1)]", "1+sqrt(2) + (-1+sqrt(5))/2"),
+    ],
+)
+def test_a_sum_is_folded_left_to_right(text, value):
+    assert str(evaluate(parse_expression(text))) == value
+
+
+def test_a_partial_sum_over_three_fields_is_refused():
+    # though the last term cancels the third field
+    with pytest.raises(MixedRadicandError, match="^sum spans more than two radicands$"):
+        evaluate(parse_expression("[0;(2)]+[0;(3)]+[0;(5)]-[0;(5)]"))
+
+
+@given(st.lists(fold_terms, min_size=1, max_size=5).map(tuple).map(SumExpr))
+@example(parse_expression("[1;(1)]+2+[0;(2)]"))
+@example(parse_expression("[0;(3)]+1/2+[0;(2)]+1/3"))
+@example(parse_expression("[0;(2)]+[0;(3)]+[0;(5)]-[0;(5)]"))
+@example(parse_expression("0*[0;(2)]+[0;(3)]"))
+@settings(max_examples=500)
+def test_evaluate_folds_as_the_operators_do(expr):
+    assert _value_outcome(evaluate, expr) == _value_outcome(_operator_sum, expr)
 
 
 def _reference_tokens(text):
