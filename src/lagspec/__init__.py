@@ -14,7 +14,6 @@ from .cfrac import (
     PeriodNotFoundError,
     PrefixOrderUndecided,
     cmp_prefix,
-    convergents,
     cylinder,
     distance_bounds,
     eval_finite,

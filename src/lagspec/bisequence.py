@@ -86,10 +86,6 @@ class BiSeq(_Record):
         lp = self.left_period
         return lp[len(lp) - 1 - (k % len(lp))]
 
-    def shifted(self, k: int) -> "BiSeq":
-        """Move the origin marker k places to the right within the core."""
-        return BiSeq(self.left_period, self.core, self.origin + k, self.right_period)
-
     def reversed(self) -> "BiSeq":
         """The reflected sequence a'(i) = a(-i)."""
         return BiSeq(

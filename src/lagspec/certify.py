@@ -529,8 +529,8 @@ def audit_not_attained(
     means guard >= 2m + 3; the guard is the caller's to give.  A position
     is cleared once a rational lower bound of the reference exceeds its
     _site bracket from k symbols on each side, k = 2, 4, 8, ..., compared
-    by cross-multiplication; the exact test runs only when the window
-    covers the word, with the exact end _END, so `flagged` is its own.
+    by cross-multiplication; the exact test, one_sided_lambda_bracket, runs
+    only once the window covers the word, so `flagged` is its own.
     When the test at k reads its window w[n-1-k : n+k] whole (k < n-1 and
     n+k <= len), its outcome depends on that window alone and is kept for
     this call, with its side matrices if it failed: a later position with
@@ -587,6 +587,6 @@ def audit_not_attained(
             if ok:
                 break
             k *= 2
-        if k >= exact and not reference > Fraction(*upper(n, exact, _sides(w, n - 1))):
+        if k >= exact and not reference > one_sided_lambda_bracket(w, n)[1]:
             flagged.append(n)
     return AuditReport(start=start, stop=stop, guard=guard, flagged=tuple(flagged))

@@ -27,7 +27,6 @@ __all__ = [
     "FiniteCF",
     "PeriodNotFoundError",
     "PrefixOrderUndecided",
-    "convergents",
     "cylinder",
     "cmp_prefix",
     "distance_bounds",
@@ -91,15 +90,6 @@ class EPCF(_Record):
         _check_quotients(self.preperiod, "partial quotients")
         _check_quotients(self.period, "partial quotients")
 
-    def quotient(self, i: int) -> int:
-        """The i-th term of the infinite word, i = 0 giving a0."""
-        if i == 0:
-            return self.a0
-        i -= 1
-        if i < len(self.preperiod):
-            return self.preperiod[i]
-        return self.period[(i - len(self.preperiod)) % len(self.period)]
-
     def __str__(self):  # _digits: quotients past the int-to-str limit
         per = f"({','.join(map(_digits, self.period))})"
         if self.preperiod:
@@ -162,16 +152,6 @@ def mobius_pairs(m, tail) -> tuple[int, int, int, int]:
     ln, ld, hn, hd = tail
     lo, hi = (p1 * ln + p0 * ld, q1 * ln + q0 * ld), (p1 * hn + p0 * hd, q1 * hn + q0 * hd)
     return lo + hi if p1 * q0 > p0 * q1 else hi + lo
-
-
-def convergents(w) -> list[tuple[int, int]]:
-    """Convergents (p, q) of a finite word, leading term included."""
-    m = (1, 0, 0, 1)
-    out = []
-    for a in _word_of(w):
-        m = mobius((a,), m)
-        out.append((m[0], m[2]))
-    return out
 
 
 def eval_finite(w) -> Fraction:

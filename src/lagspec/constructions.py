@@ -29,7 +29,6 @@ __all__ = [
     "alpha0_core_indices",
     "alpha0_prefix",
     "attainable_from_periodic",
-    "block_word",
     "build_a0",
     "c_block",
     "dirichlet_repeat",
@@ -106,12 +105,14 @@ def dirichlet_repeat(word, n: int) -> tuple[int, int]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     width = 2 * n + 1
-    last = len(w) - width  # last 0-based window start
-    for s1 in range(0, last + 1):
-        for s2 in range(s1 + 2, last + 1, 2):
-            if w[s1 : s1 + width] == w[s2 : s2 + width]:
-                return s1 + 1, s2 + 1
-    raise NoRepeatError(f"no repeated parity-aligned window of length {width}")
+    first, nxt = {}, {}  # (parity, window) -> its first start; a first start -> the next one
+    for s in range(len(w) - width + 1):
+        s1 = first.setdefault((s % 2, w[s : s + width]), s)
+        if s1 != s:
+            nxt.setdefault(s1, s)
+    if not nxt:
+        raise NoRepeatError(f"no repeated parity-aligned window of length {width}")
+    return min((s1 + 1, s2 + 1) for s1, s2 in nxt.items())
 
 
 class SurgeryResult(_Record):
@@ -203,17 +204,3 @@ def attainable_from_periodic(P, R, check_m: int) -> tuple[EPCF, AttainReport]:
             raise AssertionError(f"excursion fails at m={m}: {lam} <= {mu}")
         lams.append(lam)
     return gamma_prime, AttainReport(j, mu, ms, tuple(lams))
-
-
-def block_word(periods, reps) -> tuple[int, ...]:
-    """Concatenate each period repeated 2*reps[i] + 1 times."""
-    periods = [tuple(p) for p in periods]
-    reps = list(reps)
-    if len(periods) != len(reps):
-        raise ValueError("periods and reps must have equal length")
-    out: tuple[int, ...] = ()
-    for p, r in zip(periods, reps):
-        if r < 1:
-            raise ValueError("repetition counts must be positive")
-        out += p * (2 * r + 1)
-    return out

@@ -19,13 +19,10 @@ from .cfrac import EPCF, FiniteCF, eval_finite, eval_periodic
 from .quadfield import _MAX_DIGITS, _ZERO, QuadExt, QuadSum, _fold, _Record
 
 __all__ = [
-    "BiSeqExpr",
     "ExprSyntaxError",
-    "SumExpr",
     "Term",
     "evaluate",
     "parse_biseq",
-    "parse_cf",
     "parse_expression",
     "parse_word",
 ]
@@ -46,14 +43,6 @@ class Term(_Record):
 
     coef: Fraction
     cf: FiniteCF | EPCF | None
-
-
-class SumExpr(_Record):
-    terms: tuple[Term, ...]
-
-
-class BiSeqExpr(_Record):
-    seq: BiSeq
 
 
 # one token per match: a number, a punctuation mark, a newline, a run of other
@@ -208,9 +197,9 @@ def _whole(text: str, body):
     return out
 
 
-def _parse_sum(lex: _Lexer) -> SumExpr | BiSeqExpr:
+def _parse_sum(lex: _Lexer) -> tuple[Term, ...] | BiSeq:
     if lex.peek()[0] == "<":
-        return BiSeqExpr(_parse_biseq_body(lex))
+        return _parse_biseq_body(lex)
     terms = [_parse_term(lex)]
     while lex.peek()[0] in ("+", "-"):
         op = lex.next()[0]
@@ -218,7 +207,7 @@ def _parse_sum(lex: _Lexer) -> SumExpr | BiSeqExpr:
         if op == "-":
             t = Term(-t.coef, t.cf)
         terms.append(t)
-    return SumExpr(tuple(terms))
+    return tuple(terms)
 
 
 # The one-pass reader of a well-formed text, without its whitespace unless
@@ -237,7 +226,7 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(",")))  # int("") refuses an empty item
 
 
-def _read(text: str) -> SumExpr | BiSeq | None:
+def _read(text: str) -> tuple[Term, ...] | BiSeq | None:
     """The sum or sequence of a well-formed text, or None for the token parser."""
     squeezed = "".join(text.split())
     if len(text) > _MAX_DIGITS or squeezed != text and re.search(_SPLIT, text):
@@ -251,7 +240,7 @@ def _read(text: str) -> SumExpr | BiSeq | None:
         return None
 
 
-def _read_sum(text: str) -> SumExpr | None:
+def _read_sum(text: str) -> tuple[Term, ...] | None:
     terms, pos, op, match = [], 0, "+", re.compile(_TERM).match
     while op and (m := match(text, pos)):
         num, dec, den, star, a0, pre, period, op_after = m.groups()
@@ -265,18 +254,13 @@ def _read_sum(text: str) -> SumExpr | None:
         coef = Fraction(num + dec) if dec else Fraction(int(num or 1), int(den or 1))
         terms.append(Term(-coef if op == "-" else coef, cf))
         pos, op = m.end(), op_after
-    return None if op else SumExpr(tuple(terms))
+    return None if op else tuple(terms)
 
 
-def parse_expression(text: str) -> SumExpr | BiSeqExpr:
+def parse_expression(text: str) -> tuple[Term, ...] | BiSeq:
+    """The terms of a sum, or a two-sided sequence, which has no numeric value."""
     out = _read(text)
-    if out is None:
-        return _whole(text, _parse_sum)
-    return BiSeqExpr(out) if isinstance(out, BiSeq) else out
-
-
-def parse_cf(text: str) -> FiniteCF | EPCF:
-    return _whole(text, _parse_cf_body)
+    return _whole(text, _parse_sum) if out is None else out
 
 
 def parse_biseq(text: str) -> BiSeq:
@@ -289,14 +273,14 @@ def parse_word(text: str) -> tuple[int, ...]:
     return _whole(text, _parse_int_list)
 
 
-def evaluate(expr: SumExpr | BiSeqExpr) -> QuadSum:
+def evaluate(expr: tuple[Term, ...] | BiSeq) -> QuadSum:
     """Exact value of a sum expression (two distinct radicands at most).  The terms
     are added left to right, one _fold each, as QuadSum's + adds them: the printed
     split follows their order, and a partial sum over three fields is refused."""
-    if isinstance(expr, BiSeqExpr):
+    if isinstance(expr, BiSeq):
         raise ValueError("a sequence literal has no numeric value")
     x = y = _ZERO
-    for t in expr.terms:
+    for t in expr:
         n, m, cf = t.coef.numerator, t.coef.denominator, t.cf
         if isinstance(cf, EPCF):
             v = eval_periodic(cf)

@@ -153,7 +153,7 @@ def test_limsup_matches_far_samples():
 def test_shift_equivariance():
     A = build_a0()
     for k in (-2, 1, 3):
-        shifted = A.shifted(k)
+        shifted = BiSeq(A.left_period, A.core, A.origin + k, A.right_period)  # origin k places on
         for i in (-4, 0, 2, 7):
             assert lambda_at(shifted, i - k).value == lambda_at(A, i).value
 

@@ -889,13 +889,15 @@ def test_audit_keeps_side_matrices_of_failed_windows_only(monkeypatch):
 def test_audit_side_matrices_equal_their_windows_from_scratch(monkeypatch):
     # every bracket's side matrices, continued from a half window or built
     # by _sides, are those of its window from scratch, integer for integer;
-    # the audit's upper(n, k, sides) is the caller of _site
+    # the caller of _site is the audit's upper(n, k, sides), or for the exact
+    # test one_sided_lambda_bracket(w, n), whose window is the whole word
     rng = random.Random(24)
     site, levels = certify._site, set()
 
     def checked(c, sides, right, left):
         f = sys._getframe(1).f_locals
-        n, k, w = f["n"], f["k"], f["w"]
+        n, w = f["n"], f["w"]
+        k = f.get("k", len(w))
         whole = k < n - 1 and n + k <= len(w)
         assert sides == _sides(w[max(n - 1 - k, 0) : n + k], min(k, n - 1))
         levels.add((k, whole))

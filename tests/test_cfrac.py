@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain, cycle, islice
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,6 @@ from lagspec.cfrac import (
     PeriodNotFoundError,
     PrefixOrderUndecided,
     cmp_prefix,
-    convergents,
     cylinder,
     distance_bounds,
     eval_finite,
@@ -29,20 +29,35 @@ from lagspec.cfrac import (
 from lagspec.quadfield import QuadExt, QuadSum
 
 
+def _recurrence(word):
+    """The convergents (p_n, q_n) of a word by the textbook recurrence
+    p_n = a_n*p_{n-1} + p_{n-2}, q_n = a_n*q_{n-1} + q_{n-2}, from (1, 0) and (0, 1)."""
+    out, (p1, q1), (p0, q0) = [], (1, 0), (0, 1)
+    for a in word:
+        (p1, q1), (p0, q0) = (a * p1 + p0, a * q1 + q0), (p1, q1)
+        out.append((p1, q1))
+    return out
+
+
 def test_convergents_examples():
-    assert convergents(FiniteCF(0, (2, 1))) == [(0, 1), (1, 2), (1, 3)]
-    assert convergents(FiniteCF(3, (3, 3))) == [(3, 1), (10, 3), (33, 10)]
+    assert _recurrence((0, 2, 1)) == [(0, 1), (1, 2), (1, 3)]
+    assert _recurrence((3, 3, 3)) == [(3, 1), (10, 3), (33, 10)]
+    # mobius carries the last two convergents: p1/q1 and p0/q0
+    assert mobius(FiniteCF(0, (2, 1)).word) == (1, 1, 3, 2)
+    assert mobius(FiniteCF(3, (3, 3)).word) == (33, 10, 10, 3)
     # [0;1,2,1,2,1,2] is the 7-term prefix of the expansion of -1+sqrt(3)
     e = expand(QuadExt(-1, 1, 1, 3))
-    prefix = tuple(e.quotient(i) for i in range(7))
+    prefix = tuple(islice(chain((e.a0,), e.preperiod, cycle(e.period)), 7))
     assert prefix == (0, 1, 2, 1, 2, 1, 2)
-    assert convergents(FiniteCF(0, (1, 2, 1, 2, 1, 2))) == convergents(prefix)
+    assert mobius(FiniteCF(0, (1, 2, 1, 2, 1, 2)).word) == mobius(prefix) == (30, 11, 41, 15)
 
 
 def test_convergents_coprime_increasing():
     from math import gcd
 
-    convs = convergents(FiniteCF(0, (3, 1, 4, 1, 5, 9, 2)))
+    word = FiniteCF(0, (3, 1, 4, 1, 5, 9, 2)).word
+    convs = [mobius(word[:k])[::2] for k in range(1, len(word) + 1)]
+    assert convs == _recurrence(word)
     for p, q in convs:
         assert gcd(p, q) == 1 and q >= 1
     qs = [q for _, q in convs]
@@ -56,7 +71,7 @@ def test_convergents_coprime_increasing():
 def test_mobius_matrix(u, v):
     word = tuple(u) + tuple(v)
     p1, p0, q1, q0 = mobius(word)
-    convs = convergents(word)
+    convs = _recurrence(word)
     assert (p1, q1) == convs[-1]
     assert (p0, q0) == (convs[-2] if len(convs) > 1 else (1, 0))
     assert p1 * q0 - p0 * q1 == (-1) ** len(word)
@@ -315,8 +330,9 @@ def test_alternating_ended_word_against_periodic(a0, pre, per, k, tail):
     the ended sequence counts as the larger quotient, and the sign is that of
     the exact difference of the rational and the quadratic irrational."""
     e = EPCF(a0, tuple(pre), tuple(per))
-    w = tuple(map(e.quotient, range(k))) + tuple(tail)
-    sign, i = _alternating(w, map(e.quotient, range(len(w) + 1)))
+    quotients = lambda: chain((e.a0,), e.preperiod, cycle(e.period))  # the infinite word
+    w = tuple(islice(quotients(), k)) + tuple(tail)
+    sign, i = _alternating(w, islice(quotients(), len(w) + 1))
     exact = QuadSum(eval_finite(w)) - QuadSum(eval_periodic(e))
     assert sign == exact.sign() != 0
     assert k <= i <= len(w)

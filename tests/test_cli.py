@@ -732,6 +732,27 @@ def test_refused_input_exits_1_with_its_message(capsys, argv, err):
     assert run(capsys, *argv) == (1, "", err)
 
 
+# a sequence literal parses, from the one-pass reader or, past 4,300 characters,
+# the token parser, and is then refused as a value
+LONG_SEQUENCE = "<(1) | " + "1," * 2200 + "2* | (1)>"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "<(1) | 2* | (1)>"],
+        ["eval", "<(1)|2*|(1)>"],
+        ["expand", "<(1) | 2* | (1)>"],
+        ["expand", "<(1)|2*|(1)>"],
+        ["certify-pattern", "3,1", "--threshold", "<(1)|2*|(1)>"],
+        ["eval", LONG_SEQUENCE],
+    ],
+    ids=["eval", "eval-unspaced", "expand", "expand-unspaced", "certify-pattern", "eval-long"],
+)
+def test_a_sequence_literal_has_no_numeric_value(capsys, argv):
+    assert run(capsys, *argv) == (1, "", "error: a sequence literal has no numeric value\n")
+
+
 def test_closed_stdout_exits_1_without_a_traceback():
     # 365 kB of output: the writer meets the closed pipe, in print or in its flush
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))

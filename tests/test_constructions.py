@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import lagspec.constructions as constructions
 from conftest import deadline
@@ -14,7 +16,6 @@ from lagspec.constructions import (
     alpha0_core_indices,
     alpha0_prefix,
     attainable_from_periodic,
-    block_word,
     build_a0,
     c_block,
     dirichlet_repeat,
@@ -118,6 +119,64 @@ def test_dirichlet_examples():
         dirichlet_repeat((1, 5, 1), 0)
 
 
+def _repeat_by_double_loop(w, n):
+    """The earliest same-parity pair (n1, n2), 1-based, with equal length-(2n+1)
+    windows, by trying every pair in order; None when there is none."""
+    width = 2 * n + 1
+    last = len(w) - width  # last 0-based window start
+    for s1 in range(0, last + 1):
+        for s2 in range(s1 + 2, last + 1, 2):
+            if w[s1 : s1 + width] == w[s2 : s2 + width]:
+                return s1 + 1, s2 + 1
+    return None
+
+
+@given(
+    st.sampled_from([2, 4]).flatmap(lambda k: st.lists(st.integers(1, k), max_size=60)),
+    st.integers(0, 3),
+)
+# the window of start 1 recurs only at 11, after the windows of starts 2 and 3 recur
+@example((1, 2, 3, 2, 3, 4, 3, 4, 4, 3, 1), 0)
+@settings(max_examples=500)
+def test_dirichlet_matches_the_double_loop(word, n):
+    expected = _repeat_by_double_loop(word, n)
+    if expected is None:
+        with pytest.raises(NoRepeatError, match="^no repeated parity-aligned window of length"):
+            dirichlet_repeat(word, n)
+    else:
+        assert dirichlet_repeat(word, n) == expected
+
+
+def _de_bruijn(k, n):
+    """The de Bruijn word over 1..k of order n, cut open: each of the k**n words
+    of length n starts exactly once (Fredricksen, Kessler and Maiorana)."""
+    a, out = [0] * (n + 1), []
+
+    def extend(t, p):
+        if t > n:
+            if n % p == 0:
+                out.extend(a[1 : p + 1])
+            return
+        a[t] = a[t - p]
+        extend(t + 1, p)
+        for j in range(a[t - p] + 1, k):
+            a[t] = j
+            extend(t + 1, t)
+
+    extend(1, 1)
+    word = tuple(x + 1 for x in out)
+    return word + word[: n - 1]
+
+
+def test_dirichlet_answers_a_word_without_repeats_at_once():
+    word = _de_bruijn(4, 7)
+    assert len(word) == 16390 and len({word[s : s + 7] for s in range(len(word) - 6)}) == 4**7
+    # every window of length 7 occurs once: no pair of any parity repeats
+    with deadline(2, "dirichlet_repeat on the de Bruijn word of order 7"):
+        with pytest.raises(NoRepeatError):
+            dirichlet_repeat(word, 3)
+
+
 def test_dirichlet_exists_at_guarantee_length():
     rng = random.Random(13579)
     width = 3  # 2n+1 with n = 1
@@ -219,19 +278,12 @@ def test_attainable_needs_a_check():
             attainable_from_periodic((2, 2), (2, 1), check_m=m)
 
 
-def test_block_word():
-    assert block_word([(2, 2), (2, 1)], [1, 1]) == (2, 2, 2, 2, 2, 2, 2, 1, 2, 1, 2, 1)
-    assert block_word([(1,)], [2]) == (1, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        block_word([(1,)], [1, 2])
-
-
 def test_block_word_lambda_near_periodic_value():
     """Inside a block the one-sided value approximates the block period's
     phase value to within the distance bound at the edge distance."""
     periods = [(2, 2), (2, 1)]
     reps = [4, 5]
-    word = block_word(periods, reps)
+    word = sum((per * (2 * rep + 1) for per, rep in zip(periods, reps)), ())
     pos = 0
     for per, rep in zip(periods, reps):
         size = len(per) * (2 * rep + 1)

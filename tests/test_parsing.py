@@ -10,13 +10,10 @@ from lagspec.bisequence import BiSeq
 from lagspec.cfrac import EPCF, FiniteCF, eval_finite, eval_periodic
 from lagspec.cli import main
 from lagspec.parsing import (
-    BiSeqExpr,
     ExprSyntaxError,
-    SumExpr,
     Term,
     evaluate,
     parse_biseq,
-    parse_cf,
     parse_expression,
     parse_word,
     _Lexer,
@@ -29,17 +26,22 @@ from lagspec.quadfield import MixedRadicandError, QuadExt, QuadSum
 
 
 def test_parse_cf_examples():
-    assert parse_cf("[0;(1,2)]") == EPCF(0, (), (1, 2))
-    assert parse_cf("[3;3,3,2,1,(1,2)]") == EPCF(3, (3, 3, 2, 1), (1, 2))
-    assert parse_cf("[0;2,1]") == FiniteCF(0, (2, 1))
-    assert parse_cf("[3]") == FiniteCF(3, ())
-    assert parse_cf("[-2;1,1]") == FiniteCF(-2, (1, 1))
-    assert parse_cf(" [ 0 ; 1 , ( 1 , 2 ) ] ") == EPCF(0, (1,), (1, 2))
+    # a lone continued fraction is a sum of one term with coefficient 1, from
+    # the one-pass reader and from the token parser alike
+    for text, cf in [
+        ("[0;(1,2)]", EPCF(0, (), (1, 2))),
+        ("[3;3,3,2,1,(1,2)]", EPCF(3, (3, 3, 2, 1), (1, 2))),
+        ("[0;2,1]", FiniteCF(0, (2, 1))),
+        ("[3]", FiniteCF(3, ())),
+        ("[-2;1,1]", FiniteCF(-2, (1, 1))),
+        (" [ 0 ; 1 , ( 1 , 2 ) ] ", EPCF(0, (1,), (1, 2))),
+    ]:
+        assert parse_expression(text) == _whole(text, _parse_sum) == (Term(Fraction(1), cf),)
 
 
 def test_parse_sum():
     e = parse_expression("[3;3,3,2,1,(1,2)]+[0;2,1,(1,2)]")
-    assert isinstance(e, SumExpr) and len(e.terms) == 2
+    assert isinstance(e, tuple) and len(e) == 2
     assert evaluate(e) == QuadExt(62976, -1498, 16357, 3)
     e2 = parse_expression("3+2*[0;3,2,1,(1,2)]")
     assert evaluate(e2) == QuadExt(246, 1, 69, 3)
@@ -70,7 +72,7 @@ def test_parse_errors_carry_position():
     [
         (parse_expression, "1/2 + [0;1,2]\n  + 3 ]", ("]", 2, 7)),
         (parse_expression, "<(1)|2*|(1)> + 1", ("+", 1, 14)),
-        (parse_cf, "[0;1,(2)]\n\n  7", ("7", 3, 3)),
+        (parse_expression, "[0;1,(2)]\n\n  7", ("7", 3, 3)),
         (parse_biseq, "<(1) | 2* | (1)>\n>", (">", 2, 1)),
         (parse_word, "1,2,\n3 4", ("4", 2, 3)),
     ],
@@ -93,7 +95,7 @@ def test_trailing_input_is_refused_at_its_token(parse, text, at):
         ("  [0;\n 1,]", ("]", 2, 4)),
     ],
 )
-@pytest.mark.parametrize("parse", [parse_cf, parse_expression])
+@pytest.mark.parametrize("parse", [parse_expression])
 def test_missing_quotient_is_refused_at_its_token(parse, text, at):
     with pytest.raises(ExprSyntaxError, match="^expected a partial quotient or a period at") as err:
         parse(text)
@@ -230,10 +232,10 @@ def _format_coef(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def format_expression(expr: SumExpr) -> str:
+def format_expression(expr: tuple[Term, ...]) -> str:
     """The text of a sum expression, in the grammar parse_expression reads."""
     parts: list[str] = []
-    for t in expr.terms:
+    for t in expr:
         if t.cf is None:
             s = _format_coef(t.coef)
         elif t.coef == 1:
@@ -251,7 +253,7 @@ def format_expression(expr: SumExpr) -> str:
     return "".join(parts)
 
 
-@given(st.lists(terms, min_size=1, max_size=3).map(tuple).map(SumExpr))
+@given(st.lists(terms, min_size=1, max_size=3).map(tuple))
 @settings(max_examples=500)
 def test_format_parse_round_trip(expr):
     assert parse_expression(format_expression(expr)) == expr
@@ -272,16 +274,16 @@ def test_biseq_format_parse_round_trip(lp, core, rp, data):
 
 def test_biseq_expression():
     e = parse_expression("<(1) | 2* | (1)>")
-    assert isinstance(e, BiSeqExpr)
-    with pytest.raises(ValueError):
+    assert e == BiSeq((1,), (2,), 0, (1,))
+    with pytest.raises(ValueError, match="^a sequence literal has no numeric value$"):
         evaluate(e)
 
 
-def _operator_sum(expr: SumExpr) -> QuadSum:
+def _operator_sum(expr: tuple[Term, ...]) -> QuadSum:
     """The value of a sum built through the operators: each term's value times its
     coefficient, added onto QuadSum(0) one term at a time."""
     total = QuadSum(QuadExt(0))
-    for t in expr.terms:
+    for t in expr:
         if t.cf is None:
             total = total + t.coef
         elif isinstance(t.cf, EPCF):
@@ -339,7 +341,7 @@ def test_a_partial_sum_over_three_fields_is_refused():
         evaluate(parse_expression("[0;(2)]+[0;(3)]+[0;(5)]-[0;(5)]"))
 
 
-@given(st.lists(fold_terms, min_size=1, max_size=5).map(tuple).map(SumExpr))
+@given(st.lists(fold_terms, min_size=1, max_size=5).map(tuple))
 @example(parse_expression("[1;(1)]+2+[0;(2)]"))
 @example(parse_expression("[0;(3)]+1/2+[0;(2)]+1/3"))
 @example(parse_expression("[0;(2)]+[0;(3)]+[0;(5)]-[0;(5)]"))
@@ -460,11 +462,12 @@ def mutated(draw, tokens):
 
 
 def _outcome(parse, text):
-    """parse(text), or the type, arguments and position of the ValueError it raises."""
+    """("read", parse(text)), or "refused" and the type, arguments and position of
+    the ValueError it raises."""
     try:
-        return parse(text)
+        return "read", parse(text)
     except ValueError as e:
-        return type(e), e.args, vars(e)
+        return "refused", type(e), e.args, vars(e)
 
 
 @given(st.one_of(mutated(sum_tokens()), mutated(biseq_tokens())))
@@ -478,6 +481,6 @@ def test_one_pass_reader_agrees_with_the_token_parser(text):
     expected_seq = _outcome(lambda t: _whole(t, _parse_biseq_body), text)
     # the reader reads exactly the texts the token parser reads, to equal values,
     # and every refusal is the token parser's, with its line, column and token
-    assert (_read(text) is None) == isinstance(expected, tuple)
+    assert (_read(text) is None) == (expected[0] == "refused")
     assert _outcome(parse_expression, text) == expected
     assert _outcome(parse_biseq, text) == expected_seq
